@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (DEFAULT_NODES, TestFunction, inner_product,
-                      laplace_fourier_transform, norm,
-                      position_inner_product_mc, rotate_pointwise,
+from .hilbert import (DEFAULT_NODES, MomentumQuadrature, TestFunction,
+                      inner_product, laplace_fourier_transform, momentum_box,
+                      norm, position_inner_product_mc, rotate_pointwise,
                       tensor_grid)
 from .kernels import KernelVariant
 from .report import CheckReport, make_report
@@ -182,18 +182,51 @@ def check_commutator(name_a: str, name_b: str, f: TestFunction,
                                "variant": variant.value, "two_s": f.two_s})
 
 
+def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
+                        small_nodes: int):
+    """<f|A g> and <A f|g> for every pair (f, g), generator A and variant.
+
+    A acts as its variant-free orbital part plus a constant spin matrix S,
+    so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
+    every variant.  H and P multiply by functions of p and use the
+    ``small_nodes`` grid; J and K use the ``nodes`` grid.  Kernels are
+    shared by all pairs and transforms dropped after each pair, so memory
+    does not grow with the pair count.  Rows are ``(pair index, name,
+    variant, lhs, rhs, |lhs - rhs| / (|lhs| + |rhs|))``.
+    """
+    two_s = pairs[0][0].two_s
+    if any(h.two_s != two_s for pair in pairs for h in pair):
+        raise ValueError("all functions must share one spin")
+    box = max(momentum_box(pair, m) for pair in pairs)
+    quads = {n: MomentumQuadrature(m, two_s, box, n)
+             for n in {nodes, small_nodes}}
+    rows = []
+    for idx, (f, g) in enumerate(pairs):
+        for name in names:
+            quad = quads[small_nodes if name[0] in ("H", "P") else nodes]
+            ff, gg = quad.transform(f), quad.transform(g)
+            orb_f = quad.transform(apply_generator_orbital(name, f))
+            orb_g = quad.transform(apply_generator_orbital(name, g))
+            for variant in variants:
+                S = generator_spin_matrix(name, two_s, variant)
+                lhs = quad.contract(ff, orb_g + S @ gg, variant)
+                rhs = quad.contract(orb_f + S @ ff, gg, variant)
+                rows.append((idx, name, variant, lhs, rhs,
+                             abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)))
+        for quad in quads.values():
+            quad.drop_transforms()
+    return rows
+
+
 def check_hermiticity(tag, f: TestFunction, g: TestFunction, m: float,
                       nodes: int = DEFAULT_NODES,
                       tolerance: float = 1e-7) -> CheckReport:
     """Relative deviation of <f|A g> from <A f|g> under the variant kernel."""
     if isinstance(tag, str):
         tag = GeneratorTag(tag)
-    af = apply_generator(tag, f)
-    ag = apply_generator(tag, g)
-    lhs = inner_product(f, ag, tag.variant, m, nodes=nodes)
-    rhs = inner_product(af, g, tag.variant, m, nodes=nodes)
-    denom = abs(lhs) + abs(rhs) + 1e-30
-    return make_report("hermiticity", abs(lhs - rhs) / denom, tolerance,
+    ((_, _, _, lhs, rhs, measured),) = hermiticity_defects(
+        [(f, g)], m, (tag.variant,), (tag.name,), nodes, nodes)
+    return make_report("hermiticity", measured, tolerance,
                        inputs={"generator": tag.name,
                                "variant": tag.variant.value,
                                "two_s": f.two_s, "m": m},

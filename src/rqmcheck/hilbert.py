@@ -382,6 +382,61 @@ def tensor_grid(half_width: float, nodes: int):
     return pts, wts
 
 
+class MomentumQuadrature:
+    """The 3-momentum quadrature behind every reflection-positive pairing.
+
+    One Gauss-Legendre tensor grid on ``[-L, L]^3`` at mass m and spin s.
+    The on-shell kernel of each variant is built on first use and kept;
+    each function's exact transform is evaluated once on the grid, keyed
+    by its canonical form, until :meth:`drop_transforms`.
+    """
+
+    def __init__(self, m: float, two_s: int, half_width: float, nodes: int):
+        self.m = float(m)
+        self.two_s = two_s
+        self.points, self.weights = tensor_grid(half_width, nodes)
+        self._kernels: dict = {}
+        self._transforms: dict = {}
+
+    def kernel(self, variant: KernelVariant) -> np.ndarray:
+        """On-shell kernel on the grid, shape ``(2s+1, 2s+1, N)``."""
+        if variant not in self._kernels:
+            self._kernels[variant] = onshell_kernel_grid(
+                variant, self.m, self.two_s, self.points)
+        return self._kernels[variant]
+
+    def transform(self, f: TestFunction) -> np.ndarray:
+        """Exact transform of f on the grid, shape ``(2s+1, N)``."""
+        key = f.canonical()
+        if key not in self._transforms:
+            self._transforms[key] = laplace_fourier_transform(
+                key, self.m).evaluate(self.points)
+        return self._transforms[key]
+
+    def drop_transforms(self):
+        """Free the cached transforms; the kernels stay."""
+        self._transforms.clear()
+
+    def contract(self, ff: np.ndarray, gg: np.ndarray,
+                 variant: KernelVariant) -> complex:
+        """``sum_n w_n conj(ff_u) K_uv gg_v`` for transforms on this grid."""
+        return complex(np.einsum("un,uvn,vn,n->", ff.conj(),
+                                 self.kernel(variant), gg, self.weights))
+
+    def pair(self, f: TestFunction, g: TestFunction,
+             variant: KernelVariant) -> complex:
+        """<f|g> under the variant kernel."""
+        return self.contract(self.transform(f), self.transform(g), variant)
+
+    def gram(self, fs, variant: KernelVariant) -> np.ndarray:
+        """Matrix of all pairings ``<f_i|f_j>`` as one stacked product."""
+        stack = np.stack([self.transform(f) for f in fs])   # (nf, dim, N)
+        mixed = np.einsum("uvn,jvn->jun", self.kernel(variant), stack)
+        weighted = stack.conj() * self.weights
+        nf = len(fs)
+        return weighted.reshape(nf, -1) @ mixed.reshape(nf, -1).T
+
+
 def inner_product(f: TestFunction, g: TestFunction, variant: KernelVariant,
                   m: float, nodes: int = DEFAULT_NODES,
                   half_width: float | None = None,
@@ -396,57 +451,20 @@ def inner_product(f: TestFunction, g: TestFunction, variant: KernelVariant,
         raise ValueError("spin mismatch between f and g")
     if half_width is None:
         half_width = momentum_box((f, g), m)
-    val = _quad_inner(f, g, variant, m, nodes, half_width)
+    val = MomentumQuadrature(m, f.two_s, half_width, nodes).pair(f, g,
+                                                                 variant)
     if not check_convergence:
         return val
-    refined = _quad_inner(f, g, variant, m, 2 * nodes, half_width)
+    refined = MomentumQuadrature(m, f.two_s, half_width,
+                                 2 * nodes).pair(f, g, variant)
     rel = abs(refined - val) / max(abs(refined), 1e-300)
     return refined, rel
-
-
-def _quad_inner(f, g, variant, m, nodes, half_width):
-    pts, wts = tensor_grid(half_width, nodes)
-    ff = laplace_fourier_transform(f, m).evaluate(pts)
-    gg = laplace_fourier_transform(g, m).evaluate(pts)
-    kern = onshell_kernel_grid(variant, m, f.two_s, pts)
-    return complex(np.einsum("un,uvn,vn,n->", ff.conj(), kern, gg, wts))
 
 
 def norm(f: TestFunction, variant: KernelVariant, m: float,
          nodes: int = DEFAULT_NODES, half_width: float | None = None) -> float:
     val = inner_product(f, f, variant, m, nodes=nodes, half_width=half_width)
     return math.sqrt(max(val.real, 0.0))
-
-
-class InnerProductWorkspace:
-    """Shared grid, kernel and transform cache for batched inner products.
-
-    Useful when many pairings are evaluated against the same variant and
-    mass: the on-shell kernel is built once and each function transform is
-    evaluated once on the common grid.
-    """
-
-    def __init__(self, variant: KernelVariant, m: float, two_s: int,
-                 half_width: float, nodes: int = DEFAULT_NODES):
-        self.variant = variant
-        self.m = float(m)
-        self.two_s = two_s
-        self.points, self.weights = tensor_grid(half_width, nodes)
-        self.kernel = onshell_kernel_grid(variant, m, two_s, self.points)
-        self._cache: dict = {}
-
-    def transform(self, f: TestFunction) -> np.ndarray:
-        key = f.canonical()
-        if key not in self._cache:
-            self._cache[key] = laplace_fourier_transform(
-                key, self.m).evaluate(self.points)
-        return self._cache[key]
-
-    def pair(self, f: TestFunction, g: TestFunction) -> complex:
-        ff = self.transform(f)
-        gg = self.transform(g)
-        return complex(np.einsum("un,uvn,vn,n->", ff.conj(), self.kernel, gg,
-                                 self.weights))
 
 
 @dataclass(frozen=True)
@@ -476,15 +494,8 @@ def gram_matrix(fs, variant: KernelVariant, m: float,
     if any(f.two_s != two_s for f in fs):
         raise ValueError("all functions must share one spin")
     if half_width is None:
-        half_width = momentum_box(fs + [fs[0]], m)
-    pts, wts = tensor_grid(half_width, nodes)
-    kern = onshell_kernel_grid(variant, m, two_s, pts)
-    stack = np.stack([laplace_fourier_transform(f, m).evaluate(pts)
-                      for f in fs])                      # (nf, dim, N)
-    mixed = np.einsum("uvn,jvn->jun", kern, stack)
-    weighted = stack.conj() * wts
-    nf = len(fs)
-    gram = weighted.reshape(nf, -1) @ mixed.reshape(nf, -1).T
+        half_width = momentum_box(fs, m)
+    gram = MomentumQuadrature(m, two_s, half_width, nodes).gram(fs, variant)
     herm = float(np.max(np.abs(gram - gram.conj().T)))
     scale = float(np.max(np.abs(gram)))
     gram_h = 0.5 * (gram + gram.conj().T)
@@ -493,7 +504,7 @@ def gram_matrix(fs, variant: KernelVariant, m: float,
     lam_max = float(evals[-1])
     passed = (lam_min >= -eig_tol * max(1.0, lam_max)
               and herm <= 1e-10 * max(scale, 1e-300))
-    return GramReport(size=nf, min_eig=lam_min, max_eig=lam_max,
+    return GramReport(size=len(fs), min_eig=lam_min, max_eig=lam_max,
                       passed=passed, hermiticity_defect=herm, matrix=gram)
 
 

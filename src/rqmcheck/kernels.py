@@ -253,9 +253,10 @@ def check_factorization(m: float, two_s: int, p,
                                "p": [float(v) for v in p]})
 
 
-#: how the SU(2) pair (A, B) acts on each variant's matrix realization
-def _variant_pair_action(variant: KernelVariant, A: np.ndarray,
-                         B: np.ndarray):
+def variant_pair_action(variant: KernelVariant, A: np.ndarray,
+                        B: np.ndarray):
+    """(left, right) factors by which the SU(2) pair (A, B) acts on the
+    variant's matrix realization: ``X -> left @ X @ right``."""
     if variant is KernelVariant.RIGHT:
         return A, B.T
     if variant is KernelVariant.RIGHT_DUAL:
@@ -279,7 +280,7 @@ def check_kernel_covariance(variant: KernelVariant, m: float, two_s: int,
     B = np.asarray(B, dtype=complex)
     p_e = np.asarray(p_e, dtype=float)
     O = orth_from_pair(A, B)
-    left, right = _variant_pair_action(variant, A, B)
+    left, right = variant_pair_action(variant, A, B)
     M = left @ eucl_to_matrix(p_e, variant) @ right
     lhs = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1])
     Mr = eucl_to_matrix(O @ p_e, variant)

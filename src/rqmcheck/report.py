@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -38,11 +39,13 @@ class CheckReport:
 
 def make_report(name, measured, tolerance, inputs=None, details=None,
                 negative_control=False) -> CheckReport:
-    """Build a report; a negative control passes when measured > tolerance."""
+    """Build a report; a negative control passes when measured > tolerance.
+
+    A NaN or infinite measurement never passes, control or not.
+    """
     measured = float(measured)
-    ok = measured <= tolerance
-    if negative_control:
-        ok = not ok
+    ok = measured > tolerance if negative_control else measured <= tolerance
+    ok = ok and math.isfinite(measured)
     return CheckReport(
         name=name,
         measured=measured,

@@ -103,10 +103,6 @@ def is_sl2c(a: np.ndarray, tol: float = SL2C_CONSTRUCT_TOL) -> bool:
     return abs(np.linalg.det(a) - 1.0) <= tol
 
 
-def is_su2(a: np.ndarray, tol: float = SL2C_CONSTRUCT_TOL) -> bool:
-    return is_sl2c(a, tol) and np.max(np.abs(a @ a.conj().T - SIGMA0)) <= tol
-
-
 def mink_to_matrix(x) -> np.ndarray:
     """Map (t, x, y, z) to the Hermitian matrix ``x^mu sigma_mu``."""
     x = np.asarray(x, dtype=float)

@@ -9,6 +9,7 @@ loosened checks are flagged in their report inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,11 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
-            if float(value) < DEFAULT_TOLERANCES[name]:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"tolerance override for {name!r} must be "
+                                 f"a finite number, got {value!r}")
+            if value < DEFAULT_TOLERANCES[name]:
                 raise ValueError(
                     f"tolerance override for {name!r} may only loosen the "
                     f"default {DEFAULT_TOLERANCES[name]}")
@@ -89,14 +94,8 @@ class RunConfig:
     def tol(self, name: str):
         """Resolved tolerance plus a flag marking loosened defaults."""
         default = DEFAULT_TOLERANCES[name]
-        if name in self.tolerances:
-            value = float(self.tolerances[name])
-            if value < default:
-                raise ValueError(
-                    f"tolerance override for {name!r} may only loosen the "
-                    f"default {default}")
-            return value, value > default
-        return default, False
+        value = float(self.tolerances.get(name, default))
+        return value, value > default
 
     def report(self, name, tol_name, measured, inputs=None, details=None,
                negative_control=False) -> CheckReport:
@@ -155,12 +154,6 @@ def suite_algebra(cfg: RunConfig):
 
         worst_int = 0.0
         worst_orth = 0.0
-        pair_actions = {
-            st.KernelVariant.RIGHT: lambda A, B: (A, B.T),
-            st.KernelVariant.RIGHT_DUAL: lambda A, B: (A.conj(), B.conj().T),
-            st.KernelVariant.LEFT: lambda A, B: (B, A.T),
-            st.KernelVariant.LEFT_DUAL: lambda A, B: (B.conj(), A.conj().T),
-        }
         for _ in range(25):
             A = _random_su2(rng)
             B = _random_su2(rng)
@@ -169,7 +162,7 @@ def suite_algebra(cfg: RunConfig):
                 O @ O.T - np.eye(4)))))
             xe = rng.normal(size=4)
             for variant in cfg.variants:
-                left, right = pair_actions[variant](A, B)
+                left, right = kr.variant_pair_action(variant, A, B)
                 lhs = left @ st.eucl_to_matrix(xe, variant) @ right
                 rhs = st.eucl_to_matrix(O @ xe, variant)
                 worst_int = max(worst_int, float(np.max(np.abs(lhs - rhs))))
@@ -437,57 +430,14 @@ def hermiticity_pairs(rng, two_s, count):
 
 def run_hermiticity_matrix(pairs, m, variants, tol_fn, nodes=88,
                            small_nodes=32):
-    """All-generator hermiticity reports over function pairs.
-
-    Transforms are shared across variants by splitting each generator
-    into its orbital part and a constant spin-mixing matrix; H and P are
-    pointwise identities in momentum space, so they use a small grid.
-    """
+    """All-generator hermiticity reports over function pairs; H and P use
+    the ``small_nodes`` grid (see :func:`generators.hermiticity_defects`)."""
     two_s = pairs[0][0].two_s
-    box = max(hl.momentum_box(p, m) for p in pairs)
-    grids = {
-        True: hl.tensor_grid(box, small_nodes),
-        False: hl.tensor_grid(box, nodes),
-    }
-    kernels = {(variant, small): kr.onshell_kernel_grid(
-        variant, m, two_s, grids[small][0])
-        for variant in variants for small in (True, False)}
-    out = []
-    for idx, (f, g) in enumerate(pairs):
-        cache = {True: {}, False: {}}
-
-        def transform(func, small):
-            key = func.canonical()
-            store = cache[small]
-            if key not in store:
-                store[key] = hl.laplace_fourier_transform(
-                    key, m).evaluate(grids[small][0])
-            return store[key]
-
-        for name in gn.GENERATOR_NAMES:
-            small = name[0] in ("H", "P")
-            wts = grids[small][1]
-            ff = transform(f, small)
-            gg = transform(g, small)
-            orb_f = transform(gn.apply_generator_orbital(name, f), small)
-            orb_g = transform(gn.apply_generator_orbital(name, g), small)
-            for variant in variants:
-                S = gn.generator_spin_matrix(name, two_s, variant)
-                faf = orb_f + S @ ff
-                fag = orb_g + S @ gg
-                K = kernels[(variant, small)]
-                mixed_ag = np.einsum("uvn,vn->un", K, fag)
-                mixed_g = np.einsum("uvn,vn->un", K, gg)
-                lhs = complex(np.einsum("un,un,n->", ff.conj(), mixed_ag,
-                                        wts))
-                rhs = complex(np.einsum("un,un,n->", faf.conj(), mixed_g,
-                                        wts))
-                measured = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)
-                out.append(tol_fn(
-                    "generator_hermiticity", "hermiticity", measured,
-                    {"generator": name, "variant": variant.value,
-                     "pair": idx, "two_s": two_s, "m": m}))
-    return out
+    return [tol_fn("generator_hermiticity", "hermiticity", measured,
+                   {"generator": name, "variant": variant.value,
+                    "pair": idx, "two_s": two_s, "m": m})
+            for idx, name, variant, _, _, measured in gn.hermiticity_defects(
+                pairs, m, variants, gn.GENERATOR_NAMES, nodes, small_nodes)]
 
 
 def suite_hermiticity(cfg: RunConfig):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from rqmcheck.cli import main
 from rqmcheck.suites import SUITES
 
@@ -74,6 +76,31 @@ def test_tightened_tolerance_rejected(tmp_path, capsys):
     code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
     assert code == 2
     assert "loosen" in err
+
+
+def test_non_finite_tolerance_rejected(tmp_path, capsys):
+    from rqmcheck.suites import RunConfig
+
+    for bad in (float("nan"), float("inf"), "1e-3", None, True):
+        with pytest.raises(ValueError):
+            RunConfig(tolerances={"casimir": bad})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"suites": ["algebra"], "tolerances": {"casimir": NaN}}')
+    code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "finite" in err
+
+
+def test_non_finite_measurement_never_passes():
+    from rqmcheck.report import make_report
+
+    for value in (float("nan"), float("inf"), -float("inf")):
+        for control in (False, True):
+            assert not make_report("x", value, 1e-7,
+                                   negative_control=control).passed
+    assert not make_report("suite_internal_error", float("inf"), 0.0).passed
+    assert make_report("x", 1.0, 1e-7, negative_control=True).passed
+    assert make_report("x", 1e-9, 1e-7).passed
 
 
 def test_loosened_tolerance_is_flagged(tmp_path, capsys):

@@ -129,6 +129,24 @@ def test_rotation_generator_hermiticity_fine():
     assert rep.passed, rep.measured
 
 
+def test_check_hermiticity_matches_suite_matrix():
+    from rqmcheck import suites as su
+    from rqmcheck.report import make_report
+
+    pairs = su.hermiticity_pairs(np.random.default_rng(12), 1, 1)
+    f, g = pairs[0]
+    rows = su.run_hermiticity_matrix(
+        pairs, 1.0, (KV.LEFT,),
+        lambda name, tol_name, measured, inputs: make_report(
+            name, measured, 1e-7, inputs=inputs))
+    for name, nodes in (("P3", 32), ("K2", 88)):
+        suite = [r for r in rows if r.inputs["generator"] == name]
+        single = gn.check_hermiticity(gn.GeneratorTag(name, KV.LEFT), f, g,
+                                      1.0, nodes=nodes)
+        assert len(suite) == 1
+        assert abs(single.measured - suite[0].measured) <= 1e-15
+
+
 def test_wrong_spin_term_breaks_hermiticity():
     rng = np.random.default_rng(5)
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,

@@ -189,14 +189,20 @@ def test_gram_matrix_basics():
     assert rep.passed
 
 
-def test_workspace_matches_inner_product():
+def test_momentum_quadrature_matches_inner_product_and_gram():
     rng = np.random.default_rng(10)
-    f = hl.random_test_function(rng, 1)
-    g = hl.random_test_function(rng, 1)
-    box = hl.momentum_box((f, g), 1.0)
-    ws = hl.InnerProductWorkspace(KV.LEFT, 1.0, 1, box, nodes=40)
-    direct = hl.inner_product(f, g, KV.LEFT, 1.0, nodes=40, half_width=box)
-    assert abs(ws.pair(f, g) - direct) < 1e-14 * max(1.0, abs(direct))
+    fs = [hl.random_test_function(rng, 1) for _ in range(3)]
+    box = hl.momentum_box(fs, 1.0)
+    quad = hl.MomentumQuadrature(1.0, 1, box, nodes=40)
+    direct = np.array([[hl.inner_product(f, g, KV.LEFT, 1.0, nodes=40,
+                                         half_width=box) for g in fs]
+                       for f in fs])
+    paired = np.array([[quad.pair(f, g, KV.LEFT) for g in fs] for f in fs])
+    gram = hl.gram_matrix(fs, KV.LEFT, 1.0, nodes=40, half_width=box).matrix
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(paired - direct)) <= 1e-14 * scale
+    assert np.max(np.abs(quad.gram(fs, KV.LEFT) - gram)) <= 1e-14 * scale
+    assert np.max(np.abs(gram - direct)) <= 1e-14 * scale
 
 
 def test_serialization_roundtrip():

@@ -23,7 +23,6 @@ import time
 
 from . import __version__
 from .spacetime import KernelVariant
-from .spin import MAX_TWO_S
 from .suites import SUITES, RunConfig, run_suites
 
 USAGE_ERROR = 2
@@ -83,53 +82,33 @@ def _split_flags(values):
     return out
 
 
+def _pick(flag_values, parse, data, key, default):
+    """Parsed command-line values if given, else the config value as is."""
+    flags = _split_flags(flag_values)
+    if flags:
+        return [parse(v) for v in flags]
+    return data.get(key, default)
+
+
 def make_config(args) -> RunConfig:
+    """Gather flags and config values; :class:`RunConfig` validates them."""
     data = load_config(args.config)
-    flag_suites = _split_flags(args.suite)
-    if flag_suites:
-        suites = flag_suites
-    elif "suites" in data:
-        suites = data["suites"]
-    else:
-        suites = ["all"]
-    masses = [float(v) for v in _split_flags(args.mass) or []] \
-        or data.get("masses") or [1.0]
-    flag_spins = _split_flags(args.spin)
-    spins = ([int(v) for v in flag_spins] if flag_spins is not None
-             else data.get("spins", [0, 1, 2]))
-    variant_names = _split_flags(args.variant) or data.get("variants") or [
-        v.value for v in KernelVariant]
-    flag_seeds = _split_flags(args.seed)
-    seeds = ([int(v) for v in flag_seeds] if flag_seeds is not None
-             else data.get("seeds", [0]))
-    if not suites:
-        raise ValueError("at least one suite is required")
-    for name in suites:
-        if name != "all" and name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-    for m in masses:
-        if m <= 0:
-            raise ValueError("masses must be positive")
-    for ts in spins:
-        if ts < 0 or ts > MAX_TWO_S:
-            raise ValueError(f"spins must be doubled integers in "
-                             f"[0, {MAX_TWO_S}]")
-    variants = tuple(KernelVariant.from_string(v) for v in variant_names)
-    kwargs = {}
-    for key in ("gram_size", "gram_nodes", "hermiticity_pairs",
-                "mc_points_log2", "mc_scrambles", "irrep_elements"):
-        if key in data:
-            kwargs[key] = int(data[key])
+    variants = _pick(args.variant, str, data, "variants",
+                     [v.value for v in KernelVariant])
+    if isinstance(variants, list):
+        variants = [KernelVariant.from_string(v) for v in variants]
+    sizes = {key: data[key] for key in (
+        "gram_size", "gram_nodes", "hermiticity_pairs", "mc_points_log2",
+        "mc_scrambles", "irrep_elements") if key in data}
     return RunConfig(
-        suites=tuple(suites),
-        masses=tuple(float(m) for m in masses),
-        two_spins=tuple(int(t) for t in spins),
+        suites=_pick(args.suite, str, data, "suites", ["all"]),
+        masses=_pick(args.mass, float, data, "masses", [1.0]),
+        two_spins=_pick(args.spin, int, data, "spins", [0, 1, 2]),
         variants=variants,
-        seeds=tuple(int(s) for s in seeds),
-        tolerances=dict(data.get("tolerances", {})),
-        jobs=int(args.jobs if args.jobs is not None
-                 else data.get("jobs", 1)),
-        **kwargs,
+        seeds=_pick(args.seed, int, data, "seeds", [0]),
+        tolerances=data.get("tolerances", {}),
+        jobs=args.jobs if args.jobs is not None else data.get("jobs", 1),
+        **sizes,
     )
 
 

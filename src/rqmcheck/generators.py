@@ -99,60 +99,57 @@ def apply_generator(tag, f: TestFunction) -> TestFunction:
     if tag.name[0] in ("H", "P") or f.two_s == 0:
         return orbital
     spin = generator_spin_matrix(tag.name, f.two_s, tag.variant)
-    return (orbital + f.spin_mix(spin)).canonical()
+    return orbital + f.spin_mix(spin)
 
 
 def _eps(i: int, j: int, k: int) -> int:
     return int((i - j) * (j - k) * (k - i) / 2)
 
 
+def _base_bracket(a: str, b: str):
+    """[a, b] for one order of each pair of kinds; None for the other.
+
+    [K_i, H] = i P_i, [K_i, P_j] = i delta_ij H, [K_i, K_j] = -i eps_ijk J_k
+    and [J_i, X_j] = i eps_ijk X_k for X in J, P, K; H commutes with P and
+    J, and the P commute with each other.
+    """
+    kinds = a[0] + b[0]
+    if kinds in ("HP", "HJ", "PP"):
+        return []
+    if kinds == "KH":
+        return [(1j, "P" + a[1])]
+    if kinds not in ("KP", "JJ", "JP", "JK", "KK"):
+        return None
+    i, j = int(a[1]) - 1, int(b[1]) - 1
+    if kinds == "KP":
+        return [(1j, "H")] if i == j else []
+    k = 3 - i - j
+    e = _eps(i, j, k)
+    if not e:
+        return []
+    if kinds == "KK":
+        return [(-1j * e, f"J{k + 1}")]
+    return [(1j * e, f"{b[0]}{k + 1}")]
+
+
 def commutator_rhs(a: str, b: str):
-    """Right-hand side of [a, b] as a list of (coefficient, generator)."""
-    kind_a, kind_b = a[0], b[0]
-    ia = int(a[1]) - 1 if len(a) > 1 else -1
-    ib = int(b[1]) - 1 if len(b) > 1 else -1
+    """Right-hand side of [a, b] as a list of (coefficient, generator).
+
+    Pairs outside the base table follow from ``[a, b] = -[b, a]``.
+    """
     if a == b:
         return []
-    if kind_a == "H" or kind_b == "H":
-        other, sign = (b, 1.0) if kind_a == "H" else (a, -1.0)
-        if other[0] in ("P", "J"):
-            return []
-        # [K_j, H] = i P_j
-        return [(-sign * 1j, "P" + other[1])]
-    if kind_a == "P" and kind_b == "P":
-        return []
-    if kind_a == "J" and kind_b == "J":
-        k = 3 - ia - ib
-        e = _eps(ia, ib, k)
-        return [(1j * e, f"J{k + 1}")] if e else []
-    if kind_a == "J" and kind_b == "P":
-        k = 3 - ia - ib
-        e = _eps(ia, ib, k)
-        return [(1j * e, f"P{k + 1}")] if ia != ib and e else []
-    if kind_a == "P" and kind_b == "J":
-        return [(-c, g) for c, g in commutator_rhs(b, a)]
-    if kind_a == "J" and kind_b == "K":
-        k = 3 - ia - ib
-        e = _eps(ia, ib, k)
-        return [(1j * e, f"K{k + 1}")] if ia != ib and e else []
-    if kind_a == "K" and kind_b == "J":
-        return [(-c, g) for c, g in commutator_rhs(b, a)]
-    if kind_a == "K" and kind_b == "K":
-        if ia == ib:
-            return []
-        k = 3 - ia - ib
-        e = _eps(ia, ib, k)
-        return [(-1j * e, f"J{k + 1}")]
-    if kind_a == "K" and kind_b == "P":
-        # [K_i, P_j] = i delta_ij H
-        return [(1j, "H")] if ia == ib else []
-    if kind_a == "P" and kind_b == "K":
-        return [(-c, g) for c, g in commutator_rhs(b, a)]
-    raise ValueError((a, b))
+    rhs = _base_bracket(a, b)
+    if rhs is not None:
+        return rhs
+    rhs = _base_bracket(b, a)
+    if rhs is None:
+        raise ValueError((a, b))
+    return [(-c, g) for c, g in rhs]
 
 
 def _coef_scale(f: TestFunction) -> float:
-    coefs = [abs(t.coef) for ts in f.canonical().comps for t in ts]
+    coefs = [abs(t.coef) for ts in f.comps for t in ts]
     return max(coefs) if coefs else 0.0
 
 
@@ -162,7 +159,7 @@ def check_commutator(name_a: str, name_b: str, f: TestFunction,
     """Coefficient-exact residual of ``[A, B] f - (rhs) f``.
 
     Works entirely in the family's coefficient algebra; the reported value
-    is the largest coefficient of the canonicalized difference, relative to
+    is the largest coefficient of the difference (in normal form), relative to
     the largest coefficient appearing on either side.
     """
     needs_tau = sum(1 for n in (name_a, name_b) if n[0] in ("H", "K"))

@@ -20,6 +20,7 @@ single 3-momentum quadrature against the on-shell kernel.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -74,26 +75,33 @@ class TestFunction:
     comps: tuple   # length 2s+1, each a tuple of Terms; index 0 is mu = +s
 
     def __post_init__(self):
+        """Validate the terms and store them in normal form.
+
+        Terms with equal :meth:`Term.key` are merged in first-seen order
+        and zero coefficients dropped, so equal functions compare equal
+        and coefficient-level residuals see every cancellation.
+        """
         if len(self.comps) != self.two_s + 1:
             raise ValueError("component count must be 2s + 1")
         for terms in self.comps:
             for t in terms:
-                if t.alpha <= 0 or t.beta <= 0 or t.tau0 < 0 or t.k < 0:
-                    raise ValueError("invalid term parameters")
-                if min(t.powers) < 0:
-                    raise ValueError("negative monomial power")
+                # chained comparisons are False for NaN and reject inf
+                if not (0 < t.alpha < math.inf and 0 < t.beta < math.inf
+                        and 0 <= t.tau0 < math.inf and t.k >= 0
+                        and min(t.powers) >= 0 and cmath.isfinite(t.coef)
+                        and all(map(math.isfinite, t.center))):
+                    raise ValueError(f"invalid term parameters: {t}")
+        object.__setattr__(self, "comps",
+                           tuple(_merge(ts) for ts in self.comps))
 
     @property
     def dim(self) -> int:
         return self.two_s + 1
 
-    def canonical(self) -> "TestFunction":
-        return TestFunction(self.two_s, tuple(_merge(ts) for ts in self.comps))
-
     def map_terms(self, fn) -> "TestFunction":
         comps = tuple(tuple(out for t in ts for out in fn(t))
                       for ts in self.comps)
-        return TestFunction(self.two_s, comps).canonical()
+        return TestFunction(self.two_s, comps)
 
     def scale(self, c: complex) -> "TestFunction":
         return self.map_terms(lambda t: [Term(c * t.coef, *t.key())])
@@ -102,7 +110,7 @@ class TestFunction:
         if other.two_s != self.two_s:
             raise ValueError("spin mismatch")
         comps = tuple(a + b for a, b in zip(self.comps, other.comps))
-        return TestFunction(self.two_s, comps).canonical()
+        return TestFunction(self.two_s, comps)
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         return self + other.scale(-1.0)
@@ -181,7 +189,7 @@ class TestFunction:
                     terms.extend(Term(c * t.coef, *t.key())
                                  for t in self.comps[j])
             comps.append(tuple(terms))
-        return TestFunction(self.two_s, tuple(comps)).canonical()
+        return TestFunction(self.two_s, tuple(comps))
 
     def min_tau_degree(self) -> int:
         degs = [t.k for ts in self.comps for t in ts]
@@ -276,7 +284,7 @@ def random_test_function(rng, two_s=0, terms_per_component=1, min_k=0,
                                                         size=3))
             terms.append(Term(coef, k, alpha, tau0, powers, beta, center))
         comps.append(tuple(terms))
-    return TestFunction(two_s, tuple(comps)).canonical()
+    return TestFunction(two_s, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def laplace_fourier_transform(f: TestFunction, m: float) -> MomentumWaveFunction
     """Exact image of f under ``exp(-i p.x - omega_m(p) tau)`` integration."""
     if m <= 0:
         raise ValueError("mass must be positive")
-    return MomentumWaveFunction(float(m), f.two_s, f.canonical().comps)
+    return MomentumWaveFunction(float(m), f.two_s, f.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +396,7 @@ class MomentumQuadrature:
     One Gauss-Legendre tensor grid on ``[-L, L]^3`` at mass m and spin s.
     The on-shell kernel of each variant is built on first use and kept;
     each function's exact transform is evaluated once on the grid, keyed
-    by its canonical form, until :meth:`drop_transforms`.
+    by the function (held in normal form), until :meth:`drop_transforms`.
     """
 
     def __init__(self, m: float, two_s: int, half_width: float, nodes: int):
@@ -407,11 +415,10 @@ class MomentumQuadrature:
 
     def transform(self, f: TestFunction) -> np.ndarray:
         """Exact transform of f on the grid, shape ``(2s+1, N)``."""
-        key = f.canonical()
-        if key not in self._transforms:
-            self._transforms[key] = laplace_fourier_transform(
-                key, self.m).evaluate(self.points)
-        return self._transforms[key]
+        if f not in self._transforms:
+            self._transforms[f] = laplace_fourier_transform(
+                f, self.m).evaluate(self.points)
+        return self._transforms[f]
 
     def drop_transforms(self):
         """Free the cached transforms; the kernels stay."""

@@ -51,7 +51,8 @@ class KernelVariant(enum.Enum):
     @classmethod
     def from_string(cls, s: str) -> "KernelVariant":
         for v in cls:
-            if v.value == s or v.name.lower() == s.lower():
+            if v.value == s or (isinstance(s, str)
+                                and v.name.lower() == s.lower()):
                 return v
         raise ValueError(f"unknown kernel variant {s!r}")
 

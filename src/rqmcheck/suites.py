@@ -62,6 +62,15 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class RunConfig:
     suites: tuple = ("all",)
@@ -79,11 +88,43 @@ class RunConfig:
     irrep_elements: int = 20
 
     def __post_init__(self):
+        """The one validation of every field, for flags, config files and
+        callers alike; list fields are stored as tuples."""
+        for name in ("suites", "masses", "two_spins", "variants", "seeds"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{name} must be a non-empty list")
+            setattr(self, name, tuple(value))
+        for name in self.suites:
+            if not isinstance(name, str) or name not in (*SUITES, "all"):
+                raise ValueError(f"unknown suite {name!r}")
+        for m in self.masses:
+            if not _is_finite_real(m) or m <= 0:
+                raise ValueError(f"masses must be positive numbers, got {m!r}")
+        self.masses = tuple(float(m) for m in self.masses)
+        for ts in self.two_spins:
+            if not _is_int(ts) or not 0 <= ts <= sp.MAX_TWO_S:
+                raise ValueError(f"spins must be doubled integers in "
+                                 f"[0, {sp.MAX_TWO_S}], got {ts!r}")
+        for v in self.variants:
+            if not isinstance(v, st.KernelVariant):
+                raise ValueError(f"unknown kernel variant {v!r}")
+        for seed in self.seeds:
+            if not _is_int(seed) or seed < 0:
+                raise ValueError(f"seeds must be nonnegative integers, "
+                                 f"got {seed!r}")
+        for name in ("jobs", "gram_size", "gram_nodes", "hermiticity_pairs",
+                     "mc_points_log2", "mc_scrambles", "irrep_elements"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, "
+                                 f"got {value!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("tolerances must be an object of name: value")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance name {name!r}")
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not _is_finite_real(value):
                 raise ValueError(f"tolerance override for {name!r} must be "
                                  f"a finite number, got {value!r}")
             if value < DEFAULT_TOLERANCES[name]:
@@ -213,7 +254,7 @@ def suite_algebra(cfg: RunConfig):
 
 def suite_wigner(cfg: RunConfig):
     out = []
-    spins = [ts for ts in cfg.two_spins if ts <= sp.MAX_TWO_S]
+    spins = cfg.two_spins
     for seed in cfg.seeds:
         rng = _rng(seed)
         worst_su2 = 0.0
@@ -424,7 +465,7 @@ def hermiticity_pairs(rng, two_s, count):
                                     min_k=2, max_k=3, center_scale=0.3,
                                     beta_range=(0.22, 0.3),
                                     shared_envelope=True)
-        pairs.append((f, (h + 0.6 * f).canonical()))
+        pairs.append((f, h + 0.6 * f))
     return pairs
 
 
@@ -601,7 +642,7 @@ def suite_projections(cfg: RunConfig):
             fspin = (hl.gaussian_packet(two_s=1, component=0,
                                         coef=0.8 + 0.3j, **env)
                      + hl.gaussian_packet(two_s=1, component=1,
-                                          coef=0.5 - 0.2j, **env)).canonical()
+                                          coef=0.5 - 0.2j, **env))
             state = gn.state_from_test_function(fspin, m, nodes=20)
             pr_up = gn.spin_project(state, 1)
             pr_dn = gn.spin_project(state, -1)
@@ -722,12 +763,8 @@ SUITES = {
 
 def run_suites(cfg: RunConfig):
     """Execute the configured suites, optionally in parallel."""
-    names = list(cfg.suites)
-    if "all" in names:
-        names = list(SUITES)
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
+    names = list(SUITES) if "all" in cfg.suites else list(cfg.suites)
+
     def run_one(name):
         try:
             return SUITES[name][0](cfg)

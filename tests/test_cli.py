@@ -91,6 +91,22 @@ def test_non_finite_tolerance_rejected(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_malformed_config_values_are_usage_errors(tmp_path, capsys):
+    from rqmcheck.suites import RunConfig
+
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"masses": ["x"]}, {"spins": ["1"]}, {"tolerances": [1, 2]},
+                {"spins": [1.5]}, {"masses": [True]}):
+        cfg.write_text(json.dumps({"suites": ["algebra"], **bad}))
+        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
+        assert code == 2, bad
+        assert err.startswith("rqmcheck: "), bad
+    for bad in ({"two_spins": (22,)}, {"seeds": ()}, {"jobs": 0},
+                {"gram_size": 8.0}, {"suites": ("nonsense",)}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+
 def test_non_finite_measurement_never_passes():
     from rqmcheck.report import make_report
 

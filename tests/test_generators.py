@@ -94,7 +94,7 @@ def test_hermiticity_small():
     g = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 min_k=2, max_k=2, center_scale=0.3,
                                 beta_range=(0.22, 0.3), shared_envelope=True)
-    g = (g + 0.6 * f).canonical()
+    g = g + 0.6 * f
     # momentum-space multipliers are exact at any node count
     rep = gn.check_hermiticity(gn.GeneratorTag("H", KV.RIGHT), f, g, 1.0,
                                nodes=32)
@@ -123,7 +123,7 @@ def test_rotation_generator_hermiticity_fine():
                                 min_k=1, max_k=2, center_scale=0.25,
                                 beta_range=(0.22, 0.3),
                                 shared_envelope=True)
-    g = (g + 0.6 * f).canonical()
+    g = g + 0.6 * f
     rep = gn.check_hermiticity(gn.GeneratorTag("J3", KV.RIGHT), f, g, 1.0,
                                nodes=112, tolerance=1e-9)
     assert rep.passed, rep.measured
@@ -161,8 +161,8 @@ def test_wrong_spin_term_breaks_hermiticity():
     _, _, sz = spin_matrices(1)
     orb_f = gn.apply_generator_orbital("K3", f)
     orb_g = gn.apply_generator_orbital("K3", g)
-    wrong_f = (orb_f + f.spin_mix(-1j * sz)).canonical()   # sign flipped
-    wrong_g = (orb_g + g.spin_mix(-1j * sz)).canonical()
+    wrong_f = orb_f + f.spin_mix(-1j * sz)   # sign flipped
+    wrong_g = orb_g + g.spin_mix(-1j * sz)
     lhs = hl.inner_product(f, wrong_g, KV.RIGHT, 1.0, nodes=48)
     rhs = hl.inner_product(wrong_f, g, KV.RIGHT, 1.0, nodes=48)
     assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) > 1e-2
@@ -328,7 +328,7 @@ def test_spin_project():
     env = dict(alpha=1.0, beta=0.5, tau0=0.1)
     fspin = (hl.gaussian_packet(two_s=1, component=0, coef=0.8 + 0.3j, **env)
              + hl.gaussian_packet(two_s=1, component=1, coef=0.5 - 0.2j,
-                                  **env)).canonical()
+                                  **env))
     state = gn.state_from_test_function(fspin, 1.0, nodes=20)
     up = gn.spin_project(state, 1, euler_nodes=(12, 12, 12))
     down = gn.spin_project(state, -1, euler_nodes=(12, 12, 12))

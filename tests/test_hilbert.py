@@ -136,7 +136,7 @@ def test_inner_product_sesquilinearity():
     b = 2.0 * hl.inner_product(f, g, KV.RIGHT, 1.0, nodes=32)
     assert a == b
     box = hl.momentum_box((f, g, h), 1.0)
-    lhs = hl.inner_product(f, (g + h).canonical(), KV.RIGHT, 1.0, nodes=32,
+    lhs = hl.inner_product(f, g + h, KV.RIGHT, 1.0, nodes=32,
                            half_width=box)
     rhs = (hl.inner_product(f, g, KV.RIGHT, 1.0, nodes=32, half_width=box)
            + hl.inner_product(f, h, KV.RIGHT, 1.0, nodes=32,
@@ -172,7 +172,7 @@ def test_quadrature_convergence_under_doubling():
                                 shared_envelope=True)
     g = (hl.random_test_function(rng, two_s=0, terms_per_component=2,
                                  center_scale=0.3, beta_range=(0.3, 0.6),
-                                 shared_envelope=True) + 0.5 * f).canonical()
+                                 shared_envelope=True) + 0.5 * f)
     _, rel = hl.inner_product(f, g, KV.RIGHT, 1.0, check_convergence=True)
     assert rel < 1e-8
 
@@ -210,7 +210,20 @@ def test_serialization_roundtrip():
     f = hl.random_test_function(rng, two_s=1, terms_per_component=2)
     data = json.loads(json.dumps(f.as_dict()))
     g = hl.TestFunction.from_dict(data)
-    assert g == f.canonical()
+    assert g == f
+
+
+def test_non_finite_parameters_rejected():
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"alpha": nan}, {"beta": inf}, {"tau0": nan},
+                {"coef": complex(nan, 0.0)}, {"coef": complex(0.0, inf)},
+                {"center": (0.0, nan, 0.0)}):
+        with pytest.raises(ValueError):
+            hl.gaussian_packet(**bad)
+    data = hl.gaussian_packet(tau0=0.2).as_dict()
+    data["components"][0][0]["tau0"] = nan
+    with pytest.raises(ValueError):
+        hl.TestFunction.from_dict(data)
 
 
 def test_wedge_multiplier():

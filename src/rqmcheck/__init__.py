@@ -1,9 +1,10 @@
 """Numerical certification of Euclidean realizations of Poincare irreps."""
 
-from .hilbert import (GramReport, MomentumWaveFunction, RotatedWedge, Term,
-                      TestFunction, WedgeFunction, gaussian_packet,
-                      gram_matrix, inner_product, laplace_fourier_transform,
-                      norm, position_inner_product_mc, random_test_function,
+from .hilbert import (GramReport, MomentumQuadrature, MomentumWaveFunction,
+                      RotatedWedge, Term, TestFunction, WedgeFunction,
+                      gaussian_packet, gram_matrix, inner_product,
+                      laplace_fourier_transform, norm,
+                      position_inner_product_mc, random_test_function,
                       rotate_pointwise, wedge_multiplier)
 from .generators import (GeneratorTag, IrrepState, apply_generator,
                          apply_poincare_irrep, boost_wedge_check,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (DEFAULT_NODES, MomentumQuadrature, TestFunction,
-                      inner_product, laplace_fourier_transform, momentum_box,
-                      norm, position_inner_product_mc, rotate_pointwise,
+                      inner_product, laplace_fourier_transform, norm,
+                      position_inner_product_mc, rotate_pointwise,
                       tensor_grid)
 from .kernels import KernelVariant
 from .report import CheckReport, make_report
@@ -186,17 +186,16 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     A acts as its variant-free orbital part plus a constant spin matrix S,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
     every variant.  H and P multiply by functions of p and use the
-    ``small_nodes`` grid; J and K use the ``nodes`` grid.  Kernels are
-    shared by all pairs and transforms dropped after each pair, so memory
-    does not grow with the pair count.  Rows are ``(pair index, name,
-    variant, lhs, rhs, |lhs - rhs| / (|lhs| + |rhs|))``.
+    ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
+    are built over every pair function and share kernels across pairs;
+    transforms are dropped after each pair, so memory does not grow with
+    the pair count.  Rows are ``(pair index, name, variant, lhs, rhs,
+    |lhs - rhs| / (|lhs| + |rhs|))``.
     """
-    two_s = pairs[0][0].two_s
-    if any(h.two_s != two_s for pair in pairs for h in pair):
-        raise ValueError("all functions must share one spin")
-    box = max(momentum_box(pair, m) for pair in pairs)
-    quads = {n: MomentumQuadrature(m, two_s, box, n)
+    functions = [h for pair in pairs for h in pair]
+    quads = {n: MomentumQuadrature(functions, m, n)
              for n in {nodes, small_nodes}}
+    two_s = quads[nodes].two_s
     rows = []
     for idx, (f, g) in enumerate(pairs):
         for name in names:
@@ -231,22 +230,23 @@ def check_hermiticity(tag, f: TestFunction, g: TestFunction, m: float,
                                 "rhs": [rhs.real, rhs.imag]})
 
 
-def semigroup_contraction_check(f: TestFunction, variant: KernelVariant,
-                                m: float, dtaus, nodes: int = DEFAULT_NODES,
+def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
+                                variant: KernelVariant, dtaus,
                                 tolerance: float = 1e-10) -> CheckReport:
     """Contraction properties of the positive-time-shift semigroup.
 
-    Checks (i) norm ratios stay at or below one, (ii) they decrease
-    monotonically along increasing shifts, (iii) shifts compose exactly,
-    and (iv) a shift of 10/m respects the mass-gap bound ``exp(-10)``
-    with a factor-10 safety margin.
+    Norms are taken on ``quad`` at its mass ``m = quad.m``.  Checks
+    (i) norm ratios stay at or below one, (ii) they decrease monotonically
+    along increasing shifts, (iii) shifts compose exactly, and (iv) a
+    shift of 10/m respects the mass-gap bound ``exp(-10)`` with a
+    factor-10 safety margin.
     """
+    m = quad.m
     dtaus = sorted(float(d) for d in dtaus)
     if any(d < 0 for d in dtaus):
         raise ValueError("time shifts must be nonnegative")
-    base = norm(f, variant, m, nodes=nodes)
-    ratios = [norm(f.shift_time(d), variant, m, nodes=nodes) / base
-              for d in dtaus]
+    base = norm(quad, f, variant)
+    ratios = [norm(quad, f.shift_time(d), variant) / base for d in dtaus]
     violation = max([0.0] + [r - 1.0 for r in ratios])
     pos = [(d, r) for d, r in zip(dtaus, ratios) if d > 0]
     for (d1, r1), (d2, r2) in zip(pos, pos[1:]):
@@ -260,7 +260,7 @@ def semigroup_contraction_check(f: TestFunction, variant: KernelVariant,
         dev = np.max(np.abs(twice.evaluate(pts) - once.evaluate(pts)))
         ref = max(np.max(np.abs(once.evaluate(pts))), 1e-300)
         violation = max(violation, dev / ref - 1e-12)
-    gap = norm(f.shift_time(10.0 / m), variant, m, nodes=nodes) / base
+    gap = norm(quad, f.shift_time(10.0 / m), variant) / base
     bound = 10.0 * math.exp(-10.0)
     violation = max(violation, gap - bound)
     return make_report("semigroup_contraction", violation, tolerance,
@@ -429,24 +429,25 @@ def apply_poincare_irrep(state: IrrepState, g: PoincareElement) -> IrrepState:
     return IrrepState(m, two_s, func, state.half_width, state.nodes)
 
 
-def mass_casimir_check(f: TestFunction, g: TestFunction,
-                       variant: KernelVariant, m: float,
+def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
+                       g: TestFunction, variant: KernelVariant,
                        test_mass: float | None = None,
-                       nodes: int = DEFAULT_NODES,
                        tolerance: float = 1e-7) -> CheckReport:
     """Residual of ``<f|(H^2 - P^2 - m^2)|g> / <f|g>`` on the family.
 
+    Both pairings are taken on ``quad`` at its kernel mass ``m = quad.m``.
     ``test_mass`` different from the kernel mass turns this into a loud
     negative control: the residual then sits at ``|m^2 - test_mass^2|``.
     """
+    m = quad.m
     _require_tau_degree(g, 2, "H^2")
     if test_mass is None:
         test_mass = m
     wave_op = g.d_tau().d_tau()
     for ax in range(3):
         wave_op = wave_op + g.d_x(ax).d_x(ax)
-    val = inner_product(f, wave_op, variant, m, nodes=nodes)
-    overlap = inner_product(f, g, variant, m, nodes=nodes)
+    val = inner_product(quad, f, wave_op, variant)
+    overlap = inner_product(quad, f, g, variant)
     residual = abs(val - test_mass ** 2 * overlap) / max(abs(overlap), 1e-300)
     return make_report("mass_casimir", residual, tolerance,
                        inputs={"variant": variant.value, "m": m,

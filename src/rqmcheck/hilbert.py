@@ -379,11 +379,12 @@ def momentum_box(functions, m: float) -> float:
     return m + 9.0 * np.sqrt(beta)
 
 
-def tensor_grid(half_width: float, nodes: int):
-    """Gauss-Legendre tensor grid on [-L, L]^3: (N, 3) points, (N,) weights."""
+def tensor_grid(box: float, nodes: int):
+    """Gauss-Legendre tensor grid on [-box, box]^3: (N, 3) points, (N,)
+    weights."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    x = x * half_width
-    w = w * half_width
+    x = x * box
+    w = w * box
     pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
     wts = (w[:, None, None] * w[None, :, None]
            * w[None, None, :]).reshape(-1)
@@ -393,16 +394,29 @@ def tensor_grid(half_width: float, nodes: int):
 class MomentumQuadrature:
     """The 3-momentum quadrature behind every reflection-positive pairing.
 
-    One Gauss-Legendre tensor grid on ``[-L, L]^3`` at mass m and spin s.
-    The on-shell kernel of each variant is built on first use and kept;
-    each function's exact transform is evaluated once on the grid, keyed
-    by the function (held in normal form), until :meth:`drop_transforms`.
+    Built over the functions it will pair: they share one spin, stored as
+    ``two_s``, and the Gauss-Legendre tensor grid covers
+    ``momentum_box(functions, m)``.  The on-shell kernel of each variant
+    is built on first use and kept; each function's exact transform is
+    evaluated once on the grid, keyed by the function (held in normal
+    form), until :meth:`drop_transforms`.  A function of another spin, or
+    one with a term narrower in position (larger ``beta``) than any the
+    box was sized for, is rejected, so the box always covers what it
+    pairs.  Node-doubling convergence compares two engines built over the
+    same functions at ``nodes`` and ``2 * nodes``.
     """
 
-    def __init__(self, m: float, two_s: int, half_width: float, nodes: int):
+    def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
+        functions = list(functions)
+        if not functions:
+            raise ValueError("need at least one function")
+        self.two_s = functions[0].two_s
+        if any(f.two_s != self.two_s for f in functions):
+            raise ValueError("all functions must share one spin")
         self.m = float(m)
-        self.two_s = two_s
-        self.points, self.weights = tensor_grid(half_width, nodes)
+        self.max_beta = max(f.max_beta() for f in functions)
+        self.points, self.weights = tensor_grid(momentum_box(functions, m),
+                                                nodes)
         self._kernels: dict = {}
         self._transforms: dict = {}
 
@@ -416,6 +430,11 @@ class MomentumQuadrature:
     def transform(self, f: TestFunction) -> np.ndarray:
         """Exact transform of f on the grid, shape ``(2s+1, N)``."""
         if f not in self._transforms:
+            if f.two_s != self.two_s:
+                raise ValueError("function spin differs from the engine's")
+            if any(t.beta > self.max_beta for ts in f.comps for t in ts):
+                raise ValueError("function decays slower in momentum than "
+                                 "the engine's box allows")
             self._transforms[f] = laplace_fourier_transform(
                 f, self.m).evaluate(self.points)
         return self._transforms[f]
@@ -430,47 +449,20 @@ class MomentumQuadrature:
         return complex(np.einsum("un,uvn,vn,n->", ff.conj(),
                                  self.kernel(variant), gg, self.weights))
 
-    def pair(self, f: TestFunction, g: TestFunction,
-             variant: KernelVariant) -> complex:
-        """<f|g> under the variant kernel."""
-        return self.contract(self.transform(f), self.transform(g), variant)
 
-    def gram(self, fs, variant: KernelVariant) -> np.ndarray:
-        """Matrix of all pairings ``<f_i|f_j>`` as one stacked product."""
-        stack = np.stack([self.transform(f) for f in fs])   # (nf, dim, N)
-        mixed = np.einsum("uvn,jvn->jun", self.kernel(variant), stack)
-        weighted = stack.conj() * self.weights
-        nf = len(fs)
-        return weighted.reshape(nf, -1) @ mixed.reshape(nf, -1).T
-
-
-def inner_product(f: TestFunction, g: TestFunction, variant: KernelVariant,
-                  m: float, nodes: int = DEFAULT_NODES,
-                  half_width: float | None = None,
-                  check_convergence: bool = False):
+def inner_product(quad: MomentumQuadrature, f: TestFunction, g: TestFunction,
+                  variant: KernelVariant) -> complex:
     """Reflection-positive inner product <f|g> for one kernel variant.
 
-    Computed as the 3-momentum quadrature of
-    ``conj(F[f]) . (onshell kernel) . F[g]``.  With ``check_convergence``
-    the node count is doubled and ``(value, rel_change)`` is returned.
+    Computed on the engine's grid as the 3-momentum quadrature of
+    ``conj(F[f]) . (onshell kernel) . F[g]``.
     """
-    if f.two_s != g.two_s:
-        raise ValueError("spin mismatch between f and g")
-    if half_width is None:
-        half_width = momentum_box((f, g), m)
-    val = MomentumQuadrature(m, f.two_s, half_width, nodes).pair(f, g,
-                                                                 variant)
-    if not check_convergence:
-        return val
-    refined = MomentumQuadrature(m, f.two_s, half_width,
-                                 2 * nodes).pair(f, g, variant)
-    rel = abs(refined - val) / max(abs(refined), 1e-300)
-    return refined, rel
+    return quad.contract(quad.transform(f), quad.transform(g), variant)
 
 
-def norm(f: TestFunction, variant: KernelVariant, m: float,
-         nodes: int = DEFAULT_NODES, half_width: float | None = None) -> float:
-    val = inner_product(f, f, variant, m, nodes=nodes, half_width=half_width)
+def norm(quad: MomentumQuadrature, f: TestFunction,
+         variant: KernelVariant) -> float:
+    val = inner_product(quad, f, f, variant)
     return math.sqrt(max(val.real, 0.0))
 
 
@@ -484,25 +476,19 @@ class GramReport:
     matrix: np.ndarray = field(repr=False, default=None)
 
 
-def gram_matrix(fs, variant: KernelVariant, m: float,
-                nodes: int = DEFAULT_NODES,
-                half_width: float | None = None,
+def gram_matrix(quad: MomentumQuadrature, fs, variant: KernelVariant,
                 eig_tol: float = 1e-10) -> GramReport:
     """Gram matrix G_ij = <f_i|f_j>; passes when its spectrum is nonnegative.
 
-    Transforms are evaluated once per function on a shared grid, so the
-    assembled matrix is a weighted sum of rank-one positive contributions
-    up to rounding.
+    Every pairing comes from one stacked product of the engine's
+    transforms, so the assembled matrix is a weighted sum of rank-one
+    positive contributions up to rounding.
     """
     fs = list(fs)
-    if not fs:
-        raise ValueError("need at least one function")
-    two_s = fs[0].two_s
-    if any(f.two_s != two_s for f in fs):
-        raise ValueError("all functions must share one spin")
-    if half_width is None:
-        half_width = momentum_box(fs, m)
-    gram = MomentumQuadrature(m, two_s, half_width, nodes).gram(fs, variant)
+    stack = np.stack([quad.transform(f) for f in fs])   # (nf, dim, N)
+    mixed = np.einsum("uvn,jvn->jun", quad.kernel(variant), stack)
+    weighted = stack.conj() * quad.weights
+    gram = weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
     herm = float(np.max(np.abs(gram - gram.conj().T)))
     scale = float(np.max(np.abs(gram)))
     gram_h = 0.5 * (gram + gram.conj().T)

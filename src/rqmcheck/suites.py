@@ -418,9 +418,9 @@ def suite_positivity(cfg: RunConfig):
             for ts in cfg.two_spins:
                 rng = _rng(seed * 7919 + ts)
                 fs = positivity_family(rng, ts, cfg.gram_size)
+                quad = hl.MomentumQuadrature(fs, m, cfg.gram_nodes)
                 for variant in cfg.variants:
-                    rep = hl.gram_matrix(fs, variant, m,
-                                         nodes=cfg.gram_nodes)
+                    rep = hl.gram_matrix(quad, fs, variant)
                     measured = max(0.0, -rep.min_eig
                                    / max(1.0, rep.max_eig))
                     out.append(cfg.report(
@@ -428,7 +428,9 @@ def suite_positivity(cfg: RunConfig):
                         {"seed": seed, "m": m, "two_s": ts,
                          "variant": variant.value, "size": rep.size},
                         details={"min_eig": rep.min_eig,
-                                 "max_eig": rep.max_eig}))
+                                 "max_eig": rep.max_eig,
+                                 "hermiticity_defect":
+                                     rep.hermiticity_defect}))
     return out
 
 
@@ -502,10 +504,10 @@ def suite_semigroup(cfg: RunConfig):
                                         beta_range=(0.3, 0.6),
                                         shared_envelope=True)
             for m in cfg.masses:
+                quad = hl.MomentumQuadrature((f,), m, 48)
                 for variant in cfg.variants:
                     rep = gn.semigroup_contraction_check(
-                        f, variant, m, [0.0, 0.1 / m, 0.5 / m, 1.0 / m],
-                        nodes=48)
+                        quad, f, variant, [0.0, 0.1 / m, 0.5 / m, 1.0 / m])
                     out.append(cfg.report(
                         "semigroup_contraction", "semigroup", rep.measured,
                         {"seed": seed, "two_s": ts, "m": m,
@@ -596,14 +598,15 @@ def suite_casimir(cfg: RunConfig):
                 g = hl.random_test_function(
                     rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
                     center_scale=0.3, beta_range=(0.3, 0.6))
+                quad = hl.MomentumQuadrature((f, g), m, 48)
                 for variant in cfg.variants:
-                    rep = gn.mass_casimir_check(f, g, variant, m, nodes=48)
+                    rep = gn.mass_casimir_check(quad, f, g, variant)
                     out.append(cfg.report(
                         "mass_casimir", "casimir", rep.measured,
                         {"seed": seed, "m": m, "two_s": ts,
                          "variant": variant.value}))
-                neg = gn.mass_casimir_check(f, g, cfg.variants[0], m,
-                                            test_mass=2.0 * m, nodes=48)
+                neg = gn.mass_casimir_check(quad, f, g, cfg.variants[0],
+                                            test_mass=2.0 * m)
                 out.append(cfg.report(
                     "mass_casimir_negative_control", "casimir", neg.measured,
                     {"seed": seed, "m": m, "two_s": ts,
@@ -672,8 +675,8 @@ def suite_mc_crosscheck(cfg: RunConfig):
                                    center=(0.2, 0.0, -0.1))
             g = hl.gaussian_packet(alpha=1.2, beta=0.5, tau0=0.1 / m,
                                    center=(-0.1, 0.3, 0.2))
-            exact = hl.inner_product(f, g, st.KernelVariant.RIGHT, m,
-                                     nodes=72)
+            exact = hl.inner_product(hl.MomentumQuadrature((f, g), m, 72),
+                                     f, g, st.KernelVariant.RIGHT)
             val, se, info = hl.position_inner_product_mc(
                 f, g, m, seed=seed, points_log2=cfg.mc_points_log2,
                 scrambles=cfg.mc_scrambles)
@@ -737,7 +740,8 @@ SUITES = {
                    "coefficient-exact residuals for every variant"),
     "hermiticity": (suite_hermiticity,
                     "hermiticity of all ten generators under the four "
-                    "reflection-positive inner products"),
+                    "reflection-positive inner products (always at spin "
+                    "1/2, whatever the configured spins)"),
     "semigroup": (suite_semigroup,
                   "positive time translations form a contractive "
                   "Hermitian semigroup with the mass-gap decay rate"),

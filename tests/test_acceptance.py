@@ -108,8 +108,9 @@ def test_acceptance_reflection_positivity():
         for two_s in SPINS:
             rng = np.random.default_rng(seed * 7919 + two_s)
             fs = su.positivity_family(rng, two_s, 20)
+            quad = hl.MomentumQuadrature(fs, 1.0, 40)
             for variant in KV:
-                rep = hl.gram_matrix(fs, variant, 1.0, nodes=40)
+                rep = hl.gram_matrix(quad, fs, variant)
                 assert rep.hermiticity_defect <= 1e-10 * max(
                     abs(rep.max_eig), 1.0)
                 worst = max(worst, -rep.min_eig / max(1.0, rep.max_eig))
@@ -154,7 +155,8 @@ def test_acceptance_contraction_semigroup():
                                 min_k=1, max_k=2, center_scale=0.3,
                                 beta_range=(0.3, 0.6), shared_envelope=True)
     rep = gn.semigroup_contraction_check(
-        f, KV.RIGHT, 1.0, [0.0, 0.1, 0.3, 0.5, 1.0], nodes=48)
+        hl.MomentumQuadrature((f,), 1.0, 48), f, KV.RIGHT,
+        [0.0, 0.1, 0.3, 0.5, 1.0])
     ratios = rep.details["ratios"]
     assert all(b < a for a, b in zip(ratios[1:], ratios[2:])), ratios
     report("contraction_semigroup", rep.measured, 1e-10, started, 30.0)
@@ -218,10 +220,10 @@ def test_acceptance_mass_casimir():
         g = hl.random_test_function(rng, two_s=two_s, terms_per_component=1,
                                     min_k=2, max_k=3, center_scale=0.3,
                                     beta_range=(0.3, 0.6))
-        worst = max(worst, gn.mass_casimir_check(f, g, variant, 1.0,
-                                                 nodes=48).measured)
-        neg = gn.mass_casimir_check(f, g, variant, 1.0, test_mass=2.0,
-                                    nodes=48)
+        quad = hl.MomentumQuadrature((f, g), 1.0, 48)
+        worst = max(worst, gn.mass_casimir_check(quad, f, g,
+                                                 variant).measured)
+        neg = gn.mass_casimir_check(quad, f, g, variant, test_mass=2.0)
         control_margin = min(control_margin, neg.measured / 1e-7)
     assert control_margin >= 1e3, control_margin
     report("mass_casimir", worst, 1e-7, started, 30.0)
@@ -234,7 +236,8 @@ def test_acceptance_mc_crosscheck():
                            center=(0.2, 0.0, -0.1))
     g = hl.gaussian_packet(alpha=1.2, beta=0.5, tau0=0.1,
                            center=(-0.1, 0.3, 0.2))
-    exact = hl.inner_product(f, g, KV.RIGHT, m, nodes=72)
+    exact = hl.inner_product(hl.MomentumQuadrature((f, g), m, 72), f, g,
+                             KV.RIGHT)
     val, se, info = hl.position_inner_product_mc(f, g, m, seed=9,
                                                  points_log2=17,
                                                  scrambles=8)

@@ -163,8 +163,9 @@ def test_wrong_spin_term_breaks_hermiticity():
     orb_g = gn.apply_generator_orbital("K3", g)
     wrong_f = orb_f + f.spin_mix(-1j * sz)   # sign flipped
     wrong_g = orb_g + g.spin_mix(-1j * sz)
-    lhs = hl.inner_product(f, wrong_g, KV.RIGHT, 1.0, nodes=48)
-    rhs = hl.inner_product(wrong_f, g, KV.RIGHT, 1.0, nodes=48)
+    quad = hl.MomentumQuadrature((f, g, wrong_f, wrong_g), 1.0, 48)
+    lhs = hl.inner_product(quad, f, wrong_g, KV.RIGHT)
+    rhs = hl.inner_product(quad, wrong_f, g, KV.RIGHT)
     assert abs(lhs - rhs) / (abs(lhs) + abs(rhs)) > 1e-2
 
 
@@ -175,9 +176,10 @@ def test_hamiltonian_spectral_lower_bound():
         f = hl.random_test_function(rng, two_s=0, terms_per_component=2,
                                     min_k=1, max_k=2, center_scale=0.4,
                                     beta_range=(0.3, 0.7))
-        norm_sq = hl.inner_product(f, f, KV.RIGHT, m, nodes=48).real
-        hf = hl.inner_product(f, gn.apply_generator("H", f), KV.RIGHT, m,
-                              nodes=48)
+        h_f = gn.apply_generator("H", f)
+        quad = hl.MomentumQuadrature((f, h_f), m, 48)
+        norm_sq = hl.inner_product(quad, f, f, KV.RIGHT).real
+        hf = hl.inner_product(quad, f, h_f, KV.RIGHT)
         assert abs(hf.imag) < 1e-10 * abs(hf.real)
         assert hf.real >= m * norm_sq * (1.0 - 1e-7)
 
@@ -191,14 +193,12 @@ def test_finite_difference_generator_consistency():
                                 min_k=2, max_k=2, center_scale=0.3,
                                 beta_range=(0.3, 0.5))
     m = 1.0
-    box = hl.momentum_box((f, g), m)
-    base = hl.inner_product(f, g, KV.RIGHT, m, nodes=64, half_width=box)
-    hg = hl.inner_product(f, gn.apply_generator("H", g), KV.RIGHT, m,
-                          nodes=64, half_width=box)
+    quad = hl.MomentumQuadrature((f, g), m, 64)
+    base = hl.inner_product(quad, f, g, KV.RIGHT)
+    hg = hl.inner_product(quad, f, gn.apply_generator("H", g), KV.RIGHT)
     defects = []
     for delta in (1e-2, 1e-3):
-        shifted = hl.inner_product(f, g.shift_time(delta), KV.RIGHT, m,
-                                   nodes=64, half_width=box)
+        shifted = hl.inner_product(quad, f, g.shift_time(delta), KV.RIGHT)
         defects.append(abs((shifted - base) / delta + hg))
     # first-order error: the defect scales linearly in the step
     assert defects[0] / defects[1] == pytest.approx(10.0, rel=0.3)
@@ -210,8 +210,9 @@ def test_semigroup_contraction():
     f = hl.random_test_function(rng, two_s=0, terms_per_component=2,
                                 min_k=1, max_k=2, center_scale=0.3,
                                 beta_range=(0.3, 0.6), shared_envelope=True)
-    rep = gn.semigroup_contraction_check(f, KV.RIGHT, 1.0,
-                                         [0.0, 0.1, 0.5, 1.0], nodes=48)
+    quad = hl.MomentumQuadrature((f,), 1.0, 48)
+    rep = gn.semigroup_contraction_check(quad, f, KV.RIGHT,
+                                         [0.0, 0.1, 0.5, 1.0])
     assert rep.passed
     ratios = rep.details["ratios"]
     assert abs(ratios[0] - 1.0) < 1e-12
@@ -285,10 +286,10 @@ def test_mass_casimir_and_negative_control():
         g = hl.random_test_function(rng, two_s=two_s, terms_per_component=1,
                                     min_k=2, max_k=3, center_scale=0.3,
                                     beta_range=(0.3, 0.6))
-        rep = gn.mass_casimir_check(f, g, variant, 1.0, nodes=48)
+        quad = hl.MomentumQuadrature((f, g), 1.0, 48)
+        rep = gn.mass_casimir_check(quad, f, g, variant)
         assert rep.passed and rep.measured < 1e-7
-        neg = gn.mass_casimir_check(f, g, variant, 1.0, test_mass=2.0,
-                                    nodes=48)
+        neg = gn.mass_casimir_check(quad, f, g, variant, test_mass=2.0)
         assert neg.negative_control and neg.passed
         assert neg.measured > 1e3 * 1e-7
 

@@ -118,12 +118,14 @@ def test_inner_product_positivity_and_symmetry():
     for two_s in (0, 1, 2):
         f = hl.random_test_function(rng, two_s=two_s, terms_per_component=2)
         g = hl.random_test_function(rng, two_s=two_s, terms_per_component=2)
+        quad_f = hl.MomentumQuadrature((f,), m, 40)
+        quad_fg = hl.MomentumQuadrature((f, g), m, 40)
         for v in KV:
-            ff = hl.inner_product(f, f, v, m, nodes=40)
+            ff = hl.inner_product(quad_f, f, f, v)
             assert ff.real > 0.0
             assert abs(ff.imag) < 1e-12 * ff.real
-            fg = hl.inner_product(f, g, v, m, nodes=40)
-            gf = hl.inner_product(g, f, v, m, nodes=40)
+            fg = hl.inner_product(quad_fg, f, g, v)
+            gf = hl.inner_product(quad_fg, g, f, v)
             assert abs(fg - np.conj(gf)) < 1e-12 * max(abs(fg), 1.0)
 
 
@@ -132,34 +134,52 @@ def test_inner_product_sesquilinearity():
     f = hl.random_test_function(rng, 0)
     g = hl.random_test_function(rng, 0)
     h = hl.random_test_function(rng, 0)
-    a = hl.inner_product(2.0 * f, g, KV.RIGHT, 1.0, nodes=32)
-    b = 2.0 * hl.inner_product(f, g, KV.RIGHT, 1.0, nodes=32)
+    quad_fg = hl.MomentumQuadrature((f, g), 1.0, 32)
+    a = hl.inner_product(quad_fg, 2.0 * f, g, KV.RIGHT)
+    b = 2.0 * hl.inner_product(quad_fg, f, g, KV.RIGHT)
     assert a == b
-    box = hl.momentum_box((f, g, h), 1.0)
-    lhs = hl.inner_product(f, g + h, KV.RIGHT, 1.0, nodes=32,
-                           half_width=box)
-    rhs = (hl.inner_product(f, g, KV.RIGHT, 1.0, nodes=32, half_width=box)
-           + hl.inner_product(f, h, KV.RIGHT, 1.0, nodes=32,
-                              half_width=box))
+    quad = hl.MomentumQuadrature((f, g, h), 1.0, 32)
+    lhs = hl.inner_product(quad, f, g + h, KV.RIGHT)
+    rhs = (hl.inner_product(quad, f, g, KV.RIGHT)
+           + hl.inner_product(quad, f, h, KV.RIGHT))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
-    conj_scale = hl.inner_product((1.0 + 2.0j) * f, g, KV.RIGHT, 1.0,
-                                  nodes=32, half_width=box)
-    ref = np.conj(1.0 + 2.0j) * hl.inner_product(f, g, KV.RIGHT, 1.0,
-                                                 nodes=32, half_width=box)
+    conj_scale = hl.inner_product(quad, (1.0 + 2.0j) * f, g, KV.RIGHT)
+    ref = np.conj(1.0 + 2.0j) * hl.inner_product(quad, f, g, KV.RIGHT)
     assert abs(conj_scale - ref) < 1e-12 * max(abs(ref), 1.0)
 
 
 def test_inner_product_spin_mismatch():
     rng = np.random.default_rng(7)
+    f = hl.random_test_function(rng, 0)
+    quad = hl.MomentumQuadrature((f,), 1.0, 8)
     with pytest.raises(ValueError):
-        hl.inner_product(hl.random_test_function(rng, 0),
-                         hl.random_test_function(rng, 1), KV.RIGHT, 1.0)
+        hl.inner_product(quad, f, hl.random_test_function(rng, 1), KV.RIGHT)
+
+
+def test_momentum_quadrature_validation():
+    rng = np.random.default_rng(12)
+    f0 = hl.random_test_function(rng, 0, beta_range=(0.4, 0.6))
+    f1 = hl.random_test_function(rng, 1)
+    with pytest.raises(ValueError):
+        hl.MomentumQuadrature([], 1.0, 8)
+    with pytest.raises(ValueError):
+        hl.MomentumQuadrature((f0, f1), 1.0, 8)
+    quad = hl.MomentumQuadrature((f0,), 1.0, 8)
+    assert quad.two_s == 0
+    with pytest.raises(ValueError):
+        quad.transform(f1)
+    # a larger beta decays slower in momentum than the box was sized for
+    with pytest.raises(ValueError):
+        quad.transform(f0 + hl.gaussian_packet(beta=0.7))
+    # derivatives and shifts keep every beta, so they stay pairable
+    assert quad.transform(f0.d_x(0).shift_time(0.3)).shape == (1, 8 ** 3)
 
 
 def test_shifted_overlap_decreases():
     f = hl.gaussian_packet(alpha=1.0, beta=1.0)
-    vals = [hl.inner_product(f, f.shift_time(d), KV.RIGHT, 1.0, nodes=48)
-            for d in (0.0, 0.5, 1.0)]
+    shifted = [f.shift_time(d) for d in (0.0, 0.5, 1.0)]
+    quad = hl.MomentumQuadrature([f] + shifted, 1.0, 48)
+    vals = [hl.inner_product(quad, f, h, KV.RIGHT) for h in shifted]
     for v in vals:
         assert abs(v.imag) < 1e-12 * abs(v.real)
     assert vals[0].real > vals[1].real > vals[2].real > 0.0
@@ -173,17 +193,22 @@ def test_quadrature_convergence_under_doubling():
     g = (hl.random_test_function(rng, two_s=0, terms_per_component=2,
                                  center_scale=0.3, beta_range=(0.3, 0.6),
                                  shared_envelope=True) + 0.5 * f)
-    _, rel = hl.inner_product(f, g, KV.RIGHT, 1.0, check_convergence=True)
+    val, refined = [hl.inner_product(hl.MomentumQuadrature((f, g), 1.0, n),
+                                     f, g, KV.RIGHT)
+                    for n in (hl.DEFAULT_NODES, 2 * hl.DEFAULT_NODES)]
+    rel = abs(refined - val) / max(abs(refined), 1e-300)
     assert rel < 1e-8
 
 
 def test_gram_matrix_basics():
     rng = np.random.default_rng(9)
     f = hl.random_test_function(rng, 0)
-    single = hl.gram_matrix([f], KV.RIGHT, 1.0, nodes=32)
+    single = hl.gram_matrix(hl.MomentumQuadrature([f], 1.0, 32), [f],
+                            KV.RIGHT)
     assert single.passed and single.min_eig > 0.0
     fs = [hl.random_test_function(rng, 0) for _ in range(6)]
-    rep = hl.gram_matrix(fs + [fs[0]], KV.RIGHT, 1.0, nodes=32)
+    fs = fs + [fs[0]]
+    rep = hl.gram_matrix(hl.MomentumQuadrature(fs, 1.0, 32), fs, KV.RIGHT)
     # duplicated row forces an exact null direction
     assert abs(rep.min_eig) < 1e-9 * max(rep.max_eig, 1.0)
     assert rep.passed
@@ -192,17 +217,15 @@ def test_gram_matrix_basics():
 def test_momentum_quadrature_matches_inner_product_and_gram():
     rng = np.random.default_rng(10)
     fs = [hl.random_test_function(rng, 1) for _ in range(3)]
-    box = hl.momentum_box(fs, 1.0)
-    quad = hl.MomentumQuadrature(1.0, 1, box, nodes=40)
-    direct = np.array([[hl.inner_product(f, g, KV.LEFT, 1.0, nodes=40,
-                                         half_width=box) for g in fs]
+    quad = hl.MomentumQuadrature(fs, 1.0, nodes=40)
+    direct = np.array([[hl.inner_product(quad, f, g, KV.LEFT) for g in fs]
                        for f in fs])
-    paired = np.array([[quad.pair(f, g, KV.LEFT) for g in fs] for f in fs])
-    gram = hl.gram_matrix(fs, KV.LEFT, 1.0, nodes=40, half_width=box).matrix
+    gram = hl.gram_matrix(quad, fs, KV.LEFT).matrix
     scale = np.max(np.abs(direct))
-    assert np.max(np.abs(paired - direct)) <= 1e-14 * scale
-    assert np.max(np.abs(quad.gram(fs, KV.LEFT) - gram)) <= 1e-14 * scale
     assert np.max(np.abs(gram - direct)) <= 1e-14 * scale
+    # cached transforms give the same pairing as a fresh engine
+    fresh = hl.MomentumQuadrature(fs, 1.0, nodes=40)
+    assert hl.inner_product(fresh, fs[0], fs[1], KV.LEFT) == direct[0, 1]
 
 
 def test_serialization_roundtrip():
@@ -279,7 +302,8 @@ def test_position_mc_agrees_with_momentum_space():
                            center=(0.2, 0.0, -0.1))
     g = hl.gaussian_packet(alpha=1.2, beta=0.5, tau0=0.1,
                            center=(-0.1, 0.3, 0.2))
-    exact = hl.inner_product(f, g, KV.RIGHT, m, nodes=72)
+    exact = hl.inner_product(hl.MomentumQuadrature((f, g), m, 72), f, g,
+                             KV.RIGHT)
     val, se, info = hl.position_inner_product_mc(f, g, m, seed=3,
                                                  points_log2=15,
                                                  scrambles=6)

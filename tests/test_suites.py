@@ -1,0 +1,51 @@
+"""Suite bodies: work done per function family and what reports carry."""
+
+from collections import Counter
+
+import pytest
+
+from rqmcheck import hilbert as hl
+from rqmcheck import suites as su
+from rqmcheck.spacetime import KernelVariant as KV
+
+# two seeds at one mass and spin: two function families per suite
+SMALL = dict(two_spins=(0,), variants=(KV.RIGHT, KV.LEFT), seeds=(0, 1),
+             gram_size=3, gram_nodes=16)
+
+
+@pytest.mark.parametrize("suite, transforms_per_family", [
+    ("positivity", SMALL["gram_size"]),
+    ("casimir", 3),      # f, g and the wave operator applied to g
+    ("semigroup", 5),    # f and its four nonzero time shifts
+])
+def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
+    counts = Counter()
+
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(hl.MomentumWaveFunction, "evaluate", "transforms")
+    counted(hl, "onshell_kernel_grid", "kernels")
+    counted(hl, "tensor_grid", "grids")
+    cfg = su.RunConfig(suites=(suite,), **SMALL)
+    reports = su.SUITES[suite][0](cfg)
+    assert reports
+    families = len(cfg.seeds) * len(cfg.masses) * len(cfg.two_spins)
+    assert counts == {"transforms": families * transforms_per_family,
+                      "kernels": families * len(cfg.variants),
+                      "grids": families}
+
+
+def test_gram_reports_carry_hermiticity_defect():
+    cfg = su.RunConfig(suites=("positivity",), two_spins=(0, 1), gram_size=4,
+                       gram_nodes=24)
+    reports = su.suite_positivity(cfg)
+    assert len(reports) == 2 * len(cfg.variants)
+    for rep in reports:
+        defect = rep.details["hermiticity_defect"]
+        assert 0.0 <= defect <= 1e-10 * max(abs(rep.details["max_eig"]), 1.0)

@@ -189,24 +189,49 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
     are built over every pair function and share kernels across pairs;
     transforms are dropped after each pair, so memory does not grow with
-    the pair count.  Rows are ``(pair index, name, variant, lhs, rhs,
-    |lhs - rhs| / (|lhs| + |rhs|))``.
+    the pair count.  Per pair, grid and variant the kernel is applied
+    once, to each side: ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
+    Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
+    and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
+    (conj(F[f]_v) . ket_u)``: two dot products per generator, plus the
+    small spin sums.  Rows are ``(pair index, name, variant, lhs, rhs,
+    |lhs - rhs| / (|lhs| + |rhs|))``, in the order of ``pairs``,
+    ``names`` and ``variants``.
     """
     functions = [h for pair in pairs for h in pair]
+    grid_of = {name: small_nodes if name[0] in ("H", "P") else nodes
+               for name in names}
     quads = {n: MomentumQuadrature(functions, m, n)
-             for n in {nodes, small_nodes}}
-    two_s = quads[nodes].two_s
+             for n in set(grid_of.values())}
+    two_s = functions[0].two_s
     rows = []
     for idx, (f, g) in enumerate(pairs):
-        for name in names:
-            quad = quads[small_nodes if name[0] in ("H", "P") else nodes]
+        found = {}
+        for n_nodes, quad in quads.items():
+            # kernels first: building one needs more scratch than a transform
+            kernels = {variant: quad.kernel(variant) for variant in variants}
+            orbital = {name: (quad.transform(apply_generator_orbital(name, f)),
+                              quad.transform(apply_generator_orbital(name, g)))
+                       for name in names if grid_of[name] == n_nodes}
             ff, gg = quad.transform(f), quad.transform(g)
-            orb_f = quad.transform(apply_generator_orbital(name, f))
-            orb_g = quad.transform(apply_generator_orbital(name, g))
+            # variants outermost: two kernel-applied arrays alive per grid
+            for variant, kernel in kernels.items():
+                bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel,
+                                quad.weights)
+                ket = np.einsum("uvn,vn,n->un", kernel, gg, quad.weights)
+                spin_lhs = bra @ gg.T
+                spin_rhs = np.array([[np.vdot(ff[v], ket[u])
+                                      for v in range(len(ff))]
+                                     for u in range(len(ff))])
+                for name, (a_f, a_g) in orbital.items():
+                    S = generator_spin_matrix(name, two_s, variant)
+                    lhs = bra.ravel() @ a_g.ravel() + np.sum(S * spin_lhs)
+                    rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
+                    found[name, variant] = (complex(lhs), complex(rhs))
+                del bra, ket   # before the next variant's pair is built
+        for name in names:
             for variant in variants:
-                S = generator_spin_matrix(name, two_s, variant)
-                lhs = quad.contract(ff, orb_g + S @ gg, variant)
-                rhs = quad.contract(orb_f + S @ ff, gg, variant)
+                lhs, rhs = found[name, variant]
                 rows.append((idx, name, variant, lhs, rhs,
                              abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)))
         for quad in quads.values():

@@ -195,10 +195,6 @@ class TestFunction:
         degs = [t.k for ts in self.comps for t in ts]
         return min(degs) if degs else 0
 
-    def max_beta(self) -> float:
-        betas = [t.beta for ts in self.comps for t in ts]
-        return max(betas) if betas else 1.0
-
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values, shape (2s+1, N) for (N, 4) input (tau, x, y, z)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -306,12 +302,77 @@ class MomentumWaveFunction:
     def evaluate(self, points) -> np.ndarray:
         """Values on 3-momenta, shape (2s+1, N) for (N, 3) input.
 
+        Each term's image is a product of three axis factors (Gaussian
+        moment times center phase) and the radial factor
+        ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  When ``points`` is a
+        tensor grid in :func:`tensor_grid`'s layout -- recognized from the
+        values alone, see :func:`_tensor_nodes` -- the image is
+        sum-factorized: axis factors are evaluated on the n nodes of one
+        axis, the terms sharing ``(tau0, alpha, k)`` are summed as one
+        matrix product of outer products, and the radial factor is applied
+        once per such group.  Every other input (permuted, perturbed or
+        scattered points, as in the irrep action) is evaluated point by
+        point; that loop is the reference the tensor path is tested
+        against.  Both paths evaluate the same closed-form factors and
+        differ only in the order of the floating-point products and sums.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        nodes = _tensor_nodes(pts)
+        if nodes is None:
+            return self._evaluate_pointwise(pts)
+        return self._evaluate_tensor(nodes)
+
+    def _evaluate_tensor(self, x: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid x^3 (``ij`` layout), shape (2s+1, n^3)."""
+        n = x.size
+        sq = x * x
+        omega = np.sqrt(self.m ** 2 + (sq[:, None, None] + sq[None, :, None]
+                                       + sq[None, None, :])).reshape(-1)
+
+        def axis(t, ax):
+            return (_gaussian_moment(t.powers[ax], x, t.beta)
+                    * np.exp(-1j * t.center[ax] * x))
+
+        # (tau0, alpha) -> k -> component -> terms
+        groups: dict = {}
+        for i, terms in enumerate(self.comps):
+            for t in terms:
+                groups.setdefault((t.tau0, t.alpha), {}).setdefault(
+                    t.k, {}).setdefault(i, []).append(t)
+        out = np.zeros((self.dim, n ** 3), dtype=complex)
+        # n^3 scratch reused by every group: pole, radial factor, group sum
+        pole, radial = np.empty_like(omega), np.empty_like(omega)
+        block = np.empty((n * n, n), dtype=complex)
+        for (tau0, alpha), by_k in groups.items():
+            np.reciprocal(np.add(omega, alpha, out=pole), out=pole)
+            # exp(-omega tau0) / (alpha + omega)^power, raised along k
+            np.exp(np.multiply(omega, -tau0, out=radial), out=radial)
+            power = 0
+            for k in sorted(by_k):
+                while power <= k:
+                    radial *= pole
+                    power += 1
+                scale = math.factorial(k) / TWO_PI ** 1.5
+                for i, group in by_k[k].items():
+                    a = np.stack([scale * t.coef * axis(t, 0) for t in group])
+                    b = np.stack([axis(t, 1) for t in group])
+                    c = np.stack([axis(t, 2) for t in group])
+                    # sum_r a[r, p] b[r, q] c[r, s] lands at p n^2 + q n + s
+                    ab = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+                    np.matmul(ab.T, c, out=block)
+                    flat = block.reshape(-1)
+                    flat *= radial
+                    out[i] += flat
+        return out
+
+    def _evaluate_pointwise(self, pts: np.ndarray) -> np.ndarray:
+        """Values at arbitrary (N, 3) momenta.
+
         Heavy grid factors (time-shift exponentials, pole denominators,
         center phases, Gaussians) are shared across terms with equal
         parameters, so generator images with many terms over one envelope
         evaluate at roughly single-term cost.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         omega = np.sqrt(self.m ** 2 + np.einsum("ni,ni->n", pts, pts))
         shift_cache: dict = {0.0: 1.0}
         pole_cache: dict = {}
@@ -344,6 +405,25 @@ class MomentumWaveFunction:
         return out
 
 
+def _tensor_nodes(pts: np.ndarray):
+    """The node vector x when ``pts`` is :func:`tensor_grid`'s layout of
+    x^3, else None.
+
+    The layout is read from the values alone: N = n^3 with n >= 2, and
+    point ``i n^2 + j n + k`` equals ``(x_i, x_j, x_k)`` exactly.
+    """
+    n = round(pts.shape[0] ** (1.0 / 3.0))
+    if pts.shape[1] != 3 or n < 2 or n ** 3 != pts.shape[0]:
+        return None
+    x = pts[:n, 2]
+    cube = pts.reshape(n, n, n, 3)
+    if ((cube[..., 0] == x[:, None, None]).all()
+            and (cube[..., 1] == x[None, :, None]).all()
+            and (cube[..., 2] == x[None, None, :]).all()):
+        return x
+    return None
+
+
 def _gaussian_moment(n: int, p: np.ndarray, beta: float) -> np.ndarray:
     """Closed form of ``int u^n exp(-beta u^2 - i p u) du``."""
     base = np.sqrt(np.pi / beta) * np.exp(-p * p / (4.0 * beta))
@@ -368,15 +448,22 @@ def laplace_fourier_transform(f: TestFunction, m: float) -> MomentumWaveFunction
 # momentum quadrature and the inner product
 # ---------------------------------------------------------------------------
 
+def _max_beta(functions) -> float:
+    """Largest ``beta`` over the terms of all functions; 1.0 if none has a
+    term, so a function without terms never widens a box."""
+    return max((t.beta for f in functions for ts in f.comps for t in ts),
+               default=1.0)
+
+
 def momentum_box(functions, m: float) -> float:
     """Half-width of a cube capturing the Gaussian momentum decay.
 
     Each transform decays like ``exp(-p^2 / 4 beta)`` per axis, so a
-    nine-sigma-ish cut on the widest Gaussian leaves truncation errors
-    around 1e-10 even with the polynomial prefactors.
+    nine-sigma-ish cut on the widest Gaussian (see :func:`_max_beta`)
+    leaves truncation errors around 1e-10 even with the polynomial
+    prefactors.
     """
-    beta = max(f.max_beta() for f in functions)
-    return m + 9.0 * np.sqrt(beta)
+    return m + 9.0 * np.sqrt(_max_beta(functions))
 
 
 def tensor_grid(box: float, nodes: int):
@@ -414,7 +501,7 @@ class MomentumQuadrature:
         if any(f.two_s != self.two_s for f in functions):
             raise ValueError("all functions must share one spin")
         self.m = float(m)
-        self.max_beta = max(f.max_beta() for f in functions)
+        self.max_beta = _max_beta(functions)
         self.points, self.weights = tensor_grid(momentum_box(functions, m),
                                                 nodes)
         self._kernels: dict = {}

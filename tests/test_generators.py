@@ -147,6 +147,28 @@ def test_check_hermiticity_matches_suite_matrix():
         assert abs(single.measured - suite[0].measured) <= 1e-15
 
 
+def test_hermiticity_rows_match_inner_products_of_full_images():
+    from rqmcheck import suites as su
+
+    pairs = su.hermiticity_pairs(np.random.default_rng(13), 1, 2)
+    names, variants = ("K1", "H", "J2"), (KV.RIGHT, KV.LEFT)
+    rows = gn.hermiticity_defects(pairs, 1.0, variants, names, 24, 16)
+    assert [r[:3] for r in rows] == [(idx, name, variant) for idx in (0, 1)
+                                     for name in names for variant in variants]
+    functions = [h for pair in pairs for h in pair]
+    quads = {n: hl.MomentumQuadrature(functions, 1.0, n) for n in (16, 24)}
+    for idx, name, variant, lhs, rhs, _ in rows:
+        f, g = pairs[idx]
+        quad = quads[16 if name == "H" else 24]
+        tag = gn.GeneratorTag(name, variant)
+        want_lhs = hl.inner_product(quad, f, gn.apply_generator(tag, g),
+                                    variant)
+        want_rhs = hl.inner_product(quad, gn.apply_generator(tag, f), g,
+                                    variant)
+        assert abs(lhs - want_lhs) <= 1e-12 * abs(want_lhs)
+        assert abs(rhs - want_rhs) <= 1e-12 * abs(want_rhs)
+
+
 def test_wrong_spin_term_breaks_hermiticity():
     rng = np.random.default_rng(5)
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,

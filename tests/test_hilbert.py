@@ -7,6 +7,7 @@ import pytest
 
 from oracles import transform_quadrature
 from rqmcheck import hilbert as hl
+from rqmcheck.generators import apply_generator_orbital
 from rqmcheck.spacetime import KernelVariant as KV
 
 
@@ -173,6 +174,66 @@ def test_momentum_quadrature_validation():
         quad.transform(f0 + hl.gaussian_packet(beta=0.7))
     # derivatives and shifts keep every beta, so they stay pairable
     assert quad.transform(f0.d_x(0).shift_time(0.3)).shape == (1, 8 ** 3)
+
+
+def test_function_without_terms_does_not_widen_grid():
+    f = hl.gaussian_packet(beta=0.3)
+    alone = hl.MomentumQuadrature([f], 1.0, 8)
+    with_zero = hl.MomentumQuadrature([f, f - f], 1.0, 8)
+    assert with_zero.max_beta == alone.max_beta == 0.3
+    assert np.array_equal(with_zero.points, alone.points)
+    assert hl.momentum_box([f, f - f], 1.0) == hl.momentum_box([f], 1.0)
+
+
+def _transform_cases(two_s):
+    """Family members with k and axis powers up to 4, tau0 zero and
+    positive, distinct centers and envelopes, and generator images."""
+    rng = np.random.default_rng(20 + two_s)
+    kw = dict(two_s=two_s, terms_per_component=3, min_k=1, max_k=4,
+              max_power=4)
+    f = (hl.random_test_function(rng, tau0_max=0.0, **kw)
+         + hl.random_test_function(rng, tau0_max=0.5, **kw))
+    return [f] + [apply_generator_orbital(name, f)
+                  for name in ("H", "P2", "J1", "K3")]
+
+
+def _refuse(*args):
+    raise AssertionError("unexpected evaluation path")
+
+
+@pytest.mark.parametrize("nodes", [8, 32])
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_tensor_grid_transform_matches_pointwise(monkeypatch, two_s, nodes):
+    rng = np.random.default_rng(nodes)
+    fs = _transform_cases(two_s)
+    pts, _ = hl.tensor_grid(hl.momentum_box(fs, 1.3), nodes)
+    perm = rng.permutation(len(pts))
+    for f in fs:
+        mwf = hl.laplace_fourier_transform(f, 1.3)
+        want = np.empty((f.dim, len(pts)), dtype=complex)
+        want[:, perm] = mwf.evaluate(pts[perm])
+        with monkeypatch.context() as patch:
+            patch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
+                          _refuse)
+            got = mwf.evaluate(pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_non_grid_points_take_the_pointwise_path(monkeypatch):
+    f = _transform_cases(1)[-1]
+    mwf = hl.laplace_fourier_transform(f, 1.3)
+    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), 8)
+    on_grid = mwf.evaluate(pts)
+    perm = np.random.default_rng(3).permutation(len(pts))
+    nudged = pts.copy()
+    nudged[77, 1] = np.nextafter(nudged[77, 1], np.inf)
+    monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_tensor", _refuse)
+    for points, want in ((pts[perm], on_grid[:, perm]),   # permuted grid
+                         (nudged, on_grid),               # one ulp off
+                         (pts[:-1], on_grid[:, :-1]),     # N not a cube
+                         (pts[:1], on_grid[:, :1])):      # N = 1
+        got = mwf.evaluate(points)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_shifted_overlap_decreases():

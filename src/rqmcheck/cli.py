@@ -23,7 +23,7 @@ import time
 
 from . import __version__
 from .spacetime import KernelVariant
-from .suites import SUITES, RunConfig, run_suites
+from .suites import SIZE_FIELDS, SUITES, RunConfig, run_suites
 
 USAGE_ERROR = 2
 
@@ -97,9 +97,7 @@ def make_config(args) -> RunConfig:
                      [v.value for v in KernelVariant])
     if isinstance(variants, list):
         variants = [KernelVariant.from_string(v) for v in variants]
-    sizes = {key: data[key] for key in (
-        "gram_size", "gram_nodes", "hermiticity_pairs", "mc_points_log2",
-        "mc_scrambles", "irrep_elements") if key in data}
+    sizes = {key: data[key] for key in SIZE_FIELDS if key in data}
     return RunConfig(
         suites=_pick(args.suite, str, data, "suites", ["all"]),
         masses=_pick(args.mass, float, data, "masses", [1.0]),
@@ -121,12 +119,7 @@ def config_echo(cfg: RunConfig) -> dict:
         "seeds": list(cfg.seeds),
         "tolerances": cfg.tolerances,
         "jobs": cfg.jobs,
-        "gram_size": cfg.gram_size,
-        "gram_nodes": cfg.gram_nodes,
-        "hermiticity_pairs": cfg.hermiticity_pairs,
-        "mc_points_log2": cfg.mc_points_log2,
-        "mc_scrambles": cfg.mc_scrambles,
-        "irrep_elements": cfg.irrep_elements,
+        **{key: getattr(cfg, key) for key in SIZE_FIELDS},
     }
 
 

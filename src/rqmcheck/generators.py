@@ -187,10 +187,11 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
     every variant.  H and P multiply by functions of p and use the
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
-    are built over every pair function and share kernels across pairs;
-    transforms are dropped after each pair, so memory does not grow with
-    the pair count.  Per pair, grid and variant the kernel is applied
-    once, to each side: ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
+    are built over every pair function and keep only their RIGHT kernel:
+    another variant's kernel is freed after its variant, and transforms
+    after each pair, so memory does not grow with the pair count.  Per
+    pair, grid and variant the kernel is applied once, to each side:
+    ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
     Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
     and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
     (conj(F[f]_v) . ket_u)``: two dot products per generator, plus the
@@ -208,14 +209,15 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     for idx, (f, g) in enumerate(pairs):
         found = {}
         for n_nodes, quad in quads.items():
-            # kernels first: building one needs more scratch than a transform
-            kernels = {variant: quad.kernel(variant) for variant in variants}
+            # RIGHT kernel first: its build needs more scratch than a transform
+            quad.kernel(KernelVariant.RIGHT)
             orbital = {name: (quad.transform(apply_generator_orbital(name, f)),
                               quad.transform(apply_generator_orbital(name, g)))
                        for name in names if grid_of[name] == n_nodes}
             ff, gg = quad.transform(f), quad.transform(g)
-            # variants outermost: two kernel-applied arrays alive per grid
-            for variant, kernel in kernels.items():
+            # variants outermost: one kernel and its two products alive
+            for variant in variants:
+                kernel = quad.kernel(variant)
                 bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel,
                                 quad.weights)
                 ket = np.einsum("uvn,vn,n->un", kernel, gg, quad.weights)
@@ -228,7 +230,7 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
                     lhs = bra.ravel() @ a_g.ravel() + np.sum(S * spin_lhs)
                     rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
                     found[name, variant] = (complex(lhs), complex(rhs))
-                del bra, ket   # before the next variant's pair is built
+                del kernel, bra, ket   # before the next variant's are built
         for name in names:
             for variant in variants:
                 lhs, rhs = found[name, variant]

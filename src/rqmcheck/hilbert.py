@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import onshell_kernel_grid, scalar_position_kernel
+from .kernels import REFLECTION, onshell_kernel_grid, scalar_position_kernel
 from .spacetime import KernelVariant
 
 TWO_PI = 2.0 * np.pi
@@ -483,8 +483,8 @@ class MomentumQuadrature:
 
     Built over the functions it will pair: they share one spin, stored as
     ``two_s``, and the Gauss-Legendre tensor grid covers
-    ``momentum_box(functions, m)``.  The on-shell kernel of each variant
-    is built on first use and kept; each function's exact transform is
+    ``momentum_box(functions, m)``.  The RIGHT on-shell kernel is built
+    on first use and kept; each function's exact transform is
     evaluated once on the grid, keyed by the function (held in normal
     form), until :meth:`drop_transforms`.  A function of another spin, or
     one with a term narrower in position (larger ``beta``) than any the
@@ -502,17 +502,23 @@ class MomentumQuadrature:
             raise ValueError("all functions must share one spin")
         self.m = float(m)
         self.max_beta = _max_beta(functions)
+        self.nodes = nodes
         self.points, self.weights = tensor_grid(momentum_box(functions, m),
                                                 nodes)
-        self._kernels: dict = {}
+        self._right = None
         self._transforms: dict = {}
 
     def kernel(self, variant: KernelVariant) -> np.ndarray:
-        """On-shell kernel on the grid, shape ``(2s+1, 2s+1, N)``."""
-        if variant not in self._kernels:
-            self._kernels[variant] = onshell_kernel_grid(
-                variant, self.m, self.two_s, self.points)
-        return self._kernels[variant]
+        """On-shell kernel on the grid, shape ``(2s+1, 2s+1, N)``: the kept
+        RIGHT kernel with the axes that ``REFLECTION[variant]`` negates
+        reversed (the nodes are exactly antisymmetric), as a copy if any."""
+        if self._right is None:
+            self._right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
+                                              self.two_s, self.points)
+        right = self._right
+        flips = [ax + 2 for ax in range(3) if REFLECTION[variant][ax] < 0]
+        cube = right.reshape(right.shape[:2] + (self.nodes,) * 3)
+        return np.ascontiguousarray(np.flip(cube, flips)).reshape(right.shape)
 
     def transform(self, f: TestFunction) -> np.ndarray:
         """Exact transform of f on the grid, shape ``(2s+1, N)``."""
@@ -527,7 +533,7 @@ class MomentumQuadrature:
         return self._transforms[f]
 
     def drop_transforms(self):
-        """Free the cached transforms; the kernels stay."""
+        """Free the cached transforms; the kernel stays."""
         self._transforms.clear()
 
     def contract(self, ff: np.ndarray, gg: np.ndarray,

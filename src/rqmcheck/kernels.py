@@ -4,7 +4,8 @@ Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
 
 * momentum space: ``D^s(p_e . sigma_variant) / (p_e^2 + m^2)``
 * on shell (after the energy contour integral): ``D^s(M_v(p)) / omega`` with
-  ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``
+  ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``: for
+  every variant, the RIGHT matrix ``omega + p.sigma`` at ``REFLECTION[v] * p``
 * position space (s <= 1): derivative polynomial acting on the scalar
   ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``
 
@@ -26,6 +27,15 @@ from .spin import dim, wigner_d, wigner_d_entries
 
 _EULER_GAMMA = 0.5772156649015328606
 _K_SWITCH = 2.0
+
+#: variant -> signs of p at which the RIGHT on-shell matrix is the variant's,
+#: read off ``EUCL_SIGMA`` (all four share the time slot ``i sigma0``)
+REFLECTION = {
+    KernelVariant.RIGHT: (1, 1, 1),
+    KernelVariant.RIGHT_DUAL: (-1, 1, -1),
+    KernelVariant.LEFT: (1, -1, 1),
+    KernelVariant.LEFT_DUAL: (-1, -1, -1),
+}
 
 
 def _bessel_k01_series(x: np.ndarray):
@@ -145,37 +155,24 @@ def momentum_kernel(variant: KernelVariant, m: float, two_s: int,
     return wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1]) / denom
 
 
-def onshell_matrix(variant: KernelVariant, m: float, p) -> np.ndarray:
-    """Positive Hermitian 2x2 matrix at the on-shell point of a variant."""
-    p = np.asarray(p, dtype=float)
-    omega = np.sqrt(m * m + np.dot(p, p))
-    # p_e^0 -> -i omega turns the Euclidean time slot (i p_e^0) into omega
-    pe = np.array([-1j * omega, p[0], p[1], p[2]], dtype=complex)
-    return np.tensordot(pe, EUCL_SIGMA[variant], axes=(0, 0))
+def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
+                        points: np.ndarray) -> np.ndarray:
+    """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
+    ``(2s+1, 2s+1, N)``: ``M_v(p)`` is the RIGHT matrix ``omega + p.sigma``
+    at ``REFLECTION[variant] * p``, its entries mass-rescaled."""
+    p = np.asarray(points, dtype=float) * REFLECTION[variant]
+    omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
+    x, y, z = p.T
+    D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
+                         (x + 1j * y) / m, (omega - z) / m)
+    return D * (m ** two_s) / omega
 
 
 def onshell_kernel(variant: KernelVariant, m: float, two_s: int,
                    p) -> np.ndarray:
-    """On-shell kernel ``D^s(M_v(p)) / omega`` (mass-rescaled internally)."""
-    p = np.asarray(p, dtype=float)
-    omega = np.sqrt(m * m + np.dot(p, p))
-    M = onshell_matrix(variant, m, p) / m
-    D = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1])
-    return D * (m ** two_s) / omega
-
-
-def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
-                        points: np.ndarray) -> np.ndarray:
-    """Vectorized on-shell kernel, shape ``(2s+1, 2s+1, N)`` for (N, 3) input."""
-    points = np.asarray(points, dtype=float)
-    omega = np.sqrt(m * m + np.einsum("ni,ni->n", points, points))
-    sig = EUCL_SIGMA[variant]
-    pe = np.empty((points.shape[0], 4), dtype=complex)
-    pe[:, 0] = -1j * omega
-    pe[:, 1:] = points
-    M = np.einsum("nk,kij->nij", pe, sig) / m
-    D = wigner_d_entries(two_s, M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1])
-    return D * (m ** two_s) / omega
+    """On-shell kernel at one momentum, shape ``(2s+1, 2s+1)``."""
+    points = np.reshape(np.asarray(p, dtype=float), (1, 3))
+    return onshell_kernel_grid(variant, m, two_s, points)[..., 0]
 
 
 def position_kernel(variant: KernelVariant, m: float, two_s: int,

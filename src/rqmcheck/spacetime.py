@@ -100,10 +100,6 @@ class PoincareElement:
         return cls(lam, mink_to_matrix(np.asarray(a4, dtype=float)))
 
 
-def is_sl2c(a: np.ndarray, tol: float = SL2C_CONSTRUCT_TOL) -> bool:
-    return abs(np.linalg.det(a) - 1.0) <= tol
-
-
 def mink_to_matrix(x) -> np.ndarray:
     """Map (t, x, y, z) to the Hermitian matrix ``x^mu sigma_mu``."""
     x = np.asarray(x, dtype=float)

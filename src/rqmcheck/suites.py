@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ DEFAULT_TOLERANCES = {
     "mc_far_ratio": 1e-3,
     "mc_monotone": 0.02,
 }
+
+#: the RunConfig fields that size a run, named once for config and echo
+SIZE_FIELDS = ("gram_size", "gram_nodes", "hermiticity_pairs",
+               "mc_points_log2", "mc_scrambles", "irrep_elements")
 
 
 def _is_int(value) -> bool:
@@ -113,8 +118,7 @@ class RunConfig:
             if not _is_int(seed) or seed < 0:
                 raise ValueError(f"seeds must be nonnegative integers, "
                                  f"got {seed!r}")
-        for name in ("jobs", "gram_size", "gram_nodes", "hermiticity_pairs",
-                     "mc_points_log2", "mc_scrambles", "irrep_elements"):
+        for name in ("jobs", *SIZE_FIELDS):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
@@ -775,7 +779,8 @@ def run_suites(cfg: RunConfig):
         except Exception as exc:   # recorded per-check, not fatal
             return [make_report(f"{name}_internal_error", float("inf"), 0.0,
                                 inputs={"suite": name},
-                                details={"error": repr(exc)})]
+                                details={"error": repr(exc),
+                                         "traceback": traceback.format_exc()})]
 
     results = {}
     if cfg.jobs > 1:

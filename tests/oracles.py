@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they certify: the Bessel oracle
 integrates the cosh representation, the radial oracle reduces the 4D
 Fourier transform to a 1D oscillatory integral accelerated with Wynn's
-epsilon algorithm, and the transform oracle does brute 1D quadratures.
+epsilon algorithm, the on-shell kernel oracle uses each variant's own
+Euclidean sigma basis, and the transform oracle does brute 1D quadratures.
 """
 
 import math
@@ -62,6 +63,25 @@ def radial_position_kernel(m: float, r: float, n_panels: int = 160,
         partial[k] = acc
     i2 = wynn_epsilon(partial)
     return (1.0 / (2.0 * np.pi ** 2 * r)) * (1.0 / r - m * m * i2)
+
+
+def onshell_kernel_euclidean(variant, m: float, two_s: int, p):
+    """On-shell kernel from the variant's own Euclidean sigma basis.
+
+    Continues the Euclidean momentum to ``p_e = (-i omega, p)``, contracts
+    it with ``EUCL_SIGMA[variant]`` and takes the Wigner D polynomial of
+    the mass-rescaled matrix times ``m^(2s) / omega``; no reflection of
+    ``p`` enters.
+    """
+    from rqmcheck.spacetime import EUCL_SIGMA
+    from rqmcheck.spin import wigner_d_entries
+
+    p = np.asarray(p, dtype=float)
+    omega = math.sqrt(m * m + float(p @ p))
+    pe = np.array([-1j * omega, p[0], p[1], p[2]])
+    M = np.tensordot(pe, EUCL_SIGMA[variant], axes=(0, 0)) / m
+    D = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+    return D * m ** two_s / omega
 
 
 def transform_quadrature(f, m: float, p, tau_nodes: int = 220,

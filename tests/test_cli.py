@@ -200,6 +200,41 @@ def test_internal_error_recorded_per_check(capsys, monkeypatch):
     assert "OVERALL FAIL" in out
 
 
+def test_internal_error_keeps_traceback(tmp_path, capsys, monkeypatch):
+    from rqmcheck import suites as su
+
+    def raising_helper():
+        raise RuntimeError("synthetic failure")
+
+    def broken(cfg):
+        raising_helper()
+
+    monkeypatch.setitem(su.SUITES, "algebra",
+                        (broken, su.SUITES["algebra"][1]))
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(["run", "--suite", "algebra", "--out",
+                          str(out_path)], capsys)
+    assert code == 1
+    (check,) = json.loads(out_path.read_text())["checks"]
+    assert check["name"] == "algebra_internal_error"
+    assert "synthetic failure" in check["details"]["error"]
+    trace = check["details"]["traceback"]
+    assert "in raising_helper" in trace and "in broken" in trace
+
+
+def test_config_echoes_every_size_field(tmp_path, capsys):
+    sizes = {"gram_size": 3, "gram_nodes": 5, "hermiticity_pairs": 2,
+             "mc_points_log2": 6, "mc_scrambles": 4, "irrep_elements": 7}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["algebra"], **sizes}))
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(["run", "--config", str(cfg), "--out",
+                          str(out_path)], capsys)
+    assert code == 0
+    echo = json.loads(out_path.read_text())["config"]
+    assert {key: echo[key] for key in sizes} == sizes
+
+
 def test_csv_summary(tmp_path, capsys):
     csv_path = tmp_path / "summary.csv"
     code, _, _ = run_cli(["run", "--suite", "algebra", "--csv",

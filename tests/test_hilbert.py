@@ -8,6 +8,7 @@ import pytest
 from oracles import transform_quadrature
 from rqmcheck import hilbert as hl
 from rqmcheck.generators import apply_generator_orbital
+from rqmcheck.kernels import onshell_kernel_grid
 from rqmcheck.spacetime import KernelVariant as KV
 
 
@@ -155,6 +156,17 @@ def test_inner_product_spin_mismatch():
     quad = hl.MomentumQuadrature((f,), 1.0, 8)
     with pytest.raises(ValueError):
         hl.inner_product(quad, f, hl.random_test_function(rng, 1), KV.RIGHT)
+
+
+@pytest.mark.parametrize("nodes", [7, 12])
+def test_engine_kernels_equal_direct_builds(nodes):
+    m = 1.3
+    for two_s in range(5):
+        f = hl.gaussian_packet(two_s=two_s, beta=0.4)
+        quad = hl.MomentumQuadrature([f], m, nodes)
+        for v in KV:
+            direct = onshell_kernel_grid(v, m, two_s, quad.points)
+            assert np.array_equal(quad.kernel(v), direct), (two_s, v)
 
 
 def test_momentum_quadrature_validation():

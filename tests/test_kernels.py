@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import bessel_k1_integral, radial_position_kernel
+from oracles import (bessel_k1_integral, onshell_kernel_euclidean,
+                     radial_position_kernel)
 from rqmcheck import kernels as kr
 from rqmcheck import spacetime as st
 from rqmcheck import spin
@@ -76,6 +77,21 @@ def test_onshell_examples():
                - 1.0 / omega) < 1e-14
     rest = kr.onshell_kernel(KV.RIGHT, 2.7, 1, [0, 0, 0])
     assert np.max(np.abs(rest - np.eye(2))) < 1e-14
+
+
+def test_onshell_kernel_grid_matches_euclidean_oracle():
+    rng = np.random.default_rng(5)
+    points = np.vstack([np.zeros(3), rng.normal(size=(6, 3)) * 1.5,
+                        10.0 * np.eye(3), [[6.0, 0.0, -8.0]]])
+    for v in KV:
+        for two_s in range(5):
+            for m in (0.7, 1.0, 1.3):
+                grid = kr.onshell_kernel_grid(v, m, two_s, points)
+                for n, p in enumerate(points):
+                    oracle = onshell_kernel_euclidean(v, m, two_s, p)
+                    rel = (np.max(np.abs(grid[..., n] - oracle))
+                           / np.max(np.abs(oracle)))
+                    assert rel < 1e-14, (v, two_s, m, p, rel)
 
 
 def test_onshell_positive_hermitian_all_variants():
@@ -229,8 +245,9 @@ def test_position_kernel_guards():
 
 
 def test_residue_consistency():
-    for two_s in (0, 1, 2):
-        rep = kr.check_residue_consistency(KV.RIGHT, 1.0, two_s,
-                                           [0.3, -0.2, 0.5], 1.0,
-                                           nodes=200001)
-        assert rep.passed, rep.measured
+    for v in KV:
+        for two_s in (0, 1, 2):
+            rep = kr.check_residue_consistency(v, 1.0, two_s,
+                                               [0.3, -0.2, 0.5], 1.0,
+                                               nodes=200001)
+            assert rep.passed, (v, two_s, rep.measured)

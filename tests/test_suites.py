@@ -37,7 +37,7 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     assert reports
     families = len(cfg.seeds) * len(cfg.masses) * len(cfg.two_spins)
     assert counts == {"transforms": families * transforms_per_family,
-                      "kernels": families * len(cfg.variants),
+                      "kernels": families,
                       "grids": families}
 
 

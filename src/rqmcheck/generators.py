@@ -28,7 +28,8 @@ from .hilbert import (DEFAULT_NODES, MomentumQuadrature, TestFunction,
                       tensor_grid)
 from .kernels import KernelVariant
 from .report import CheckReport, make_report
-from .spacetime import PoincareElement, lorentz_from_sl2c, matrix_to_mink
+from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
+                        matrix_to_mink, wigner_rotation)
 from .spin import spin_matrices, wigner_d_entries
 
 GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
@@ -365,13 +366,20 @@ def boost_wedge_check(w1, w2, angles, m: float, seed: int = 0,
 
 @dataclass(frozen=True)
 class IrrepState:
-    """Momentum-space spin-component wave function of one (m, s) irrep."""
+    """Momentum-space spin-component wave function of one (m, s) irrep.
+
+    States pair on the grid of ``quad``, the engine built over the
+    function they came from; the irrep action and the projections keep it.
+    """
 
     m: float
     two_s: int
-    func: object          # callable (N, 3) -> (2s+1, N) complex
-    half_width: float = 6.0
-    nodes: int = 48
+    func: object    # (N, 3) float array -> (2s+1, N) complex, see evaluate
+    quad: MomentumQuadrature
+
+    @property
+    def nodes(self) -> int:
+        return self.quad.nodes
 
     @property
     def dim(self) -> int:
@@ -382,7 +390,7 @@ class IrrepState:
         return self.func(pts)
 
     def grid(self):
-        return tensor_grid(self.half_width, self.nodes)
+        return self.quad.points, self.quad.weights
 
     def inner(self, other: "IrrepState") -> complex:
         pts, wts = self.grid()
@@ -395,22 +403,10 @@ class IrrepState:
 
 
 def state_from_test_function(f: TestFunction, m: float,
-                             half_width: float = 6.0,
-                             nodes: int = 48) -> IrrepState:
+                             nodes: int = 72) -> IrrepState:
     mwf = laplace_fourier_transform(f, m)
-    return IrrepState(m, f.two_s, mwf.evaluate, half_width, nodes)
-
-
-def _boost_batch(points, m):
-    """Canonical boosts for a batch of momenta, shape (N, 2, 2)."""
-    omega = np.sqrt(m * m + np.einsum("ni,ni->n", points, points))
-    scale = 1.0 / np.sqrt(2.0 * m * (omega + m))
-    out = np.empty((points.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = (omega + m + points[:, 2]) * scale
-    out[:, 0, 1] = (points[:, 0] - 1j * points[:, 1]) * scale
-    out[:, 1, 0] = (points[:, 0] + 1j * points[:, 1]) * scale
-    out[:, 1, 1] = (omega + m - points[:, 2]) * scale
-    return out
+    return IrrepState(m, f.two_s, mwf.evaluate,
+                      MomentumQuadrature([f], m, nodes))
 
 
 def apply_poincare_irrep(state: IrrepState, g: PoincareElement) -> IrrepState:
@@ -422,38 +418,22 @@ def apply_poincare_irrep(state: IrrepState, g: PoincareElement) -> IrrepState:
     omega(q) a^0``.
     """
     m, two_s = state.m, state.two_s
-    L = np.asarray(g.lam, dtype=complex)
+    L_inv = np.linalg.inv(g.lam)
     a4 = matrix_to_mink(g.a)
-    L_inv = np.linalg.inv(L)
     base = state.func
 
-    def func(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        omega_q = np.sqrt(m * m + np.einsum("ni,ni->n", pts, pts))
-        # on-shell four-momentum through X -> L^-1 X L^-1dag
-        X = np.empty((pts.shape[0], 2, 2), dtype=complex)
-        X[:, 0, 0] = omega_q + pts[:, 2]
-        X[:, 0, 1] = pts[:, 0] - 1j * pts[:, 1]
-        X[:, 1, 0] = pts[:, 0] + 1j * pts[:, 1]
-        X[:, 1, 1] = omega_q - pts[:, 2]
-        Xp = np.einsum("ij,njk,kl->nil", L_inv, X, L_inv.conj().T)
-        p = np.empty_like(pts)
-        p[:, 0] = Xp[:, 1, 0].real
-        p[:, 1] = Xp[:, 1, 0].imag
-        p[:, 2] = 0.5 * (Xp[:, 0, 0] - Xp[:, 1, 1]).real
-        omega_p = 0.5 * (Xp[:, 0, 0] + Xp[:, 1, 1]).real
-        # Wigner rotation Lc(q)^-1 L Lc(p)
-        bq_inv = _boost_batch(-pts, m)
-        bp = _boost_batch(p, m)
-        R = np.einsum("nij,jk,nkl->nil", bq_inv, L, bp)
+    def func(q):
+        p = boost_momentum(L_inv, q, m)
+        R = wigner_rotation(g.lam, p, m)
         D = wigner_d_entries(two_s, R[:, 0, 0], R[:, 0, 1], R[:, 1, 0],
                              R[:, 1, 1])
-        phase = np.exp(1j * (pts @ a4[1:] - omega_q * a4[0]))
-        vals = base(p)
+        omega_q = np.sqrt(m * m + np.einsum("ni,ni->n", q, q))
+        omega_p = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
+        phase = np.exp(1j * (q @ a4[1:] - omega_q * a4[0]))
         return (phase * np.sqrt(omega_p / omega_q)
-                * np.einsum("uvn,vn->un", D, vals))
+                * np.einsum("uvn,vn->un", D, base(p)))
 
-    return IrrepState(m, two_s, func, state.half_width, state.nodes)
+    return IrrepState(m, two_s, func, state.quad)
 
 
 def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
@@ -483,20 +463,19 @@ def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
 
 
 def momentum_project(f: TestFunction, m: float, p0, width: float,
-                     half_width: float = 6.0, nodes: int = 48) -> IrrepState:
+                     nodes: int = 48) -> IrrepState:
     """Gaussian momentum window around p0 applied to the exact transform."""
     if width <= 0:
         raise ValueError("window width must be positive")
     p0 = np.asarray(p0, dtype=float)
     mwf = laplace_fourier_transform(f, m)
 
-    def func(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def func(pts):
         d = pts - p0
         window = np.exp(-np.einsum("ni,ni->n", d, d) / (2.0 * width ** 2))
         return mwf.evaluate(pts) * window
 
-    return IrrepState(m, f.two_s, func, half_width, nodes)
+    return IrrepState(m, f.two_s, func, MomentumQuadrature([f], m, nodes))
 
 
 def _euler_su2(alpha, beta, gamma):
@@ -547,8 +526,7 @@ def spin_project(state: IrrepState, two_mu: int,
     base = state.func
     chunk = 64
 
-    def func(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def func(pts):
         n_pts = pts.shape[0]
         out = np.zeros((two_s + 1, n_pts), dtype=complex)
         for start in range(0, len(coefs), chunk):
@@ -560,4 +538,4 @@ def spin_project(state: IrrepState, two_mu: int,
             out += np.einsum("r,ruv,vrn->un", coefs[sel], mats[sel], vals)
         return out
 
-    return IrrepState(state.m, two_s, func, state.half_width, state.nodes)
+    return IrrepState(state.m, two_s, func, state.quad)

@@ -187,18 +187,33 @@ def canonical_boost(p, m: float) -> np.ndarray:
 
     Closed form ``((omega + m) I + p.sigma) / sqrt(2 m (omega + m))`` with
     unit determinant; squaring it gives ``(p.sigma_mink) / m`` on shell.
+    An ``(N, 3)`` batch of momenta gives an ``(N, 2, 2)`` stack.
     """
     if m <= 0:
         raise ValueError("mass must be positive")
     p = np.asarray(p, dtype=float)
-    omega = np.sqrt(m * m + np.dot(p, p))
-    num = (omega + m) * SIGMA0 + (p[0] * SIGMA1 + p[1] * SIGMA2 + p[2] * SIGMA3)
-    return num / np.sqrt(2.0 * m * (omega + m))
+    omega = np.sqrt(m * m + np.einsum("...i,...i->...", p, p))
+    scale = 1.0 / np.sqrt(2.0 * m * (omega + m))
+    d = (omega + m) * scale
+    x, y, z = (p[..., k] * scale for k in range(3))
+    out = np.empty((2, 2) + p.shape[:-1], dtype=complex)
+    out[0, 0], out[1, 1] = d + z, d - z
+    out[0, 1], out[1, 0] = x - 1j * y, x + 1j * y
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-def canonical_boost_inverse(p, m: float) -> np.ndarray:
-    """Inverse boost, same closed form with the momentum reversed."""
-    return canonical_boost(-np.asarray(p, dtype=float), m)
+def _mul2(A, B) -> np.ndarray:
+    """``A @ B`` for 2x2 matrices or ``(N, 2, 2)`` stacks, entry by entry.
+
+    Stacks are built as ``(2, 2, N)`` and returned as ``(N, 2, 2)`` views,
+    so each entry is contiguous: several times faster than ``matmul``.
+    """
+    shape = np.broadcast_shapes(np.shape(A), np.shape(B))
+    out = np.empty((2, 2) + shape[:-2], dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[i, k] = A[..., i, 0] * B[..., 0, k] + A[..., i, 1] * B[..., 1, k]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def polar_decompose(L):
@@ -221,12 +236,18 @@ def polar_decompose(L):
 
 
 def boost_momentum(L, p, m: float) -> np.ndarray:
-    """Spatial part of the on-shell momentum after X -> L X L^dag."""
+    """Spatial part of the on-shell momentum after X -> L X L^dag.
+
+    Applies the Lorentz matrix of L to ``(omega, p)``, ``p`` of shape
+    ``(3,)`` or ``(N, 3)``.
+    """
     p = np.asarray(p, dtype=float)
-    omega = np.sqrt(m * m + np.dot(p, p))
-    X = mink_to_matrix(np.array([omega, p[0], p[1], p[2]]))
-    Xp = L @ X @ np.asarray(L).conj().T
-    return matrix_to_mink(Xp, tol=1e-8)[1:]
+    omega = np.sqrt(m * m + np.einsum("...i,...i->...", p, p))
+    lam = lorentz_from_sl2c(L)
+    # components contiguous, like the entries of _mul2's stacks
+    q = (np.multiply.outer(lam[1:, 0], omega)
+         + lam[1:, 1:] @ np.moveaxis(p, -1, 0))
+    return np.moveaxis(q, 0, -1)
 
 
 def wigner_rotation(L, p, m: float) -> np.ndarray:
@@ -234,11 +255,11 @@ def wigner_rotation(L, p, m: float) -> np.ndarray:
 
     For unimodular L and on-shell (p, m) the result is (numerically) SU(2);
     it agrees with the adjoint-free second form built from inverse daggers.
+    ``p`` of shape ``(N, 3)`` gives an ``(N, 2, 2)`` stack.
     """
     L = np.asarray(L, dtype=complex)
-    p = np.asarray(p, dtype=float)
     q = boost_momentum(L, p, m)
-    return canonical_boost_inverse(q, m) @ L @ canonical_boost(p, m)
+    return _mul2(_mul2(canonical_boost(-q, m), L), canonical_boost(p, m))
 
 
 def wigner_rotation_alt(L, p, m: float) -> np.ndarray:
@@ -247,7 +268,7 @@ def wigner_rotation_alt(L, p, m: float) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = boost_momentum(L, p, m)
     Ldag_inv = np.linalg.inv(L.conj().T)
-    return canonical_boost(q, m) @ Ldag_inv @ canonical_boost_inverse(p, m)
+    return canonical_boost(q, m) @ Ldag_inv @ canonical_boost(-p, m)
 
 
 def rotation_su2(axis, angle: float) -> np.ndarray:

@@ -551,11 +551,8 @@ def suite_irrep(cfg: RunConfig):
                     shared_envelope=True)
                 # the group-law difference cancels quadrature error, so a
                 # coarse grid suffices; norms need the fine one
-                state = gn.state_from_test_function(f, m * 1.0,
-                                                    half_width=5.0 * m,
-                                                    nodes=40)
-                fine = gn.state_from_test_function(f, m, half_width=5.0 * m,
-                                                   nodes=56)
+                state = gn.state_from_test_function(f, m, nodes=40)
+                fine = gn.state_from_test_function(f, m)
                 pts, wts = state.grid()
                 n0 = state.norm()
                 n0_fine = fine.norm()
@@ -575,12 +572,12 @@ def suite_irrep(cfg: RunConfig):
                     moved = gn.apply_poincare_irrep(fine, g1)
                     worst_un = max(worst_un,
                                    abs(moved.norm() - n0_fine) / n0_fine)
-                out.append(cfg.report("irrep_group_law", "irrep_group_law",
-                                      worst_gl,
-                                      {"seed": seed, "m": m, "two_s": ts}))
-                out.append(cfg.report("irrep_unitarity", "irrep_unitarity",
-                                      worst_un,
-                                      {"seed": seed, "m": m, "two_s": ts}))
+                box = float(hl.momentum_box([f], m))
+                for name, worst, grid in (("irrep_group_law", worst_gl, state),
+                                          ("irrep_unitarity", worst_un, fine)):
+                    out.append(cfg.report(
+                        name, name, worst, {"seed": seed, "m": m, "two_s": ts},
+                        details={"box": box, "nodes": grid.nodes}))
     return out
 
 

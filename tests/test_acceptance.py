@@ -185,8 +185,8 @@ def test_acceptance_irrep_group_law_unitarity():
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 tau0_max=0.3, shared_envelope=True)
-    coarse = gn.state_from_test_function(f, 1.0, half_width=5.0, nodes=40)
-    fine = gn.state_from_test_function(f, 1.0, half_width=5.0, nodes=56)
+    coarse = gn.state_from_test_function(f, 1.0, nodes=40)
+    fine = gn.state_from_test_function(f, 1.0, nodes=72)
     pts, wts = coarse.grid()
     n0 = coarse.norm()
     n_fine = fine.norm()

@@ -277,3 +277,18 @@ def test_failed_check_gives_exit_one(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["run", "--suite", "algebra"], capsys)
     assert code == 1
     assert "OVERALL FAIL" in out
+
+
+def test_irrep_unitarity_passes_at_seed_one_spin_one(tmp_path, capsys):
+    # on a norm grid narrower than momentum_box this case measures 5.3e-6
+    # against the 1e-6 tolerance
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"irrep_elements": 1}))
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(["run", "--config", str(cfg), "--suite", "irrep",
+                            "--seed", "1", "--spin", "2", "--out",
+                            str(out_path)], capsys)
+    assert code == 0, out
+    doc = json.loads(out_path.read_text())
+    unitarity = [c for c in doc["checks"] if c["name"] == "irrep_unitarity"]
+    assert len(unitarity) == 1 and unitarity[0]["tolerance"] == 1e-6

@@ -263,7 +263,7 @@ def test_irrep_action_basics():
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 shared_envelope=True)
-    state = gn.state_from_test_function(f, 1.0, half_width=5.0, nodes=40)
+    state = gn.state_from_test_function(f, 1.0, nodes=40)
     pts = rng.normal(size=(30, 3))
     ident = gn.apply_poincare_irrep(state, st.PoincareElement.identity())
     assert np.max(np.abs(ident.evaluate(pts) - state.evaluate(pts))) < 1e-14
@@ -279,8 +279,8 @@ def test_irrep_group_law_and_unitarity():
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 tau0_max=0.3, shared_envelope=True)
-    coarse = gn.state_from_test_function(f, 1.0, half_width=5.0, nodes=40)
-    fine = gn.state_from_test_function(f, 1.0, half_width=5.0, nodes=56)
+    coarse = gn.state_from_test_function(f, 1.0, nodes=40)
+    fine = gn.state_from_test_function(f, 1.0, nodes=72)
     pts, wts = coarse.grid()
     n0 = coarse.norm()
     for _ in range(3):

@@ -206,6 +206,25 @@ def test_wigner_rotation_properties():
         R2 = st.wigner_rotation_alt(L, p, m)
         assert np.max(np.abs(R1 @ R1.conj().T - np.eye(2))) < 1e-10
         assert np.max(np.abs(R1 - R2)) < 1e-10
+    # an (N, 3) batch equals its one-point calls row by row, up to the
+    # rounding of vectorized products
+    L = random_sl2c(rng)
+    m = 1.3
+    ps = rng.normal(size=(25, 3)) * 2.0
+    boosts = st.canonical_boost(ps, m)
+    moved = st.boost_momentum(L, ps, m)
+    rots = st.wigner_rotation(L, ps, m)
+    assert boosts.shape == rots.shape == (25, 2, 2)
+    assert moved.shape == (25, 3)
+    for p, b, q, R in zip(ps, boosts, moved, rots):
+        for batch, one in ((b, st.canonical_boost(p, m)),
+                           (q, st.boost_momentum(L, p, m)),
+                           (R, st.wigner_rotation(L, p, m))):
+            assert np.max(np.abs(batch - one)) <= 1e-14 * np.max(np.abs(one))
+        assert np.max(np.abs(R - st.wigner_rotation_alt(L, p, m))) < 1e-12
+    # a rotation is its own Wigner rotation at every momentum
+    U = random_su2(rng)
+    assert np.max(np.abs(st.wigner_rotation(U, ps, m) - U)) < 1e-12
 
 
 def test_det_preservation_under_pair_action():

@@ -49,3 +49,21 @@ def test_gram_reports_carry_hermiticity_defect():
     for rep in reports:
         defect = rep.details["hermiticity_defect"]
         assert 0.0 <= defect <= 1e-10 * max(abs(rep.details["max_eig"]), 1.0)
+
+
+@pytest.mark.parametrize("elements", [1, 3])
+def test_irrep_family_builds_two_grids(monkeypatch, elements):
+    grids = []
+    build = hl.tensor_grid
+
+    def counted(box, nodes):
+        grids.append((box, nodes))
+        return build(box, nodes)
+    monkeypatch.setattr(hl, "tensor_grid", counted)
+    cfg = su.RunConfig(suites=("irrep",), two_spins=(0,),
+                       irrep_elements=elements)
+    reports = su.suite_irrep(cfg)
+    # one coarse grid for the group law, one fine grid for the norms, and
+    # each report names the grid its check used
+    assert [nodes for _, nodes in grids] == [40, 72]
+    assert [(r.details["box"], r.details["nodes"]) for r in reports] == grids

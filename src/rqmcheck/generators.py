@@ -17,19 +17,22 @@ products.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# tensor_grid is not called here: it stays importable as
+# generators.tensor_grid, whose rebinding perfbench/selftest.py checks
 from .hilbert import (DEFAULT_NODES, MomentumQuadrature, TestFunction,
                       inner_product, laplace_fourier_transform, norm,
                       position_inner_product_mc, rotate_pointwise,
                       tensor_grid)
 from .kernels import KernelVariant
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst_of
 from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
-                        matrix_to_mink, wigner_rotation)
+                        matrix_to_mink, rotation_su2, wigner_rotation)
 from .spin import spin_matrices, wigner_d_entries
 
 GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
@@ -275,10 +278,10 @@ def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
         raise ValueError("time shifts must be nonnegative")
     base = norm(quad, f, variant)
     ratios = [norm(quad, f.shift_time(d), variant) / base for d in dtaus]
-    violation = max([0.0] + [r - 1.0 for r in ratios])
+    violation = worst_of(0.0, *[r - 1.0 for r in ratios])
     pos = [(d, r) for d, r in zip(dtaus, ratios) if d > 0]
     for (d1, r1), (d2, r2) in zip(pos, pos[1:]):
-        violation = max(violation, r2 - r1)
+        violation = worst_of(violation, r2 - r1)
     # semigroup law: two half shifts equal one full shift, exactly
     if dtaus and dtaus[-1] > 0:
         d = dtaus[-1]
@@ -287,10 +290,10 @@ def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
         pts = np.array([[0.7 + d, 0.1, -0.2, 0.3], [1.3 + d, 0.5, 0.4, -0.1]])
         dev = np.max(np.abs(twice.evaluate(pts) - once.evaluate(pts)))
         ref = max(np.max(np.abs(once.evaluate(pts))), 1e-300)
-        violation = max(violation, dev / ref - 1e-12)
+        violation = worst_of(violation, dev / ref - 1e-12)
     gap = norm(quad, f.shift_time(10.0 / m), variant) / base
     bound = 10.0 * math.exp(-10.0)
-    violation = max(violation, gap - bound)
+    violation = worst_of(violation, gap - bound)
     return make_report("semigroup_contraction", violation, tolerance,
                        inputs={"variant": variant.value, "m": m},
                        details={"dtaus": dtaus, "ratios": ratios,
@@ -326,7 +329,7 @@ def boost_wedge_check(w1, w2, angles, m: float, seed: int = 0,
     support_dev = 0.0
     for a in angles:
         vals = rotate_pointwise(w1, a).evaluate(probes)
-        support_dev = max(support_dev, float(np.max(np.abs(vals))))
+        support_dev = worst_of(support_dev, float(np.max(np.abs(vals))))
     norm_violations = [support_dev / 1e-300]
 
     base, base_se, _ = position_inner_product_mc(
@@ -347,10 +350,10 @@ def boost_wedge_check(w1, w2, angles, m: float, seed: int = 0,
                           "combined_3sigma": three_sigma})
         norm_violations.append(abs(left - right) / three_sigma)
         drift.append(abs(right - base) / a)
-    slope = max(drift) if drift else 0.0
+    slope = worst_of(*drift) if drift else 0.0
     if not math.isfinite(slope):
         norm_violations.append(2.0)
-    measured = max(norm_violations)
+    measured = worst_of(*norm_violations)
     return make_report("boost_wedge", measured, 1.0,
                        inputs={"angles": angles, "m": m, "seed": seed},
                        details={"support_max": support_dev,
@@ -376,6 +379,7 @@ class IrrepState:
     two_s: int
     func: object    # (N, 3) float array -> (2s+1, N) complex, see evaluate
     quad: MomentumQuadrature
+    source: TestFunction | None = None   # what func transforms, if known
 
     @property
     def nodes(self) -> int:
@@ -404,9 +408,8 @@ class IrrepState:
 
 def state_from_test_function(f: TestFunction, m: float,
                              nodes: int = 72) -> IrrepState:
-    mwf = laplace_fourier_transform(f, m)
-    return IrrepState(m, f.two_s, mwf.evaluate,
-                      MomentumQuadrature([f], m, nodes))
+    return IrrepState(m, f.two_s, laplace_fourier_transform(f, m).evaluate,
+                      MomentumQuadrature([f], m, nodes), f)
 
 
 def apply_poincare_irrep(state: IrrepState, g: PoincareElement) -> IrrepState:
@@ -478,14 +481,6 @@ def momentum_project(f: TestFunction, m: float, p0, width: float,
     return IrrepState(m, f.two_s, func, MomentumQuadrature([f], m, nodes))
 
 
-def _euler_su2(alpha, beta, gamma):
-    za = np.array([[np.exp(0.5j * alpha), 0], [0, np.exp(-0.5j * alpha)]])
-    zb = np.array([[np.cos(0.5 * beta), np.sin(0.5 * beta)],
-                   [-np.sin(0.5 * beta), np.cos(0.5 * beta)]])
-    zg = np.array([[np.exp(0.5j * gamma), 0], [0, np.exp(-0.5j * gamma)]])
-    return za @ zb @ zg
-
-
 def spin_project(state: IrrepState, two_mu: int,
                  euler_nodes=(16, 16, 16)) -> IrrepState:
     """Project onto the definite-spin-z component via group averaging.
@@ -493,49 +488,32 @@ def spin_project(state: IrrepState, two_mu: int,
     Averages ``conj(D^s_{mu nu0}(R)) U(R)`` over the rotation group with a
     trapezoid rule in the periodic Euler angles and Gauss-Legendre in
     cos(beta); the reference column nu0 is 0 for integer spin and +1/2
-    for half-integer spin.
+    for half-integer spin.  Rotations act exactly on the family, so this
+    is the state of ``g = sum_R c_R f.rotate(O_R).spin_mix(D(R))`` for the
+    state's source f.  g keeps one term per distinct rotated term: terms
+    at the origin merge back, off-center ones do not.
     """
-    two_s = state.two_s
+    two_s, f = state.two_s, state.source
     if abs(two_mu) > two_s or (two_s - two_mu) % 2 != 0:
         raise ValueError("invalid magnetic index")
-    two_nu0 = 0 if two_s % 2 == 0 else 1
+    if f is None:
+        raise ValueError("spin projection needs a state with a source")
     na, nb, ng = euler_nodes
-    alphas = 2.0 * np.pi * np.arange(na) / na
-    gammas = 2.0 * np.pi * np.arange(ng) / ng
     cosb, wb = np.polynomial.legendre.leggauss(nb)
-    betas = np.arccos(cosb)
     mus = list(range(two_s, -two_s - 2, -2))
-    row = mus.index(two_mu)
-    col = mus.index(two_nu0)
-    coefs = []
-    mats = []
-    rots = []
-    for ia, al in enumerate(alphas):
-        for ib, be in enumerate(betas):
-            for ig, ga in enumerate(gammas):
-                R = _euler_su2(al, be, ga)
-                weight = (1.0 / na) * (0.5 * wb[ib]) * (1.0 / ng)
-                D = wigner_d_entries(two_s, R[0, 0], R[0, 1], R[1, 0],
-                                     R[1, 1])
-                coefs.append(weight * (two_s + 1) * np.conj(D[row, col]))
-                mats.append(D)
-                rots.append(lorentz_from_sl2c(R)[1:, 1:])
-    coefs = np.asarray(coefs)
-    mats = np.asarray(mats)
-    rots = np.asarray(rots)
-    base = state.func
-    chunk = 64
-
-    def func(pts):
-        n_pts = pts.shape[0]
-        out = np.zeros((two_s + 1, n_pts), dtype=complex)
-        for start in range(0, len(coefs), chunk):
-            sel = slice(start, min(start + chunk, len(coefs)))
-            # rows of pts @ O3 give O3^-1 applied to each point
-            rotated = np.einsum("ni,rij->rnj", pts, rots[sel])
-            vals = base(rotated.reshape(-1, 3))
-            vals = vals.reshape(two_s + 1, -1, n_pts)
-            out += np.einsum("r,ruv,vrn->un", coefs[sel], mats[sel], vals)
-        return out
-
-    return IrrepState(state.m, two_s, func, state.quad)
+    row, col = mus.index(two_mu), mus.index(two_s % 2)
+    parts = []
+    for ia, ib, ig in itertools.product(range(na), range(nb), range(ng)):
+        R = (rotation_su2((0, 0, 1), 2.0 * np.pi * ia / na)
+             @ rotation_su2((0, 1, 0), np.arccos(cosb[ib]))
+             @ rotation_su2((0, 0, 1), 2.0 * np.pi * ig / ng))
+        D = wigner_d_entries(two_s, R[0, 0], R[0, 1], R[1, 0], R[1, 1])
+        coef = ((1.0 / na) * (0.5 * wb[ib]) * (1.0 / ng)
+                * (two_s + 1) * np.conj(D[row, col]))
+        parts.append(f.rotate(lorentz_from_sl2c(R)[1:, 1:]).spin_mix(coef * D))
+    # one construction merges all rotated terms, component by component
+    comps = zip(*(part.comps for part in parts))
+    g = TestFunction(two_s, tuple(tuple(itertools.chain(*ts)) for ts in comps))
+    return IrrepState(state.m, two_s,
+                      laplace_fourier_transform(g, state.m).evaluate,
+                      state.quad, g)

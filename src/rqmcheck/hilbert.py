@@ -7,9 +7,9 @@ The family: each spin component is a finite sum of terms
 
 with ``k, a, b, c >= 0``, ``alpha, beta > 0`` and ``tau0 >= 0``.  Every
 member is supported at positive Euclidean time and the family is closed
-under time/space derivatives, multiplication by coordinates, and time
-shifts, so the ten generators act on it exactly (coefficient algebra, no
-discretization).
+under time/space derivatives, multiplication by coordinates, time shifts
+and spatial rotations, so the ten generators act on it exactly
+(coefficient algebra, no discretization).
 
 Its Laplace-Fourier image under ``exp(-i p.x - omega(p) tau)`` is also
 exact:  the time factor integrates to ``k! exp(-omega tau0) /
@@ -176,6 +176,29 @@ class TestFunction:
         return self.map_terms(
             lambda t: [Term(t.coef, t.k, t.alpha, t.tau0 + dt, t.powers,
                             t.beta, t.center)])
+
+    def rotate(self, rot) -> "TestFunction":
+        """Exact rotation ``f(tau, rot^T x)`` for orthogonal ``rot``: centers
+        move to ``rot c``, the Gaussian stays, and each ``(x - c)^p``
+        expands into monomials of the same total degree."""
+        rot = np.asarray(rot, dtype=float)
+        if rot.shape != (3, 3) or not np.allclose(rot.T @ rot, np.eye(3),
+                                                  rtol=0.0, atol=1e-10):
+            raise ValueError("rotation must be a 3x3 orthogonal matrix")
+        cols = rot.T.tolist()
+        def rule(t):
+            poly = {(0, 0, 0): 1.0}   # prod_i (rot^T y)_i^p_i, y = x - rot c
+            for i in [i for i, p in enumerate(t.powers) for _ in range(p)]:
+                grown: dict = {}
+                for q, c in poly.items():
+                    for j, r in enumerate(cols[i]):
+                        key = q[:j] + (q[j] + 1,) + q[j + 1:]
+                        grown[key] = grown.get(key, 0.0) + c * r
+                poly = grown
+            center = tuple(float(v) + 0.0 for v in rot @ t.center)  # no -0.0
+            return [Term(c * t.coef, t.k, t.alpha, t.tau0, q, t.beta, center)
+                    for q, c in poly.items()]
+        return self.map_terms(rule)
 
     def spin_mix(self, mat) -> "TestFunction":
         """Component mixing f_mu -> sum_nu mat[mu, nu] f_nu."""

@@ -37,6 +37,23 @@ class CheckReport:
         }
 
 
+def worst_of(*values) -> float:
+    """Largest of the values, or NaN when any of them is NaN.
+
+    Builtin ``max`` keeps its running value whenever a comparison with NaN
+    is false, so ``max(0.0, nan)`` is ``0.0`` and a NaN measurement would
+    pass unseen; this one fails closed.  Pure Python, for scalar loops.
+    """
+    out = -math.inf
+    for v in values:
+        v = float(v)
+        if v != v:
+            return math.nan
+        if v > out:
+            out = v
+    return out
+
+
 def make_report(name, measured, tolerance, inputs=None, details=None,
                 negative_control=False) -> CheckReport:
     """Build a report; a negative control passes when measured > tolerance.

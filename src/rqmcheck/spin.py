@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst_of
 
 MAX_TWO_S = 20
 
@@ -220,7 +220,7 @@ def check_cg_addition(two_s1: int, two_s2: int, A,
                             continue
                         acc += cg_l * d1[i1, j1] * d2[i2, j2] * cg_r
                 recon[i, j] = acc
-        worst = max(worst, float(np.max(np.abs(recon - ds))))
+        worst = worst_of(worst, float(np.max(np.abs(recon - ds))))
     # product decomposition: D(s1) x D(s2) from total-spin blocks
     ds_cache = {two_s: wigner_d(two_s, A)
                 for two_s in range(abs(two_s1 - two_s2),
@@ -244,6 +244,6 @@ def check_cg_addition(two_s1: int, two_s2: int, A,
                         mus = magnetic_indices(two_s)
                         acc += cg_l * ds[mus.index(tm), mus.index(tmp)] * cg_r
                     dev = abs(acc - d1[i1, j1] * d2[i2, j2])
-                    worst = max(worst, float(dev))
+                    worst = worst_of(worst, float(dev))
     return make_report("cg_addition", worst, tolerance,
                        inputs={"two_s1": two_s1, "two_s2": two_s2})

@@ -20,7 +20,7 @@ from . import hilbert as hl
 from . import kernels as kr
 from . import spacetime as st
 from . import spin as sp
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, worst_of
 
 ALL_VARIANTS = tuple(st.KernelVariant)
 
@@ -185,13 +185,13 @@ def suite_algebra(cfg: RunConfig):
         for _ in range(100):
             x = rng.normal(size=4)
             X = st.mink_to_matrix(x)
-            worst_rt = max(worst_rt, float(np.max(np.abs(
+            worst_rt = worst_of(worst_rt, float(np.max(np.abs(
                 st.matrix_to_mink(X) - x))))
             A = _random_sl2c(rng)
             B = _random_sl2c(rng)
             Xe = st.eucl_to_matrix(rng.normal(size=4))
-            worst_det = max(worst_det, abs(np.linalg.det(A @ Xe @ B.T)
-                                           - np.linalg.det(Xe)))
+            worst_det = worst_of(worst_det, abs(np.linalg.det(A @ Xe @ B.T)
+                                                - np.linalg.det(Xe)))
         out.append(cfg.report("fourvector_roundtrip", "roundtrip", worst_rt,
                               {"seed": seed}))
         out.append(cfg.report("det_preservation", "det_preservation",
@@ -203,14 +203,15 @@ def suite_algebra(cfg: RunConfig):
             A = _random_su2(rng)
             B = _random_su2(rng)
             O = st.orth_from_pair(A, B)
-            worst_orth = max(worst_orth, float(np.max(np.abs(
+            worst_orth = worst_of(worst_orth, float(np.max(np.abs(
                 O @ O.T - np.eye(4)))))
             xe = rng.normal(size=4)
             for variant in cfg.variants:
                 left, right = kr.variant_pair_action(variant, A, B)
                 lhs = left @ st.eucl_to_matrix(xe, variant) @ right
                 rhs = st.eucl_to_matrix(O @ xe, variant)
-                worst_int = max(worst_int, float(np.max(np.abs(lhs - rhs))))
+                worst_int = worst_of(worst_int,
+                                     float(np.max(np.abs(lhs - rhs))))
         out.append(cfg.report("pair_intertwining", "intertwining", worst_int,
                               {"seed": seed}))
         out.append(cfg.report("pair_orthogonality", "intertwining",
@@ -221,8 +222,8 @@ def suite_algebra(cfg: RunConfig):
         Th = st.THETA
         O_rot = st.orth_from_pair(A, A.conj())
         O_bst = st.orth_from_pair(A, A.T)
-        dev = max(float(np.max(np.abs(Th @ O_rot @ Th - O_rot))),
-                  float(np.max(np.abs(Th @ O_bst.T @ Th - O_bst))))
+        dev = worst_of(float(np.max(np.abs(Th @ O_rot @ Th - O_rot))),
+                       float(np.max(np.abs(Th @ O_bst.T @ Th - O_bst))))
         out.append(cfg.report("theta_conjugation", "theta_conjugation", dev,
                               {"seed": seed, "angle": lam}))
 
@@ -233,20 +234,20 @@ def suite_algebra(cfg: RunConfig):
             for _ in range(20):
                 L = _random_sl2c(rng)
                 boost, rot = st.polar_decompose(L)
-                worst_polar = max(worst_polar, float(np.max(np.abs(
+                worst_polar = worst_of(worst_polar, float(np.max(np.abs(
                     boost @ rot - L))))
                 p = rng.normal(size=3)
                 Lc = st.canonical_boost(p, m)
                 omega = math.sqrt(m * m + float(p @ p))
                 target = st.mink_to_matrix([omega, *p]) / m
-                worst_boost = max(worst_boost, float(np.max(np.abs(
+                worst_boost = worst_of(worst_boost, float(np.max(np.abs(
                     Lc @ Lc.conj().T - target))))
                 R1 = st.wigner_rotation(L, p, m)
                 R2 = st.wigner_rotation_alt(L, p, m)
-                worst_wig = max(worst_wig,
-                                float(np.max(np.abs(R1 @ R1.conj().T
-                                                    - np.eye(2)))),
-                                float(np.max(np.abs(R1 - R2))))
+                worst_wig = worst_of(worst_wig,
+                                     float(np.max(np.abs(R1 @ R1.conj().T
+                                                         - np.eye(2)))),
+                                     float(np.max(np.abs(R1 - R2))))
         out.append(cfg.report("polar_reassembly", "polar_reassembly",
                               worst_polar, {"seed": seed}))
         out.append(cfg.report("canonical_boost_identity", "boost_identity",
@@ -268,13 +269,13 @@ def suite_wigner(cfg: RunConfig):
             A, B = _random_su2(rng), _random_su2(rng)
             As, Bs = _random_sl2c(rng), _random_sl2c(rng)
             for ts in spins:
-                worst_su2 = max(worst_su2,
-                                sp.check_group_law(ts, A, B).measured)
-                worst_sl2c = max(worst_sl2c,
-                                 sp.check_group_law(ts, As, Bs).measured)
+                worst_su2 = worst_of(worst_su2,
+                                     sp.check_group_law(ts, A, B).measured)
+                worst_sl2c = worst_of(worst_sl2c,
+                                      sp.check_group_law(ts, As, Bs).measured)
                 dinv = sp.wigner_d(ts, As) @ sp.wigner_d(
                     ts, np.linalg.inv(As))
-                worst_inv = max(worst_inv, float(np.max(np.abs(
+                worst_inv = worst_of(worst_inv, float(np.max(np.abs(
                     dinv - np.eye(ts + 1)))))
         out.append(cfg.report("group_law_su2", "group_law_su2", worst_su2,
                               {"seed": seed, "spins": list(spins)}))
@@ -287,10 +288,10 @@ def suite_wigner(cfg: RunConfig):
         worst_ct = 0.0
         for ts in spins:
             D = sp.wigner_d(ts, A)
-            worst_ct = max(worst_ct,
-                           float(np.max(np.abs(sp.wigner_d(ts, A.conj())
-                                               - D.conj()))),
-                           float(np.max(np.abs(sp.wigner_d(ts, A.T) - D.T))))
+            worst_ct = worst_of(
+                worst_ct,
+                float(np.max(np.abs(sp.wigner_d(ts, A.conj()) - D.conj()))),
+                float(np.max(np.abs(sp.wigner_d(ts, A.T) - D.T))))
         out.append(cfg.report("conjugation_transpose", "conj_transpose",
                               worst_ct, {"seed": seed}))
 
@@ -299,7 +300,7 @@ def suite_wigner(cfg: RunConfig):
             sx, sy, sz = sp.spin_matrices(ts)
             eye = np.eye(ts + 1)
             casimir = sx @ sx + sy @ sy + sz @ sz
-            worst_alg = max(
+            worst_alg = worst_of(
                 worst_alg,
                 float(np.max(np.abs(sx @ sy - sy @ sx - 1j * sz))),
                 float(np.max(np.abs(casimir - 0.25 * ts * (ts + 2) * eye))),
@@ -316,14 +317,14 @@ def suite_wigner(cfg: RunConfig):
                     for tm1 in range(-ts1, ts1 + 2, 2):
                         total += sp.clebsch_gordan(
                             ts1, tm1, ts2, two_mu - tm1, two_s, two_mu) ** 2
-                    worst_orth = max(worst_orth, abs(total - 1.0))
+                    worst_orth = worst_of(worst_orth, abs(total - 1.0))
         out.append(cfg.report("cg_orthogonality", "cg_orthogonality",
                               worst_orth, {}))
 
         worst_cg = 0.0
         boost = st.boost_sl2c(rng.normal(size=3), 0.5)
         for ts1, ts2 in ((1, 1), (1, 2), (2, 2)):
-            worst_cg = max(
+            worst_cg = worst_of(
                 worst_cg,
                 sp.check_cg_addition(ts1, ts2, _random_su2(rng)).measured,
                 sp.check_cg_addition(ts1, ts2, boost).measured)
@@ -344,9 +345,9 @@ def _bessel_integral_oracle(x: float) -> float:
 def suite_kernels(cfg: RunConfig):
     out = []
     spins = [ts for ts in cfg.two_spins if ts <= 4]
-    worst_or = max(abs(kr.bessel_k1(1.0) - _bessel_integral_oracle(1.0)),
-                   abs(kr.bessel_k1(10.0) - _bessel_integral_oracle(10.0))
-                   / _bessel_integral_oracle(10.0))
+    worst_or = worst_of(abs(kr.bessel_k1(1.0) - _bessel_integral_oracle(1.0)),
+                        abs(kr.bessel_k1(10.0) - _bessel_integral_oracle(10.0))
+                        / _bessel_integral_oracle(10.0))
     out.append(cfg.report("bessel_vs_integral_oracle", "bessel_oracle",
                           worst_or, {}))
     out.append(cfg.report("bessel_small_argument", "bessel_small_arg",
@@ -364,14 +365,14 @@ def suite_kernels(cfg: RunConfig):
             for _ in range(100):
                 p = rng.normal(size=3) * (1.5 * m)
                 for ts in spins:
-                    worst_fact = max(worst_fact, kr.check_factorization(
+                    worst_fact = worst_of(worst_fact, kr.check_factorization(
                         m, ts, p).measured)
                     for variant in cfg.variants:
                         K = kr.onshell_kernel(variant, m, ts, p)
                         evals = np.linalg.eigvalsh(K)
-                        worst_pos = max(worst_pos,
-                                        max(0.0, -float(evals[0])
-                                            / max(float(evals[-1]), 1e-300)))
+                        worst_pos = worst_of(
+                            worst_pos, 0.0,
+                            -float(evals[0]) / max(float(evals[-1]), 1e-300))
             out.append(cfg.report("onshell_factorization", "factorization",
                                   worst_fact, {"seed": seed, "m": m}))
             out.append(cfg.report("onshell_positivity", "kernel_positivity",
@@ -382,8 +383,9 @@ def suite_kernels(cfg: RunConfig):
                 pe = rng.normal(size=4)
                 for variant in cfg.variants:
                     for ts in spins[:3]:
-                        worst_cov = max(worst_cov, kr.check_kernel_covariance(
-                            variant, m, ts, A, B, pe).measured)
+                        worst_cov = worst_of(
+                            worst_cov, kr.check_kernel_covariance(
+                                variant, m, ts, A, B, pe).measured)
             out.append(cfg.report("kernel_covariance", "kernel_covariance",
                                   worst_cov, {"seed": seed, "m": m}))
             worst_dual = 0.0
@@ -395,12 +397,13 @@ def suite_kernels(cfg: RunConfig):
                 rhs = ((-1) ** ts * dual_rot
                        @ kr.momentum_kernel(st.KernelVariant.RIGHT, m, ts, pe)
                        @ dual_rot)
-                worst_dual = max(worst_dual, float(np.max(np.abs(lhs - rhs))))
+                worst_dual = worst_of(worst_dual,
+                                      float(np.max(np.abs(lhs - rhs))))
             out.append(cfg.report("dual_metric_identity", "dual_metric",
                                   worst_dual, {"seed": seed, "m": m}))
             worst_res = 0.0
             for ts in [t for t in spins if t <= 2]:
-                worst_res = max(worst_res, kr.check_residue_consistency(
+                worst_res = worst_of(worst_res, kr.check_residue_consistency(
                     st.KernelVariant.RIGHT, m, ts, rng.normal(size=3) * 0.5,
                     1.0 / m).measured)
             out.append(cfg.report("residue_consistency", "residue",
@@ -425,8 +428,8 @@ def suite_positivity(cfg: RunConfig):
                 quad = hl.MomentumQuadrature(fs, m, cfg.gram_nodes)
                 for variant in cfg.variants:
                     rep = hl.gram_matrix(quad, fs, variant)
-                    measured = max(0.0, -rep.min_eig
-                                   / max(1.0, rep.max_eig))
+                    measured = worst_of(0.0, -rep.min_eig
+                                        / worst_of(1.0, rep.max_eig))
                     out.append(cfg.report(
                         "gram_positivity", "gram_eig", measured,
                         {"seed": seed, "m": m, "two_s": ts,
@@ -450,7 +453,7 @@ def suite_generators(cfg: RunConfig):
                 worst = 0.0
                 for i in range(len(names)):
                     for j in range(i + 1, len(names)):
-                        worst = max(worst, gn.check_commutator(
+                        worst = worst_of(worst, gn.check_commutator(
                             names[i], names[j], f, variant).measured)
                 out.append(cfg.report(
                     "lie_algebra", "commutator", worst,
@@ -568,10 +571,10 @@ def suite_irrep(cfg: RunConfig):
                     diff = left.evaluate(pts) - right.evaluate(pts)
                     l2 = math.sqrt(float(np.einsum(
                         "un,n->", np.abs(diff) ** 2, wts).real))
-                    worst_gl = max(worst_gl, l2 / max(n0, 1e-300))
+                    worst_gl = worst_of(worst_gl, l2 / max(n0, 1e-300))
                     moved = gn.apply_poincare_irrep(fine, g1)
-                    worst_un = max(worst_un,
-                                   abs(moved.norm() - n0_fine) / n0_fine)
+                    worst_un = worst_of(worst_un,
+                                        abs(moved.norm() - n0_fine) / n0_fine)
                 box = float(hl.momentum_box([f], m))
                 for name, worst, grid in (("irrep_group_law", worst_gl, state),
                                           ("irrep_unitarity", worst_un, fine)):
@@ -702,8 +705,8 @@ def suite_mc_crosscheck(cfg: RunConfig):
             shifted = [position_shift_value(f, g, m, d, seed + 3,
                                             cfg.mc_points_log2 - 2)
                       for d in (0.0, 0.4 / m, 0.8 / m)]
-            mono = max(0.0, max(abs(shifted[1]) - abs(shifted[0]),
-                                abs(shifted[2]) - abs(shifted[1])))
+            mono = worst_of(0.0, abs(shifted[1]) - abs(shifted[0]),
+                                     abs(shifted[2]) - abs(shifted[1]))
             out.append(cfg.report("mc_shift_monotone", "mc_monotone",
                                   mono / abs(shifted[0]),
                                   {"seed": seed, "m": m},

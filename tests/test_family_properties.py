@@ -65,6 +65,9 @@ def test_construction_merges_repeated_keys_and_drops_zeros(comps):
     assert np.all(np.abs(total - expected) <= bound)
 
 
+# a fixed improper orthogonal matrix (det -1), so rotate meets a reflection
+ROTATION = -np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+
 OPERATIONS = {
     "d_tau": lambda f, g, mat: f.d_tau(),
     "d_x": lambda f, g, mat: f.d_x(1),
@@ -73,6 +76,7 @@ OPERATIONS = {
     "shift_time": lambda f, g, mat: f.shift_time(0.25),
     "scale": lambda f, g, mat: f.scale(-0.5 + 2.0j),
     "spin_mix": lambda f, g, mat: f.spin_mix(mat),
+    "rotate": lambda f, g, mat: f.rotate(ROTATION),
     "add": lambda f, g, mat: f + g,
     "sub": lambda f, g, mat: f - g,
 }

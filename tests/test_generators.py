@@ -6,6 +6,7 @@ import pytest
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import spacetime as st
+from rqmcheck import spin as sp
 from rqmcheck.spacetime import KernelVariant as KV
 
 
@@ -368,3 +369,71 @@ def test_spin_project():
         < 1e-4 * np.max(np.abs(expected))
     with pytest.raises(ValueError):
         gn.spin_project(state, 2)
+
+
+def _pure_rotation(R):
+    return st.PoincareElement(R, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_rotate_is_covariant_with_the_irrep_rotation(two_s):
+    """Euclidean covariance: rotating the test function and mixing its
+    components by D(R) is U(R) on its transform."""
+    rng = np.random.default_rng(50 + two_s)
+    f = hl.random_test_function(rng, two_s=two_s, terms_per_component=2,
+                                max_power=4)
+    R = st.rotation_su2(rng.normal(size=3), rng.uniform(0.2, 3.0))
+    O = st.lorentz_from_sl2c(R)[1:, 1:]
+    q = rng.normal(size=(30, 3))
+    lhs = hl.laplace_fourier_transform(
+        f.rotate(O).spin_mix(sp.wigner_d(two_s, R)), 1.0).evaluate(q)
+    state = gn.state_from_test_function(f, 1.0, nodes=4)
+    rhs = gn.apply_poincare_irrep(state, _pure_rotation(R)).evaluate(q)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+
+
+def _euler_su2(alpha, beta, gamma):
+    za = np.diag([np.exp(0.5j * alpha), np.exp(-0.5j * alpha)])
+    yb = np.array([[np.cos(0.5 * beta), np.sin(0.5 * beta)],
+                   [-np.sin(0.5 * beta), np.cos(0.5 * beta)]])
+    zg = np.diag([np.exp(0.5j * gamma), np.exp(-0.5j * gamma)])
+    return za @ yb @ zg
+
+
+@pytest.mark.parametrize("two_s, two_mu", [(0, 0), (1, -1), (2, 2)])
+def test_spin_project_is_the_group_average_of_the_irrep_action(two_s,
+                                                               two_mu):
+    rng = np.random.default_rng(60 + two_s)
+    f = hl.random_test_function(rng, two_s=two_s, terms_per_component=2,
+                                max_power=4)
+    state = gn.state_from_test_function(f, 1.0, nodes=4)
+    q = rng.normal(size=(20, 3))
+    got = gn.spin_project(state, two_mu, euler_nodes=(3, 4, 3)).evaluate(q)
+    mus = list(range(two_s, -two_s - 2, -2))
+    row, col = mus.index(two_mu), mus.index(two_s % 2)
+    cosb, wb = np.polynomial.legendre.leggauss(4)
+    want = np.zeros_like(got)
+    for alpha in 2.0 * np.pi * np.arange(3) / 3:
+        for beta, w in zip(np.arccos(cosb), wb):
+            for gamma in 2.0 * np.pi * np.arange(3) / 3:
+                R = _euler_su2(alpha, beta, gamma)
+                c = (two_s + 1) * w / 18.0 * np.conj(
+                    sp.wigner_d(two_s, R)[row, col])
+                want += c * gn.apply_poincare_irrep(
+                    state, _pure_rotation(R)).evaluate(q)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_spin_project_needs_a_source():
+    f = hl.gaussian_packet(two_s=1, beta=0.5)
+    state = gn.state_from_test_function(f, 1.0, nodes=4)
+    moved = gn.apply_poincare_irrep(state, _pure_rotation(np.eye(2)))
+    window = gn.momentum_project(f, 1.0, [0.5, 0.0, 0.0], 0.8, nodes=4)
+    assert state.source == f
+    for sourceless in (moved, window):
+        assert sourceless.source is None
+        with pytest.raises(ValueError):
+            gn.spin_project(sourceless, 1, euler_nodes=(2, 2, 2))
+    projected = gn.spin_project(state, 1, euler_nodes=(2, 2, 2))
+    assert projected.quad is state.quad
+    assert projected.source is not None

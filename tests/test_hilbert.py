@@ -415,3 +415,34 @@ def test_position_mc_requires_scalar():
     f = hl.random_test_function(rng, two_s=1)
     with pytest.raises(Exception):
         hl.position_inner_product_mc(f, f, 1.0)
+
+
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_rotate_is_the_pointwise_pullback(two_s):
+    rng = np.random.default_rng(40 + two_s)
+    f = hl.random_test_function(rng, two_s=two_s, terms_per_component=2,
+                                max_power=4)
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    pts = np.column_stack([rng.uniform(0.0, 2.0, 40),
+                           rng.normal(size=(40, 3))])
+    pulled = pts.copy()
+    pulled[:, 1:] = pts[:, 1:] @ rot        # rows rot^T x
+    want = f.evaluate(pulled)
+    got = f.rotate(rot)
+    assert np.max(np.abs(got.evaluate(pts) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
+    # same Gaussians, same total degrees, centers moved to rot c
+    assert ({(t.beta, sum(t.powers)) for ts in got.comps for t in ts}
+            <= {(t.beta, sum(t.powers)) for ts in f.comps for t in ts})
+    centers = {tuple(rot @ t.center) for ts in f.comps for t in ts}
+    assert all(min(np.max(np.abs(np.subtract(t.center, c))) for c in centers)
+               < 1e-15 for ts in got.comps for t in ts)
+
+
+def test_rotate_rejects_non_orthogonal_matrices():
+    f = hl.gaussian_packet(powers=(1, 0, 2), center=(0.3, 0.0, -0.1))
+    for bad in (np.diag([1.0, 1.0, 1.001]), np.eye(2), np.ones((3, 3)),
+                np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError):
+            f.rotate(bad)
+    assert f.rotate(np.eye(3)) == f

@@ -1,11 +1,15 @@
 """Suite bodies: work done per function family and what reports carry."""
 
+import dataclasses
+import math
 from collections import Counter
 
 import pytest
 
 from rqmcheck import hilbert as hl
+from rqmcheck import spin as sp
 from rqmcheck import suites as su
+from rqmcheck.report import worst_of
 from rqmcheck.spacetime import KernelVariant as KV
 
 # two seeds at one mass and spin: two function families per suite
@@ -67,3 +71,29 @@ def test_irrep_family_builds_two_grids(monkeypatch, elements):
     # each report names the grid its check used
     assert [nodes for _, nodes in grids] == [40, 72]
     assert [(r.details["box"], r.details["nodes"]) for r in reports] == grids
+
+
+def test_worst_of_keeps_nan():
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+    for values in ((0.0, math.nan), (math.nan, 0.0), (1.0, math.nan, 3.0)):
+        assert math.isnan(worst_of(*values))
+
+
+def test_nan_measurement_inside_a_running_worst_fails(monkeypatch):
+    """A NaN after the first measurement must not vanish into max()."""
+    check = sp.check_group_law
+    calls = []
+
+    def nan_after_first(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        calls.append(rep)
+        if len(calls) == 1:
+            return rep
+        return dataclasses.replace(rep, measured=math.nan, passed=False)
+
+    monkeypatch.setattr(sp, "check_group_law", nan_after_first)
+    cfg = su.RunConfig(suites=("wigner",), two_spins=(1,))
+    reports = {r.name: r for r in su.suite_wigner(cfg)}
+    for name in ("group_law_su2", "group_law_sl2c"):
+        assert math.isnan(reports[name].measured)
+        assert not reports[name].passed

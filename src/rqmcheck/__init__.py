@@ -23,6 +23,6 @@ from .spacetime import (KernelVariant, PoincareElement, canonical_boost,
                         poincare_inverse, polar_decompose, rotation_su2,
                         boost_sl2c, theta_reflect, wigner_rotation)
 from .spin import (check_cg_addition, check_group_law, clebsch_gordan,
-                   spin_matrices, wigner_d)
+                   coupling_matrix, spin_matrices, wigner_d)
 
 __version__ = "0.1.0"

@@ -7,12 +7,12 @@ On the positive-time family the generators act exactly:
 * ``J_j = -i (x cross grad)_j + spin term``
 * ``K_j = x_j d/dtau - tau d/dx_j + spin term``
 
-The spin term depends on the kernel variant: rotations get ``+S`` or
-``-S^t`` and boosts ``+iS``, ``-iS^t``, ``+iS^t`` or ``-iS`` for the
-right, right-dual, left, left-dual variants respectively.  Commutators
-are therefore checkable in the coefficient algebra (no quadrature),
-while hermiticity and spectral statements use the momentum-space inner
-products.
+The spin term follows from the variant's flags ``dual`` and ``left``:
+with ``R = S^t`` if exactly one is set and ``R = S`` otherwise, rotations
+get ``-R`` if exactly one is set and ``+R`` otherwise, boosts ``-iR`` if
+``dual`` and ``+iR`` otherwise.  Commutators are therefore checkable in
+the coefficient algebra (no quadrature), while hermiticity and spectral
+statements use the momentum-space inner products.
 """
 
 from __future__ import annotations
@@ -50,17 +50,11 @@ class GeneratorTag:
 
 def _spin_terms(two_s: int, variant: KernelVariant):
     """(rotation, boost) spin matrices for each variant, index j = 0, 1, 2."""
-    sx, sy, sz = spin_matrices(two_s)
-    mats = (sx, sy, sz)
-    if variant is KernelVariant.RIGHT:
-        return mats, tuple(1j * s for s in mats)
-    if variant is KernelVariant.RIGHT_DUAL:
-        return tuple(-s.T for s in mats), tuple(-1j * s.T for s in mats)
-    if variant is KernelVariant.LEFT:
-        return tuple(-s.T for s in mats), tuple(1j * s.T for s in mats)
-    if variant is KernelVariant.LEFT_DUAL:
-        return mats, tuple(-1j * s for s in mats)
-    raise ValueError(variant)
+    flipped = variant.dual != variant.left
+    mats = tuple(s.T if flipped else s for s in spin_matrices(two_s))
+    boost = -1j if variant.dual else 1j
+    return (tuple(-s if flipped else s for s in mats),
+            tuple(boost * s for s in mats))
 
 
 def _require_tau_degree(f: TestFunction, degree: int, what: str):

@@ -81,12 +81,19 @@ class TestFunction:
         and zero coefficients dropped, so equal functions compare equal
         and coefficient-level residuals see every cancellation.
         """
+        if not (isinstance(self.two_s, (int, np.integer))
+                and self.two_s >= 0):
+            raise ValueError("two_s must be a nonnegative integer")
         if len(self.comps) != self.two_s + 1:
             raise ValueError("component count must be 2s + 1")
         for terms in self.comps:
             for t in terms:
-                # chained comparisons are False for NaN and reject inf
-                if not (0 < t.alpha < math.inf and 0 < t.beta < math.inf
+                # chained comparisons are False for NaN and reject inf; k and
+                # the powers must be exact ints (a type test is cheapest)
+                if not (len(t.powers) == 3 and len(t.center) == 3
+                        and type(t.k) is int is type(t.powers[0])
+                        is type(t.powers[1]) is type(t.powers[2])
+                        and 0 < t.alpha < math.inf and 0 < t.beta < math.inf
                         and 0 <= t.tau0 < math.inf and t.k >= 0
                         and min(t.powers) >= 0 and cmath.isfinite(t.coef)
                         and all(map(math.isfinite, t.center))):
@@ -254,13 +261,14 @@ class TestFunction:
     @classmethod
     def from_dict(cls, data: dict) -> "TestFunction":
         comps = tuple(
-            tuple(Term(complex(td["coef"][0], td["coef"][1]), int(td["k"]),
+            tuple(Term(complex(td["coef"][0], td["coef"][1]), td["k"],
                        float(td["alpha"]), float(td["tau0"]),
-                       tuple(int(p) for p in td["powers"]), float(td["beta"]),
+                       tuple(td["powers"]), float(td["beta"]),
                        tuple(float(c) for c in td["center"]))
                   for td in ts)
             for ts in data["components"])
-        return cls(int(data["two_s"]), comps)
+        # k, powers and two_s as read: a non-integer is rejected, not truncated
+        return cls(data["two_s"], comps)
 
 
 def gaussian_packet(two_s=0, component=0, coef=1.0, k=0, alpha=1.0, tau0=0.0,

@@ -7,7 +7,11 @@ Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
   ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``: for
   every variant, the RIGHT matrix ``omega + p.sigma`` at ``REFLECTION[v] * p``
 * position space (s <= 1): derivative polynomial acting on the scalar
-  ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``
+  ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``; at s = 1 the polarized ``D^1``
+  of its Hessian
+
+:data:`REFLECTION` and :func:`variant_pair_action` follow from the variant
+flags ``dual`` (sigma2-conjugation) and ``left`` (transposition).
 
 The scalar position kernel is the 4D inverse Fourier transform of
 ``2 / ((2 pi)^4 (p^2 + m^2))``; the prefactor above is fixed by that
@@ -28,14 +32,10 @@ from .spin import dim, wigner_d, wigner_d_entries
 _EULER_GAMMA = 0.5772156649015328606
 _K_SWITCH = 2.0
 
-#: variant -> signs of p at which the RIGHT on-shell matrix is the variant's,
-#: read off ``EUCL_SIGMA`` (all four share the time slot ``i sigma0``)
-REFLECTION = {
-    KernelVariant.RIGHT: (1, 1, 1),
-    KernelVariant.RIGHT_DUAL: (-1, 1, -1),
-    KernelVariant.LEFT: (1, -1, 1),
-    KernelVariant.LEFT_DUAL: (-1, -1, -1),
-}
+#: variant -> signs of p at which the RIGHT on-shell matrix is the variant's:
+#: transposition flips p_y, sigma2-conjugation flips p_x and p_z
+REFLECTION = {v: ((-1) ** v.dual, (-1) ** v.left, (-1) ** v.dual)
+              for v in KernelVariant}
 
 
 def _bessel_k01_series(x: np.ndarray):
@@ -200,36 +200,14 @@ def position_kernel(variant: KernelVariant, m: float, two_s: int,
         # D^(1/2)(-i grad . sigma_v) g = -i (g'/r) * (z . sigma_v)
         return -1j * (gp / r) * eucl_to_matrix(z, variant)
     gpp = kappa * m * m * (bessel_k1(u) / u + 3.0 * bessel_k2(u) / u ** 2)
-    sig = EUCL_SIGMA[variant]
-    la = sig[:, 0, 0]
-    lb = sig[:, 0, 1]
-    lc = sig[:, 1, 0]
-    ld = sig[:, 1, 1]
-    sqrt2 = np.sqrt(2.0)
-    products = [
-        [(1.0, la, la)],
-        [(sqrt2, la, lb)],
-        [(1.0, lb, lb)],
-        [(sqrt2, la, lc)],
-        [(1.0, la, ld), (1.0, lb, lc)],
-        [(sqrt2, lb, ld)],
-        [(1.0, lc, lc)],
-        [(sqrt2, lc, ld)],
-        [(1.0, ld, ld)],
-    ]
+    # (-i d_mu)(-i d_nu) g = -[(g''-g'/r)/r^2 z_mu z_nu + (g'/r) delta_mu_nu],
+    # polarized into D^1: the z z part is D^1(z.sigma_v), the delta part
+    # the sum of D^1(sigma_v^mu) over the four basis matrices
     aniso = (gpp - gp / r) / (r * r)
     iso = gp / r
-    out = np.empty((3, 3), dtype=complex)
-    for idx, pairs in enumerate(products):
-        val = 0.0j
-        for w, uvec, vvec in pairs:
-            # (-i du)(-i dv) g = -[(g''-g'/r)/r^2 (u.z)(v.z) + (g'/r) u.v]
-            uz = np.dot(uvec, z)
-            vz = np.dot(vvec, z)
-            uv = np.dot(uvec, vvec)
-            val += -w * (aniso * uz * vz + iso * uv)
-        out[idx // 3, idx % 3] = val
-    return out
+    zz = wigner_d_entries(2, *eucl_to_matrix(z, variant).ravel())
+    delta = wigner_d_entries(2, *EUCL_SIGMA[variant].reshape(4, 4).T)
+    return -(aniso * zz + iso * delta.sum(axis=-1))
 
 
 def check_factorization(m: float, two_s: int, p,
@@ -254,15 +232,10 @@ def variant_pair_action(variant: KernelVariant, A: np.ndarray,
                         B: np.ndarray):
     """(left, right) factors by which the SU(2) pair (A, B) acts on the
     variant's matrix realization: ``X -> left @ X @ right``."""
-    if variant is KernelVariant.RIGHT:
-        return A, B.T
-    if variant is KernelVariant.RIGHT_DUAL:
-        return A.conj(), B.conj().T
-    if variant is KernelVariant.LEFT:
-        return B, A.T
-    if variant is KernelVariant.LEFT_DUAL:
-        return B.conj(), A.conj().T
-    raise ValueError(variant)
+    a, b = (B, A) if variant.left else (A, B)
+    if variant.dual:
+        a, b = a.conj(), b.conj()
+    return a, b.T
 
 
 def check_kernel_covariance(variant: KernelVariant, m: float, two_s: int,

@@ -48,6 +48,16 @@ class KernelVariant(enum.Enum):
     LEFT = "left"
     LEFT_DUAL = "left-dual"
 
+    @property
+    def dual(self) -> bool:
+        """Whether the realization is the RIGHT one conjugated by sigma2."""
+        return self.name.endswith("DUAL")
+
+    @property
+    def left(self) -> bool:
+        """Whether the realization is the RIGHT one transposed."""
+        return self.name.startswith("LEFT")
+
     @classmethod
     def from_string(cls, s: str) -> "KernelVariant":
         for v in cls:
@@ -58,16 +68,12 @@ class KernelVariant(enum.Enum):
 
 
 def _euclidean_sigma(variant: KernelVariant) -> np.ndarray:
-    base = np.stack([1j * SIGMA0, SIGMA1, SIGMA2, SIGMA3])
-    if variant is KernelVariant.RIGHT:
-        return base
-    if variant is KernelVariant.RIGHT_DUAL:
-        return np.stack([SIGMA2 @ m @ SIGMA2 for m in base])
-    if variant is KernelVariant.LEFT:
-        return np.stack([m.T for m in base])
-    if variant is KernelVariant.LEFT_DUAL:
-        return np.stack([SIGMA2 @ m.T @ SIGMA2 for m in base])
-    raise ValueError(variant)
+    sig = np.stack([1j * SIGMA0, SIGMA1, SIGMA2, SIGMA3])
+    if variant.left:
+        sig = sig.transpose(0, 2, 1)
+    if variant.dual:
+        sig = SIGMA2 @ sig @ SIGMA2
+    return sig
 
 
 #: variant -> stacked (4, 2, 2) basis matrices

@@ -170,6 +170,26 @@ def clebsch_gordan(two_s1: int, two_mu1: int, two_s2: int, two_mu2: int,
     return math.sqrt(float(pref)) * float(total)
 
 
+def coupling_matrix(two_s1: int, two_s2: int) -> np.ndarray:
+    """Orthogonal matrix C of the coupling coefficients.
+
+    Row ``i1 * (2 s2 + 1) + i2`` is the product state ``|s1 mu1> |s2 mu2>``
+    (the index order of ``np.kron``); the columns run through the total
+    spins s = |s1 - s2|, ..., s1 + s2, each block in descending mu.  The
+    entries are :func:`clebsch_gordan`, so ``C.T @ kron(D1, D2) @ C`` is
+    the block diagonal of the ``D_s``.
+    """
+    _check_two_s(two_s1)
+    _check_two_s(two_s2)
+    cols = [(two_s, tm)
+            for two_s in range(abs(two_s1 - two_s2), two_s1 + two_s2 + 2, 2)
+            for tm in magnetic_indices(two_s)]
+    return np.array([[clebsch_gordan(two_s1, tm1, two_s2, tm2, two_s, tm)
+                      for two_s, tm in cols]
+                     for tm1 in magnetic_indices(two_s1)
+                     for tm2 in magnetic_indices(two_s2)])
+
+
 def check_group_law(two_s: int, A, B, tolerance: float = 1e-11) -> CheckReport:
     """Max-entry deviation of ``D(A) D(B) - D(A B)``."""
     A = np.asarray(A, dtype=complex)
@@ -184,66 +204,20 @@ def check_cg_addition(two_s1: int, two_s2: int, A,
                       tolerance: float = 1e-10) -> CheckReport:
     """Deviation of both angular-momentum coupling identities for D(A).
 
-    One identity reassembles each total-spin block from the product
-    ``D(s1) x D(s2)`` sandwiched between coupling coefficients, the other
-    decomposes the product back into total-spin blocks.
+    With C the :func:`coupling_matrix`, one identity reduces the product
+    ``C.T @ kron(D(s1), D(s2)) @ C`` to the block diagonal of total-spin
+    matrices, the other reassembles the product ``C @ blocks @ C.T``.
     """
     A = np.asarray(A, dtype=complex)
-    d1 = wigner_d(two_s1, A)
-    d2 = wigner_d(two_s2, A)
-    mus1 = magnetic_indices(two_s1)
-    mus2 = magnetic_indices(two_s2)
-    worst = 0.0
+    C = coupling_matrix(two_s1, two_s2)
+    product = np.kron(wigner_d(two_s1, A), wigner_d(two_s2, A))
+    blocks = np.zeros_like(product)
+    start = 0
     for two_s in range(abs(two_s1 - two_s2), two_s1 + two_s2 + 2, 2):
-        ds = wigner_d(two_s, A)
-        mus = magnetic_indices(two_s)
-        recon = np.zeros_like(ds)
-        for i, tm in enumerate(mus):
-            for j, tmp in enumerate(mus):
-                acc = 0.0j
-                for i1, tm1 in enumerate(mus1):
-                    tm2 = tm - tm1
-                    if abs(tm2) > two_s2:
-                        continue
-                    i2 = mus2.index(tm2)
-                    cg_l = clebsch_gordan(two_s1, tm1, two_s2, tm2, two_s, tm)
-                    if cg_l == 0.0:
-                        continue
-                    for j1, tmp1 in enumerate(mus1):
-                        tmp2 = tmp - tmp1
-                        if abs(tmp2) > two_s2:
-                            continue
-                        j2 = mus2.index(tmp2)
-                        cg_r = clebsch_gordan(two_s1, tmp1, two_s2, tmp2,
-                                              two_s, tmp)
-                        if cg_r == 0.0:
-                            continue
-                        acc += cg_l * d1[i1, j1] * d2[i2, j2] * cg_r
-                recon[i, j] = acc
-        worst = worst_of(worst, float(np.max(np.abs(recon - ds))))
-    # product decomposition: D(s1) x D(s2) from total-spin blocks
-    ds_cache = {two_s: wigner_d(two_s, A)
-                for two_s in range(abs(two_s1 - two_s2),
-                                   two_s1 + two_s2 + 2, 2)}
-    for i1, tm1 in enumerate(mus1):
-        for i2, tm2 in enumerate(mus2):
-            for j1, tmp1 in enumerate(mus1):
-                for j2, tmp2 in enumerate(mus2):
-                    acc = 0.0j
-                    tm = tm1 + tm2
-                    tmp = tmp1 + tmp2
-                    for two_s, ds in ds_cache.items():
-                        if abs(tm) > two_s or abs(tmp) > two_s:
-                            continue
-                        cg_l = clebsch_gordan(two_s1, tm1, two_s2, tm2,
-                                              two_s, tm)
-                        cg_r = clebsch_gordan(two_s1, tmp1, two_s2, tmp2,
-                                              two_s, tmp)
-                        if cg_l == 0.0 or cg_r == 0.0:
-                            continue
-                        mus = magnetic_indices(two_s)
-                        acc += cg_l * ds[mus.index(tm), mus.index(tmp)] * cg_r
-                    dev = abs(acc - d1[i1, j1] * d2[i2, j2])
-                    worst = worst_of(worst, float(dev))
+        stop = start + dim(two_s)
+        blocks[start:stop, start:stop] = wigner_d(two_s, A)
+        start = stop
+    worst = worst_of(float(np.max(np.abs(C.T @ product @ C - blocks))),
+                     float(np.max(np.abs(C @ blocks @ C.T - product))))
     return make_report("cg_addition", worst, tolerance,
                        inputs={"two_s1": two_s1, "two_s2": two_s2})

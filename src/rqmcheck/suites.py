@@ -311,13 +311,9 @@ def suite_wigner(cfg: RunConfig):
 
         worst_orth = 0.0
         for ts1, ts2 in ((1, 1), (1, 2), (2, 2)):
-            for two_s in range(abs(ts1 - ts2), ts1 + ts2 + 2, 2):
-                for two_mu in range(-two_s, two_s + 2, 2):
-                    total = 0.0
-                    for tm1 in range(-ts1, ts1 + 2, 2):
-                        total += sp.clebsch_gordan(
-                            ts1, tm1, ts2, two_mu - tm1, two_s, two_mu) ** 2
-                    worst_orth = worst_of(worst_orth, abs(total - 1.0))
+            C = sp.coupling_matrix(ts1, ts2)
+            worst_orth = worst_of(worst_orth, float(np.max(np.abs(
+                C.T @ C - np.eye(len(C))))))
         out.append(cfg.report("cg_orthogonality", "cg_orthogonality",
                               worst_orth, {}))
 
@@ -382,7 +378,7 @@ def suite_kernels(cfg: RunConfig):
                 A, B = _random_su2(rng), _random_su2(rng)
                 pe = rng.normal(size=4)
                 for variant in cfg.variants:
-                    for ts in spins[:3]:
+                    for ts in spins:
                         worst_cov = worst_of(
                             worst_cov, kr.check_kernel_covariance(
                                 variant, m, ts, A, B, pe).measured)

@@ -322,6 +322,37 @@ def test_non_finite_parameters_rejected():
         hl.TestFunction.from_dict(data)
 
 
+def _set_term_field(name, value):
+    def mutate(data):
+        data["components"][0][0][name] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_term_field("powers", [1, 0]),
+    _set_term_field("center", [0.0, 0.1, 0.2, 0.3]),
+    _set_term_field("k", 1.5),
+    _set_term_field("powers", [0, 1.5, 0]),
+], ids=["powers-length", "center-length", "non-integral-k",
+        "non-integral-power"])
+def test_malformed_term_from_disk_rejected(mutate):
+    data = json.loads(json.dumps(hl.gaussian_packet(k=1).as_dict()))
+    hl.TestFunction.from_dict(data)
+    mutate(data)
+    with pytest.raises(ValueError):
+        hl.TestFunction.from_dict(data)
+
+
+def test_negative_spin_rejected():
+    with pytest.raises(ValueError):
+        hl.TestFunction(-1, ())
+    data = hl.gaussian_packet().as_dict()
+    data["two_s"] = -1
+    data["components"] = []
+    with pytest.raises(ValueError):
+        hl.TestFunction.from_dict(data)
+
+
 def test_wedge_multiplier():
     assert hl.wedge_multiplier([[0.0, 0.3, 0.2, 0.1]], (0, 0, 1), 0.5)[0] \
         == 0.0

@@ -209,15 +209,6 @@ def test_position_kernel_spin_one_matches_finite_differences():
     def scalar(zz):
         return kr.scalar_position_kernel(m, np.sqrt(zz @ zz))
 
-    got = kr.position_kernel(KV.RIGHT, m, 2, z)
-    sig = st.EUCL_SIGMA[KV.RIGHT]
-    la, lb, lc, ld = sig[:, 0, 0], sig[:, 0, 1], sig[:, 1, 0], sig[:, 1, 1]
-    sqrt2 = np.sqrt(2.0)
-    prods = [[(1, la, la)], [(sqrt2, la, lb)], [(1, lb, lb)],
-             [(sqrt2, la, lc)], [(1, la, ld), (1, lb, lc)],
-             [(sqrt2, lb, ld)], [(1, lc, lc)], [(sqrt2, lc, ld)],
-             [(1, ld, ld)]]
-
     def d2(mu, nu):
         e1 = np.zeros(4)
         e2 = np.zeros(4)
@@ -227,14 +218,24 @@ def test_position_kernel_spin_one_matches_finite_differences():
                 - scalar(z - e1 + e2) + scalar(z - e1 - e2)) / (4 * h * h)
 
     hess = np.array([[d2(mu, nu) for nu in range(4)] for mu in range(4)])
-    fd = np.zeros((3, 3), dtype=complex)
-    for idx, pairs in enumerate(prods):
-        val = 0.0j
-        for wgt, u, v in pairs:
-            val += -wgt * np.einsum("m,n,mn->", u, v, hess)
-        fd[idx // 3, idx % 3] = val
-    scale = np.max(np.abs(got))
-    assert np.max(np.abs(got - fd)) < 1e-5 * scale
+    sqrt2 = np.sqrt(2.0)
+    for variant in (KV.RIGHT, KV.LEFT, KV.RIGHT_DUAL, KV.LEFT_DUAL):
+        got = kr.position_kernel(variant, m, 2, z)
+        sig = st.EUCL_SIGMA[variant]
+        la, lb = sig[:, 0, 0], sig[:, 0, 1]
+        lc, ld = sig[:, 1, 0], sig[:, 1, 1]
+        prods = [[(1, la, la)], [(sqrt2, la, lb)], [(1, lb, lb)],
+                 [(sqrt2, la, lc)], [(1, la, ld), (1, lb, lc)],
+                 [(sqrt2, lb, ld)], [(1, lc, lc)], [(sqrt2, lc, ld)],
+                 [(1, ld, ld)]]
+        fd = np.zeros((3, 3), dtype=complex)
+        for idx, pairs in enumerate(prods):
+            val = 0.0j
+            for wgt, u, v in pairs:
+                val += -wgt * np.einsum("m,n,mn->", u, v, hess)
+            fd[idx // 3, idx % 3] = val
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(got - fd)) < 1e-5 * scale
 
 
 def test_position_kernel_guards():

@@ -53,6 +53,18 @@ def test_eucl_variants_share_determinant():
             assert abs(det + st.euclidean_square(x)) < 1e-12
 
 
+def test_variant_flags_name_the_two_involutions():
+    assert [(v.dual, v.left) for v in KV] == [
+        (False, False), (True, False), (False, True), (True, True)]
+    x = np.random.default_rng(2).normal(size=4)
+    right = st.eucl_to_matrix(x, KV.RIGHT)
+    assert np.array_equal(st.eucl_to_matrix(x, KV.RIGHT_DUAL),
+                          st.SIGMA2 @ right @ st.SIGMA2)
+    assert np.array_equal(st.eucl_to_matrix(x, KV.LEFT), right.T)
+    assert np.array_equal(st.eucl_to_matrix(x, KV.LEFT_DUAL),
+                          st.SIGMA2 @ right.T @ st.SIGMA2)
+
+
 def test_theta_reflects_time_only():
     out = st.theta_reflect(np.array([2.0, 1.0, -1.0, 3.0]))
     assert np.allclose(out, [-2.0, 1.0, -1.0, 3.0])

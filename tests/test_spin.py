@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rqmcheck import spin
+from rqmcheck import spin, suites
 from rqmcheck import spacetime as st
 
 
@@ -213,6 +213,16 @@ def test_clebsch_gordan_orthogonality():
                                         two_s, two_mu) ** 2
                     for tm1 in range(-two_s1, two_s1 + 2, 2))
                 assert abs(total - 1.0) < 1e-12
+        C = spin.coupling_matrix(two_s1, two_s2)
+        n = (two_s1 + 1) * (two_s2 + 1)
+        assert C.shape == (n, n)
+        assert np.max(np.abs(C.T @ C - np.eye(n))) < 1e-12
+        # first column: the lowest total spin at its top magnetic index
+        two_s = abs(two_s1 - two_s2)
+        assert np.array_equal(C[:, 0], [
+            spin.clebsch_gordan(two_s1, tm1, two_s2, tm2, two_s, two_s)
+            for tm1 in spin.magnetic_indices(two_s1)
+            for tm2 in spin.magnetic_indices(two_s2)])
 
 
 def test_cg_addition_identities():
@@ -222,3 +232,22 @@ def test_cg_addition_identities():
     assert spin.check_cg_addition(1, 1, np.eye(2), 1e-12).passed
     boost = st.boost_sl2c([0, 0, 1], 0.5)
     assert spin.check_cg_addition(1, 2, boost, 1e-10).passed
+
+
+def test_flipped_coupling_coefficient_fails_both_checks(monkeypatch):
+    original = spin.clebsch_gordan
+
+    def flipped(*args):
+        value = original(*args)
+        return -value if args == (1, 1, 1, -1, 0, 0) else value
+
+    monkeypatch.setattr(spin, "clebsch_gordan", flipped)
+    A = random_su2(np.random.default_rng(5))
+    report = spin.check_cg_addition(1, 1, A)
+    assert not report.passed and report.measured > 0.1
+    C = spin.coupling_matrix(1, 1)
+    assert np.max(np.abs(C.T @ C - np.eye(4))) > 0.1
+    cfg = suites.RunConfig(suites=("wigner",), two_spins=(1,))
+    reports = {r.name: r for r in suites.suite_wigner(cfg)}
+    for name in ("cg_orthogonality", "cg_addition"):
+        assert not reports[name].passed and reports[name].measured > 0.1

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from rqmcheck import hilbert as hl
+from rqmcheck import kernels as kr
 from rqmcheck import spin as sp
 from rqmcheck import suites as su
 from rqmcheck.report import worst_of
@@ -97,3 +98,18 @@ def test_nan_measurement_inside_a_running_worst_fails(monkeypatch):
     for name in ("group_law_su2", "group_law_sl2c"):
         assert math.isnan(reports[name].measured)
         assert not reports[name].passed
+
+
+def test_kernel_covariance_covers_every_kept_spin(monkeypatch):
+    check = kr.check_kernel_covariance
+    spins = set()
+
+    def recorded(variant, m, two_s, *args, **kwargs):
+        spins.add(two_s)
+        return check(variant, m, two_s, *args, **kwargs)
+
+    monkeypatch.setattr(kr, "check_kernel_covariance", recorded)
+    cfg = su.RunConfig(suites=("kernels",), two_spins=(0, 1, 2, 3, 4, 5),
+                       variants=(KV.RIGHT,))
+    su.suite_kernels(cfg)
+    assert spins == {0, 1, 2, 3, 4}

@@ -36,6 +36,15 @@ TWO_PI = 2.0 * np.pi
 #: inner products by well under 1e-8
 DEFAULT_NODES = 96
 
+#: points per slab of the tensor-grid transform: whole planes of the first
+#: axis, so that a slab's radial factor, pole and group block (about 0.5 MB
+#: together) stay in cache while every term group adds into it
+SLAB_POINTS = 16384
+
+#: terms of one (tau0, alpha, k, component) group summed per matrix
+#: product; bounds the tensor path's scratch for groups with many terms
+TERM_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # the symbolic family
@@ -330,70 +339,107 @@ class MomentumWaveFunction:
     def dim(self) -> int:
         return self.two_s + 1
 
-    def evaluate(self, points) -> np.ndarray:
+    def evaluate(self, points, grid=None) -> np.ndarray:
         """Values on 3-momenta, shape (2s+1, N) for (N, 3) input.
 
         Each term's image is a product of three axis factors (Gaussian
         moment times center phase) and the radial factor
-        ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  When ``points`` is a
-        tensor grid in :func:`tensor_grid`'s layout -- recognized from the
-        values alone, see :func:`_tensor_nodes` -- the image is
-        sum-factorized: axis factors are evaluated on the n nodes of one
-        axis, the terms sharing ``(tau0, alpha, k)`` are summed as one
-        matrix product of outer products, and the radial factor is applied
-        once per such group.  Every other input (permuted, perturbed or
+        ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  On a tensor grid in
+        :func:`tensor_grid`'s layout the image is sum-factorized: axis
+        factors are evaluated on the n nodes of one axis, the terms sharing
+        ``(tau0, alpha, k)`` are summed as matrix products of outer
+        products, and the radial factor is applied once per such group;
+        the n^3 passes run in slabs of whole planes (see
+        :func:`_evaluate_tensor`).  ``grid``, when given, is the pair
+        ``(x, omega)`` of that layout's node vector and its flattened
+        ``sqrt(m^2 + |p|^2)``, as a :class:`MomentumQuadrature` keeps them;
+        the caller vouches that ``points`` is that grid.  Without it the
+        layout is recognized from the values alone (see
+        :func:`_tensor_nodes`).  Every other input (permuted, perturbed or
         scattered points, as in the irrep action) is evaluated point by
         point; that loop is the reference the tensor path is tested
         against.  Both paths evaluate the same closed-form factors and
         differ only in the order of the floating-point products and sums.
         """
+        if grid is not None:
+            return self._evaluate_tensor(*grid)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         nodes = _tensor_nodes(pts)
         if nodes is None:
             return self._evaluate_pointwise(pts)
-        return self._evaluate_tensor(nodes)
+        return self._evaluate_tensor(nodes, _tensor_omega(nodes, self.m))
 
-    def _evaluate_tensor(self, x: np.ndarray) -> np.ndarray:
-        """Values on the tensor grid x^3 (``ij`` layout), shape (2s+1, n^3)."""
+    def _evaluate_tensor(self, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        """Values on the tensor grid x^3 (``ij`` layout), shape (2s+1, n^3).
+
+        The grid is processed in slabs of whole planes of the first axis,
+        about :data:`SLAB_POINTS` points each, so that a slab's radial
+        factor, pole and group block stay in cache while every group adds
+        into it.  A group's terms are summed :data:`TERM_BLOCK` at a time,
+        which bounds the scratch of a group with very many terms.
+        """
         n = x.size
-        sq = x * x
-        omega = np.sqrt(self.m ** 2 + (sq[:, None, None] + sq[None, :, None]
-                                       + sq[None, None, :])).reshape(-1)
 
         def axis(t, ax):
             return (_gaussian_moment(t.powers[ax], x, t.beta)
                     * np.exp(-1j * t.center[ax] * x))
 
-        # (tau0, alpha) -> k -> component -> terms
+        def blocks(k, terms):
+            # axis factors (a, b, c) of TERM_BLOCK terms at a time, a scaled
+            scale = math.factorial(k) / TWO_PI ** 1.5
+            return [(np.stack([scale * t.coef * axis(t, 0) for t in part]),
+                     np.stack([axis(t, 1) for t in part]),
+                     np.stack([axis(t, 2) for t in part]))
+                    for part in (terms[j:j + TERM_BLOCK]
+                                 for j in range(0, len(terms), TERM_BLOCK))]
+
+        # (tau0, alpha) -> k -> component -> terms, then their blocks
         groups: dict = {}
         for i, terms in enumerate(self.comps):
             for t in terms:
                 groups.setdefault((t.tau0, t.alpha), {}).setdefault(
                     t.k, {}).setdefault(i, []).append(t)
+        groups = {key: [(k, [(i, blocks(k, terms))
+                             for i, terms in by_k[k].items()])
+                        for k in sorted(by_k)]
+                  for key, by_k in groups.items()}
+
         out = np.zeros((self.dim, n ** 3), dtype=complex)
-        # n^3 scratch reused by every group: pole, radial factor, group sum
-        pole, radial = np.empty_like(omega), np.empty_like(omega)
-        block = np.empty((n * n, n), dtype=complex)
-        for (tau0, alpha), by_k in groups.items():
-            np.reciprocal(np.add(omega, alpha, out=pole), out=pole)
-            # exp(-omega tau0) / (alpha + omega)^power, raised along k
-            np.exp(np.multiply(omega, -tau0, out=radial), out=radial)
-            power = 0
-            for k in sorted(by_k):
-                while power <= k:
-                    radial *= pole
-                    power += 1
-                scale = math.factorial(k) / TWO_PI ** 1.5
-                for i, group in by_k[k].items():
-                    a = np.stack([scale * t.coef * axis(t, 0) for t in group])
-                    b = np.stack([axis(t, 1) for t in group])
-                    c = np.stack([axis(t, 2) for t in group])
-                    # sum_r a[r, p] b[r, q] c[r, s] lands at p n^2 + q n + s
-                    ab = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
-                    np.matmul(ab.T, c, out=block)
-                    flat = block.reshape(-1)
-                    flat *= radial
-                    out[i] += flat
+        planes = min(n, max(1, SLAB_POINTS // (n * n)))
+        # slab scratch reused by every group: pole, radial factor, block
+        pole = np.empty(planes * n * n)
+        radial = np.empty_like(pole)
+        block = np.empty(planes * n * n, dtype=complex)
+        for lo in range(0, n, planes):
+            hi = min(lo + planes, n)
+            rows = slice(lo * n * n, hi * n * n)
+            size = (hi - lo) * n * n
+            om, pl, rad = omega[rows], pole[:size], radial[:size]
+            blk = block[:size].reshape(-1, n)
+            started = set()
+            for (tau0, alpha), by_k in groups.items():
+                np.reciprocal(np.add(om, alpha, out=pl), out=pl)
+                # exp(-omega tau0) / (alpha + omega)^power, raised along k
+                np.exp(np.multiply(om, -tau0, out=rad), out=rad)
+                power = 0
+                for k, by_comp in by_k:
+                    while power <= k:
+                        rad *= pl
+                        power += 1
+                    for i, parts in by_comp:
+                        dest = out[i, rows]
+                        for a, b, c in parts:
+                            # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
+                            ab = (a[:, lo:hi, None]
+                                  * b[:, None, :]).reshape(len(a), -1)
+                            np.matmul(ab.T, c, out=blk)
+                            flat = blk.reshape(-1)
+                            if i in started:
+                                flat *= rad
+                                dest += flat
+                            else:
+                                np.multiply(flat, rad, out=dest)
+                                started.add(i)
         return out
 
     def _evaluate_pointwise(self, pts: np.ndarray) -> np.ndarray:
@@ -434,6 +480,14 @@ class MomentumWaveFunction:
                     val = val * axis_cache[key]
                 out[i] += val
         return out
+
+
+def _tensor_omega(x: np.ndarray, m: float) -> np.ndarray:
+    """``sqrt(m^2 + |p|^2)`` on the tensor grid x^3, flattened in
+    :func:`tensor_grid`'s layout."""
+    sq = x * x
+    return np.sqrt(m ** 2 + (sq[:, None, None] + sq[None, :, None]
+                             + sq[None, None, :])).reshape(-1)
 
 
 def _tensor_nodes(pts: np.ndarray):
@@ -520,8 +574,11 @@ class MomentumQuadrature:
     form), until :meth:`drop_transforms`.  A function of another spin, or
     one with a term narrower in position (larger ``beta``) than any the
     box was sized for, is rejected, so the box always covers what it
-    pairs.  Node-doubling convergence compares two engines built over the
-    same functions at ``nodes`` and ``2 * nodes``.
+    pairs.  The engine also keeps its grid's node vector and ``omega``
+    cube and hands both to :meth:`MomentumWaveFunction.evaluate`, so a
+    transform does not re-derive the grid from the points.  Node-doubling
+    convergence compares two engines built over the same functions at
+    ``nodes`` and ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -536,6 +593,8 @@ class MomentumQuadrature:
         self.nodes = nodes
         self.points, self.weights = tensor_grid(momentum_box(functions, m),
                                                 nodes)
+        x = self.points[:nodes, 2]
+        self._grid = (x, _tensor_omega(x, self.m))
         self._right = None
         self._transforms: dict = {}
 
@@ -560,7 +619,7 @@ class MomentumQuadrature:
                 raise ValueError("function decays slower in momentum than "
                                  "the engine's box allows")
             self._transforms[f] = laplace_fourier_transform(
-                f, self.m).evaluate(self.points)
+                f, self.m).evaluate(self.points, grid=self._grid)
         return self._transforms[f]
 
     def drop_transforms(self):

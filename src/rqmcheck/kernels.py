@@ -160,12 +160,16 @@ def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
     """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
     ``(2s+1, 2s+1, N)``: ``M_v(p)`` is the RIGHT matrix ``omega + p.sigma``
     at ``REFLECTION[variant] * p``, its entries mass-rescaled."""
-    p = np.asarray(points, dtype=float) * REFLECTION[variant]
+    p = np.asarray(points, dtype=float)
+    if min(REFLECTION[variant]) < 0:
+        p = p * REFLECTION[variant]
     omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
     x, y, z = p.T
     D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
                          (x + 1j * y) / m, (omega - z) / m)
-    return D * (m ** two_s) / omega
+    D *= m ** two_s
+    D /= omega
+    return D
 
 
 def onshell_kernel(variant: KernelVariant, m: float, two_s: int,

@@ -47,7 +47,11 @@ def wigner_d_entries(two_s: int, a, b, c, d) -> np.ndarray:
 
     The entries may be scalars or broadcasting arrays; the result has shape
     ``(2s+1, 2s+1) + shape(a)``.  Terms whose factorial arguments would be
-    negative vanish; integer powers use the convention ``0**0 = 1``.
+    negative vanish; integer powers use the convention ``0**0 = 1``, which
+    holds because a zeroth power is never multiplied in: the power tables
+    start at power 1.  Each entry's alternating sum is Kahan-compensated
+    from its first term on, so an entry with one term (every spin-1/2
+    entry) is that term with no summation arithmetic.
     """
     _check_two_s(two_s)
     a = np.asarray(a, dtype=complex)
@@ -55,13 +59,13 @@ def wigner_d_entries(two_s: int, a, b, c, d) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
     n = dim(two_s)
-    # cumulative integer powers up to 2s
-    pows = {}
-    for name, arr in (("a", a), ("b", b), ("c", c), ("d", d)):
-        acc = [np.ones_like(arr)]
-        for _ in range(two_s):
+    # integer powers 1..2s; index 0 is never read
+    pows = []
+    for arr in (a, c, b, d):
+        acc = [None, arr]
+        for _ in range(two_s - 1):
             acc.append(acc[-1] * arr)
-        pows[name] = acc
+        pows.append(acc)
     out = np.zeros((n, n) + a.shape, dtype=complex)
     for i in range(n):
         n_mu = two_s - i          # s + mu in integer units
@@ -74,15 +78,21 @@ def wigner_d_entries(two_s: int, a, b, c, d) -> np.ndarray:
                 continue
             norm = math.sqrt(_FACT[n_mu] * _FACT[two_s - n_mu]
                              * _FACT[n_mup] * _FACT[two_s - n_mup])
-            acc = np.zeros_like(a)
-            comp = np.zeros_like(a)
+            acc = comp = None
             for k in range(k_lo, k_hi + 1):
                 denom = (_FACT[k] * _FACT[n_mup - k] * _FACT[n_mu - k]
                          * _FACT[k - mu_sum])
-                term = (norm / denom) * pows["a"][k] * pows["c"][n_mup - k] \
-                    * pows["b"][n_mu - k] * pows["d"][k - mu_sum]
+                term = norm / denom
+                # factors in the order a^k c^(s+mu'-k) b^(s+mu-k) d^(k-mu-mu')
+                for table, power in zip(pows, (k, n_mup - k, n_mu - k,
+                                               k - mu_sum)):
+                    if power:
+                        term *= table[power]
+                if acc is None:
+                    acc = term
+                    continue
                 # Kahan compensation keeps alternating large terms honest
-                y = term - comp
+                y = term if comp is None else term - comp
                 t = acc + y
                 comp = (t - acc) - y
                 acc = t

@@ -116,3 +116,45 @@ def transform_quadrature(f, m: float, p, tau_nodes: int = 220,
                     * np.exp(-1j * p[ax] * u))
             totals[ci] += t.coef * tau_int * spatial / (2 * np.pi) ** 1.5
     return totals
+
+
+def wigner_d_power_table(two_s: int, a, b, c, d) -> np.ndarray:
+    """Wigner D polynomial by full power tables and zero-seeded Kahan sums.
+
+    Every power from 0 to 2s of each entry is tabulated (``0**0 = 1``
+    through an explicit table of ones) and every term multiplies in all
+    four powers, zeroth ones included; each entry's alternating sum starts
+    from zero accumulators.  This is the straightforward form of the
+    closed formula that ``spin.wigner_d_entries`` evaluates without the
+    multiplications by one.
+    """
+    a, b, c, d = (np.asarray(v, dtype=complex) for v in (a, b, c, d))
+    fact = math.factorial
+    pows = {}
+    for name, arr in (("a", a), ("b", b), ("c", c), ("d", d)):
+        table = [np.ones_like(arr)]
+        for _ in range(two_s):
+            table.append(table[-1] * arr)
+        pows[name] = table
+    n = two_s + 1
+    out = np.zeros((n, n) + a.shape, dtype=complex)
+    for i in range(n):
+        n_mu = two_s - i
+        for j in range(n):
+            n_mup = two_s - j
+            mu_sum = n_mu + n_mup - two_s
+            norm = math.sqrt(fact(n_mu) * fact(two_s - n_mu) * fact(n_mup)
+                             * fact(two_s - n_mup))
+            acc = np.zeros_like(a)
+            comp = np.zeros_like(a)
+            for k in range(max(0, mu_sum), min(n_mu, n_mup) + 1):
+                denom = (fact(k) * fact(n_mup - k) * fact(n_mu - k)
+                         * fact(k - mu_sum))
+                term = ((norm / denom) * pows["a"][k] * pows["c"][n_mup - k]
+                        * pows["b"][n_mu - k] * pows["d"][k - mu_sum])
+                y = term - comp
+                t = acc + y
+                comp = (t - acc) - y
+                acc = t
+            out[i, j] = acc
+    return out

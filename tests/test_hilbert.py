@@ -248,6 +248,55 @@ def test_non_grid_points_take_the_pointwise_path(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("nodes, one_slab", [(2, True), (7, True),
+                                             (48, False)])
+def test_slabbed_transform_matches_pointwise(nodes, one_slab):
+    # 48^2 points a plane give slabs of 7 planes and a last slab of 6
+    planes = max(1, hl.SLAB_POINTS // nodes ** 2)
+    assert (planes >= nodes) == one_slab
+    assert one_slab or nodes % planes != 0
+    f = _transform_cases(1)[0]
+    mwf = hl.laplace_fourier_transform(f, 1.3)
+    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), nodes)
+    got, want = mwf.evaluate(pts), mwf._evaluate_pointwise(pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_term_blocks_split_large_groups(monkeypatch):
+    # every term of f shares (tau0, alpha, k), so each component is one
+    # group of 12 terms, split into blocks of 5, 5 and 2
+    rng = np.random.default_rng(8)
+    powers = [(i % 3, i // 3 % 2, i // 6) for i in range(12)]
+    f = hl.TestFunction(1, tuple(
+        tuple(hl.Term(complex(*rng.normal(size=2)), 2, 0.9, 0.3, p, 0.7,
+                      (0.4, -0.2, 0.1)) for p in powers)
+        for _ in range(2)))
+    assert all(len(ts) == 12 for ts in f.comps)
+    mwf = hl.laplace_fourier_transform(f, 1.3)
+    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), 20)
+    whole = mwf.evaluate(pts)
+    monkeypatch.setattr(hl, "TERM_BLOCK", 5)
+    blocked = mwf.evaluate(pts)
+    want = mwf._evaluate_pointwise(pts)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(blocked - want)) <= 1e-13 * scale
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("nodes", [2, 7, 48])
+def test_engine_grid_equals_recognized_grid(monkeypatch, nodes):
+    fs = _transform_cases(2)[:3]
+    quad = hl.MomentumQuadrature(fs, 1.3, nodes)
+    recognized = [hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
+                  for f in fs]
+    # the engine hands its grid over: no recognition, no pointwise path
+    monkeypatch.setattr(hl, "_tensor_nodes", _refuse)
+    monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
+                        _refuse)
+    for f, want in zip(fs, recognized):
+        assert np.array_equal(quad.transform(f), want)
+
+
 def test_shifted_overlap_decreases():
     f = hl.gaussian_packet(alpha=1.0, beta=1.0)
     shifted = [f.shift_time(d) for d in (0.0, 0.5, 1.0)]

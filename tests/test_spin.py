@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import wigner_d_power_table
 from rqmcheck import spin, suites
 from rqmcheck import spacetime as st
 
@@ -112,6 +113,50 @@ def test_group_law():
         assert spin.check_group_law(two_s, As, Bs, 1e-8).passed
     inverse = spin.wigner_d(4, As) @ spin.wigner_d(4, np.linalg.inv(As))
     assert np.max(np.abs(inverse - np.eye(5))) < 1e-10
+
+
+def _entry_batches(rng, size=40):
+    """(name, (a, b, c, d)) batches: generic complex, SU(2), the positive
+    Hermitian on-shell form, arguments with exact zeros, and scalars."""
+    cplx = tuple(rng.normal(size=size) + 1j * rng.normal(size=size)
+                 for _ in range(4))
+    su2 = np.stack([random_su2(rng) for _ in range(size)], axis=-1)
+    p = rng.normal(scale=2.0, size=(3, size))
+    omega = np.sqrt(1.0 + np.sum(p * p, axis=0))
+    herm = (omega + p[2], p[0] - 1j * p[1], p[0] + 1j * p[1], omega - p[2])
+    zeros = tuple(v.copy() for v in cplx)
+    zeros[0][::3] = 0.0                    # a = 0
+    zeros[1][1::4] = zeros[2][1::4] = 0.0  # diagonal
+    zeros[3][2::5] = 0.0                   # d = 0
+    for v in zeros:
+        v[-1] = 0.0                        # the zero matrix
+    return [("complex", cplx), ("su2", tuple(su2.reshape(4, size))),
+            ("hermitian", herm), ("zeros", zeros),
+            ("scalar", tuple(v[0] for v in cplx))]
+
+
+@pytest.mark.parametrize("two_s", [0, 1, 2, 3, 4])
+def test_wigner_d_entries_match_power_table_oracle(two_s):
+    rng = np.random.default_rng(40 + two_s)
+    for name, entries in _entry_batches(rng):
+        want = wigner_d_power_table(two_s, *entries)
+        got = spin.wigner_d_entries(two_s, *entries)
+        assert got.shape == want.shape, name
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, (name, two_s)
+
+
+def test_wigner_d_entries_zero_power_convention():
+    # with 0**0 = 1, D of [[0, 1], [-1, 0]] is antidiagonal with entries
+    # (-1)^i, and D^0 of anything is 1
+    for two_s in range(5):
+        want = np.zeros((two_s + 1, two_s + 1))
+        for i in range(two_s + 1):
+            want[i, two_s - i] = (-1) ** i
+        assert np.array_equal(spin.wigner_d_entries(two_s, 0.0, 1.0, -1.0,
+                                                    0.0), want)
+    assert np.array_equal(spin.wigner_d_entries(0, np.zeros(3), 1j, 2.0, 0),
+                          np.ones((1, 1, 3)))
 
 
 def test_conjugate_and_transpose_compatibility():

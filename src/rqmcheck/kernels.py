@@ -1,4 +1,4 @@
-"""Euclidean covariant two-point kernels and their certificates.
+"""Euclidean covariant two-point kernels and measurements of their identities.
 
 Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .report import CheckReport, make_report
 from .spacetime import (EUCL_SIGMA, KernelVariant, canonical_boost,
                         eucl_to_matrix, euclidean_square, mink_to_matrix,
                         orth_from_pair)
@@ -110,11 +109,17 @@ def _bessel_k01(x):
     return k0, k1
 
 
+def _bessel_at(x, order: int):
+    """K of order 0, 1 or 2 at x: a float for a scalar x, else an array."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    k0, k1 = _bessel_k01(xa)
+    k = k0 if order == 0 else k1 if order == 1 else k0 + 2.0 * k1 / xa
+    return float(k[0]) if np.ndim(x) == 0 else k
+
+
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order 0."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    k0, _ = _bessel_k01(np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(k0[0]) if scalar else k0
+    return _bessel_at(x, 0)
 
 
 def bessel_k1(x):
@@ -123,18 +128,12 @@ def bessel_k1(x):
     Two-regime evaluation (series below 2, continued fraction above),
     relative accuracy around 1e-14 on [1e-6, 50].
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    _, k1 = _bessel_k01(np.atleast_1d(np.asarray(x, dtype=float)))
-    return float(k1[0]) if scalar else k1
+    return _bessel_at(x, 1)
 
 
 def bessel_k2(x):
     """Order 2 via the upward recurrence ``K2 = K0 + 2 K1 / x``."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    k0, k1 = _bessel_k01(xa)
-    k2 = k0 + 2.0 * k1 / xa
-    return float(k2[0]) if scalar else k2
+    return _bessel_at(x, 2)
 
 
 def scalar_position_kernel(m: float, r):
@@ -214,8 +213,7 @@ def position_kernel(variant: KernelVariant, m: float, two_s: int,
     return -(aniso * zz + iso * delta.sum(axis=-1))
 
 
-def check_factorization(m: float, two_s: int, p,
-                        tolerance: float = 1e-10) -> CheckReport:
+def check_factorization(m: float, two_s: int, p) -> float:
     """Positivity factorization of the on-shell spin matrix.
 
     Measures ``max |D^s(p.sigma/m) - D^s(Lc(p)) D^s(Lc(p))^dag|`` with the
@@ -226,10 +224,7 @@ def check_factorization(m: float, two_s: int, p,
     M = mink_to_matrix(np.array([omega, p[0], p[1], p[2]])) / m
     lhs = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1])
     dboost = wigner_d(two_s, canonical_boost(p, m))
-    dev = np.max(np.abs(lhs - dboost @ dboost.conj().T))
-    return make_report("kernel_factorization", dev, tolerance,
-                       inputs={"two_s": two_s, "m": m,
-                               "p": [float(v) for v in p]})
+    return float(np.max(np.abs(lhs - dboost @ dboost.conj().T)))
 
 
 def variant_pair_action(variant: KernelVariant, A: np.ndarray,
@@ -243,12 +238,12 @@ def variant_pair_action(variant: KernelVariant, A: np.ndarray,
 
 
 def check_kernel_covariance(variant: KernelVariant, m: float, two_s: int,
-                            A, B, p_e,
-                            tolerance: float = 1e-11) -> CheckReport:
+                            A, B, p_e) -> float:
     """Covariance of the momentum kernel under the Euclidean pair action.
 
-    Compares ``D^s`` of the variant-appropriate two-sided action on
-    ``p_e . sigma_v`` against ``D^s`` at the rotated momentum O(A,B) p_e.
+    Max-entry deviation of ``D^s`` of the variant-appropriate two-sided
+    action on ``p_e . sigma_v`` from ``D^s`` at the rotated momentum
+    O(A,B) p_e.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -259,30 +254,25 @@ def check_kernel_covariance(variant: KernelVariant, m: float, two_s: int,
     lhs = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1])
     Mr = eucl_to_matrix(O @ p_e, variant)
     rhs = wigner_d_entries(two_s, Mr[0, 0], Mr[0, 1], Mr[1, 0], Mr[1, 1])
-    dev = np.max(np.abs(lhs - rhs))
-    return make_report("kernel_covariance", dev, tolerance,
-                       inputs={"variant": variant.value, "two_s": two_s})
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_residue_consistency(variant: KernelVariant, m: float, two_s: int,
-                              p, tau: float, window: float | None = None,
-                              nodes: int = 200_000,
-                              tolerance: float = 1e-4) -> CheckReport:
+                              p, tau: float, nodes: int = 200_000) -> float:
     """Energy contour integral of the momentum kernel vs the on-shell one.
 
     Integrates ``(1/pi) exp(-i p0 tau) D^s(p_e.sigma_v) / (p0^2 + omega^2)``
-    over p0 in [-window, window] by trapezoid and compares against
-    ``onshell_kernel * exp(-omega tau)``.  The polynomial part of the
-    numerator (pure contact terms, vanishing for tau > 0) is divided out
-    exactly entry by entry, and the slowly decaying 1/p0 and 1/p0^2 tails
-    are corrected with sine/cosine integrals so the comparison is uniform
-    in spin.
+    over p0 in [-200 m, 200 m] by trapezoid; the value is its max-entry
+    deviation from ``onshell_kernel * exp(-omega tau)``, relative to that
+    matrix's largest entry.  The polynomial part of the numerator (pure
+    contact terms, vanishing for tau > 0) is divided out exactly entry by
+    entry, and the slowly decaying 1/p0 and 1/p0^2 tails are corrected
+    with sine/cosine integrals so the comparison is uniform in spin.
     """
     from scipy.special import sici
 
     p = np.asarray(p, dtype=float)
-    if window is None:
-        window = 200.0 * m
+    window = 200.0 * m
     omega2 = m * m + np.dot(p, p)
     omega = np.sqrt(omega2)
     n = dim(two_s)
@@ -319,7 +309,4 @@ def check_residue_consistency(variant: KernelVariant, m: float, two_s: int,
             result[i, j] = integral / np.pi
     target = onshell_kernel(variant, m, two_s, p) * np.exp(-omega * tau)
     scale = np.max(np.abs(target))
-    dev = np.max(np.abs(result - target)) / scale
-    return make_report("residue_consistency", dev, tolerance,
-                       inputs={"variant": variant.value, "two_s": two_s,
-                               "tau": tau})
+    return float(np.max(np.abs(result - target)) / scale)

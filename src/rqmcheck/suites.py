@@ -269,10 +269,9 @@ def suite_wigner(cfg: RunConfig):
             A, B = _random_su2(rng), _random_su2(rng)
             As, Bs = _random_sl2c(rng), _random_sl2c(rng)
             for ts in spins:
-                worst_su2 = worst_of(worst_su2,
-                                     sp.check_group_law(ts, A, B).measured)
+                worst_su2 = worst_of(worst_su2, sp.check_group_law(ts, A, B))
                 worst_sl2c = worst_of(worst_sl2c,
-                                      sp.check_group_law(ts, As, Bs).measured)
+                                      sp.check_group_law(ts, As, Bs))
                 dinv = sp.wigner_d(ts, As) @ sp.wigner_d(
                     ts, np.linalg.inv(As))
                 worst_inv = worst_of(worst_inv, float(np.max(np.abs(
@@ -322,8 +321,8 @@ def suite_wigner(cfg: RunConfig):
         for ts1, ts2 in ((1, 1), (1, 2), (2, 2)):
             worst_cg = worst_of(
                 worst_cg,
-                sp.check_cg_addition(ts1, ts2, _random_su2(rng)).measured,
-                sp.check_cg_addition(ts1, ts2, boost).measured)
+                sp.check_cg_addition(ts1, ts2, _random_su2(rng)),
+                sp.check_cg_addition(ts1, ts2, boost))
         out.append(cfg.report("cg_addition", "cg_addition", worst_cg,
                               {"seed": seed}))
     return out
@@ -361,8 +360,8 @@ def suite_kernels(cfg: RunConfig):
             for _ in range(100):
                 p = rng.normal(size=3) * (1.5 * m)
                 for ts in spins:
-                    worst_fact = worst_of(worst_fact, kr.check_factorization(
-                        m, ts, p).measured)
+                    worst_fact = worst_of(worst_fact,
+                                          kr.check_factorization(m, ts, p))
                     for variant in cfg.variants:
                         K = kr.onshell_kernel(variant, m, ts, p)
                         evals = np.linalg.eigvalsh(K)
@@ -381,7 +380,7 @@ def suite_kernels(cfg: RunConfig):
                     for ts in spins:
                         worst_cov = worst_of(
                             worst_cov, kr.check_kernel_covariance(
-                                variant, m, ts, A, B, pe).measured)
+                                variant, m, ts, A, B, pe))
             out.append(cfg.report("kernel_covariance", "kernel_covariance",
                                   worst_cov, {"seed": seed, "m": m}))
             worst_dual = 0.0
@@ -401,7 +400,7 @@ def suite_kernels(cfg: RunConfig):
             for ts in [t for t in spins if t <= 2]:
                 worst_res = worst_of(worst_res, kr.check_residue_consistency(
                     st.KernelVariant.RIGHT, m, ts, rng.normal(size=3) * 0.5,
-                    1.0 / m).measured)
+                    1.0 / m))
             out.append(cfg.report("residue_consistency", "residue",
                                   worst_res, {"seed": seed, "m": m}))
     return out
@@ -450,7 +449,7 @@ def suite_generators(cfg: RunConfig):
                 for i in range(len(names)):
                     for j in range(i + 1, len(names)):
                         worst = worst_of(worst, gn.check_commutator(
-                            names[i], names[j], f, variant).measured)
+                            names[i], names[j], f, variant))
                 out.append(cfg.report(
                     "lie_algebra", "commutator", worst,
                     {"seed": seed, "two_s": ts, "variant": variant.value,
@@ -474,16 +473,16 @@ def hermiticity_pairs(rng, two_s, count):
     return pairs
 
 
-def run_hermiticity_matrix(pairs, m, variants, tol_fn, nodes=88,
-                           small_nodes=32):
-    """All-generator hermiticity reports over function pairs; H and P use
-    the ``small_nodes`` grid (see :func:`generators.hermiticity_defects`)."""
+def run_hermiticity_matrix(pairs, m, variants, tol_fn):
+    """All-generator hermiticity reports over function pairs on the
+    88-node grid, H and P on the 32-node one (see
+    :func:`generators.hermiticity_defects`)."""
     two_s = pairs[0][0].two_s
     return [tol_fn("generator_hermiticity", "hermiticity", measured,
                    {"generator": name, "variant": variant.value,
                     "pair": idx, "two_s": two_s, "m": m})
             for idx, name, variant, _, _, measured in gn.hermiticity_defects(
-                pairs, m, variants, gn.GENERATOR_NAMES, nodes, small_nodes)]
+                pairs, m, variants, gn.GENERATOR_NAMES, 88, 32)]
 
 
 def suite_hermiticity(cfg: RunConfig):
@@ -509,13 +508,13 @@ def suite_semigroup(cfg: RunConfig):
             for m in cfg.masses:
                 quad = hl.MomentumQuadrature((f,), m, 48)
                 for variant in cfg.variants:
-                    rep = gn.semigroup_contraction_check(
+                    measured, details = gn.semigroup_contraction_check(
                         quad, f, variant, [0.0, 0.1 / m, 0.5 / m, 1.0 / m])
                     out.append(cfg.report(
-                        "semigroup_contraction", "semigroup", rep.measured,
+                        "semigroup_contraction", "semigroup", measured,
                         {"seed": seed, "two_s": ts, "m": m,
                          "variant": variant.value},
-                        details=rep.details))
+                        details=details))
     return out
 
 
@@ -528,13 +527,11 @@ def suite_wedge(cfg: RunConfig):
             w2 = hl.WedgeFunction(hl.gaussian_packet(
                 alpha=1.2, beta=0.5, k=1, center=(0.2, 0.0, 0.1)),
                 (0.0, 0.0, 1.0), 0.5)
-            rep = gn.boost_wedge_check(
+            measured, details = gn.boost_wedge_check(
                 w1, w2, [0.05, 0.1, 0.2], m, seed=seed,
                 points_log2=cfg.mc_points_log2, scrambles=cfg.mc_scrambles)
-            out.append(cfg.report("wedge_local_semigroup", "wedge",
-                                  rep.measured,
-                                  {"seed": seed, "m": m},
-                                  details=rep.details))
+            out.append(cfg.report("wedge_local_semigroup", "wedge", measured,
+                                  {"seed": seed, "m": m}, details=details))
     return out
 
 
@@ -600,15 +597,15 @@ def suite_casimir(cfg: RunConfig):
                     center_scale=0.3, beta_range=(0.3, 0.6))
                 quad = hl.MomentumQuadrature((f, g), m, 48)
                 for variant in cfg.variants:
-                    rep = gn.mass_casimir_check(quad, f, g, variant)
                     out.append(cfg.report(
-                        "mass_casimir", "casimir", rep.measured,
+                        "mass_casimir", "casimir",
+                        gn.mass_casimir_check(quad, f, g, variant),
                         {"seed": seed, "m": m, "two_s": ts,
                          "variant": variant.value}))
                 neg = gn.mass_casimir_check(quad, f, g, cfg.variants[0],
                                             test_mass=2.0 * m)
                 out.append(cfg.report(
-                    "mass_casimir_negative_control", "casimir", neg.measured,
+                    "mass_casimir_negative_control", "casimir", neg,
                     {"seed": seed, "m": m, "two_s": ts,
                      "expected_scale": 3.0 * m * m},
                     negative_control=True))

@@ -322,18 +322,27 @@ def test_quadrature_convergence_under_doubling():
     assert rel < 1e-8
 
 
+def assert_positive_hermitian(rep):
+    """Spectrum nonnegative to 1e-10 of max(1, max_eig), and Hermitian to
+    1e-10 of max |G|."""
+    assert rep.min_eig >= -1e-10 * max(1.0, rep.max_eig), rep.min_eig
+    scale = max(float(np.max(np.abs(rep.matrix))), 1e-300)
+    assert rep.hermiticity_defect <= 1e-10 * scale, rep.hermiticity_defect
+
+
 def test_gram_matrix_basics():
     rng = np.random.default_rng(9)
     f = hl.random_test_function(rng, 0)
     single = hl.gram_matrix(hl.MomentumQuadrature([f], 1.0, 32), [f],
                             KV.RIGHT)
-    assert single.passed and single.min_eig > 0.0
+    assert_positive_hermitian(single)
+    assert single.min_eig > 0.0
     fs = [hl.random_test_function(rng, 0) for _ in range(6)]
     fs = fs + [fs[0]]
     rep = hl.gram_matrix(hl.MomentumQuadrature(fs, 1.0, 32), fs, KV.RIGHT)
     # duplicated row forces an exact null direction
     assert abs(rep.min_eig) < 1e-9 * max(rep.max_eig, 1.0)
-    assert rep.passed
+    assert_positive_hermitian(rep)
 
 
 def test_momentum_quadrature_matches_inner_product_and_gram():
@@ -382,8 +391,14 @@ def _set_term_field(name, value):
     _set_term_field("center", [0.0, 0.1, 0.2, 0.3]),
     _set_term_field("k", 1.5),
     _set_term_field("powers", [0, 1.5, 0]),
+    _set_term_field("alpha", "1.5"),
+    _set_term_field("beta", "0.5"),
+    _set_term_field("tau0", False),
+    _set_term_field("center", ["0.1", True, 0]),
+    _set_term_field("coef", [True, "2"]),
 ], ids=["powers-length", "center-length", "non-integral-k",
-        "non-integral-power"])
+        "non-integral-power", "string-alpha", "string-beta", "bool-tau0",
+        "string-and-bool-center", "bool-and-string-coef"])
 def test_malformed_term_from_disk_rejected(mutate):
     data = json.loads(json.dumps(hl.gaussian_packet(k=1).as_dict()))
     hl.TestFunction.from_dict(data)
@@ -398,6 +413,14 @@ def test_negative_spin_rejected():
     data = hl.gaussian_packet().as_dict()
     data["two_s"] = -1
     data["components"] = []
+    with pytest.raises(ValueError):
+        hl.TestFunction.from_dict(data)
+    # a boolean is not spin 1/2
+    with pytest.raises(ValueError):
+        hl.TestFunction(True, ((), ()))
+    data = hl.gaussian_packet(two_s=1).as_dict()
+    hl.TestFunction.from_dict(data)
+    data["two_s"] = True
     with pytest.raises(ValueError):
         hl.TestFunction.from_dict(data)
 

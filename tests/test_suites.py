@@ -1,11 +1,11 @@
 """Suite bodies: work done per function family and what reports carry."""
 
-import dataclasses
 import math
 from collections import Counter
 
 import pytest
 
+from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import kernels as kr
 from rqmcheck import spin as sp
@@ -80,24 +80,34 @@ def test_worst_of_keeps_nan():
         assert math.isnan(worst_of(*values))
 
 
-def test_nan_measurement_inside_a_running_worst_fails(monkeypatch):
+@pytest.mark.parametrize("module, check, suite, names, first_alone", [
+    (sp, "check_group_law", "wigner", ("group_law_su2", "group_law_sl2c"),
+     0),
+    (kr, "check_factorization", "kernels", ("onshell_factorization",), 0),
+    (kr, "check_kernel_covariance", "kernels", ("kernel_covariance",), 0),
+    (gn, "check_commutator", "generators", ("lie_algebra",), 0),
+    # one report per call: the first report holds the first call alone
+    (gn, "mass_casimir_check", "casimir", ("mass_casimir",), 1),
+], ids=["wigner", "kernels-factorization", "kernels-covariance",
+        "generators", "casimir"])
+def test_nan_measurement_inside_a_running_worst_fails(
+        monkeypatch, module, check, suite, names, first_alone):
     """A NaN after the first measurement must not vanish into max()."""
-    check = sp.check_group_law
+    measure = getattr(module, check)
     calls = []
 
     def nan_after_first(*args, **kwargs):
-        rep = check(*args, **kwargs)
-        calls.append(rep)
-        if len(calls) == 1:
-            return rep
-        return dataclasses.replace(rep, measured=math.nan, passed=False)
+        calls.append(measure(*args, **kwargs))
+        return calls[0] if len(calls) == 1 else math.nan
 
-    monkeypatch.setattr(sp, "check_group_law", nan_after_first)
-    cfg = su.RunConfig(suites=("wigner",), two_spins=(1,))
-    reports = {r.name: r for r in su.suite_wigner(cfg)}
-    for name in ("group_law_su2", "group_law_sl2c"):
-        assert math.isnan(reports[name].measured)
-        assert not reports[name].passed
+    monkeypatch.setattr(module, check, nan_after_first)
+    cfg = su.RunConfig(suites=(suite,), two_spins=(1,),
+                       variants=(KV.RIGHT, KV.LEFT))
+    reports = [r for r in su.SUITES[suite][0](cfg) if r.name in names]
+    assert len(calls) > 1 and len(reports) > first_alone
+    assert {r.name for r in reports} == set(names)
+    for r in reports[first_alone:]:
+        assert math.isnan(r.measured) and not r.passed, r
 
 
 def test_kernel_covariance_covers_every_kept_spin(monkeypatch):

@@ -181,10 +181,14 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
     every variant.  H and P multiply by functions of p and use the
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
-    are built over every pair function and keep only their RIGHT kernel:
-    another variant's kernel is freed after its variant, and transforms
-    after each pair, so memory does not grow with the pair count.  Per
-    pair, grid and variant the kernel is applied once, to each side:
+    are built over every pair function and keep only their RIGHT kernel.
+    Each pair streams through an engine's slabs (see
+    :meth:`MomentumQuadrature.slabs`): f, g and their orbital images are
+    evaluated on one slab, every sum below takes that slab's share for
+    every variant and generator, and the next slab reuses the memory.
+    Beyond the engines' kept grids and kernels, memory is a few slab-sized
+    arrays per function of the pair, whatever the pair count.  Per slab
+    and variant the kernel is applied once, to each side:
     ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
     Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
     and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
@@ -203,35 +207,40 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     for idx, (f, g) in enumerate(pairs):
         found = {}
         for n_nodes, quad in quads.items():
-            # RIGHT kernel first: its build needs more scratch than a transform
-            quad.kernel(KernelVariant.RIGHT)
-            orbital = {name: (quad.transform(apply_generator_orbital(name, f)),
-                              quad.transform(apply_generator_orbital(name, g)))
-                       for name in names if grid_of[name] == n_nodes}
-            ff, gg = quad.transform(f), quad.transform(g)
-            # variants outermost: one kernel and its two products alive
-            for variant in variants:
-                kernel = quad.kernel(variant)
-                bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel,
-                                quad.weights)
-                ket = np.einsum("uvn,vn,n->un", kernel, gg, quad.weights)
-                spin_lhs = bra @ gg.T
-                spin_rhs = np.array([[np.vdot(ff[v], ket[u])
-                                      for v in range(len(ff))]
-                                     for u in range(len(ff))])
-                for name, (a_f, a_g) in orbital.items():
+            own = [name for name in names if grid_of[name] == n_nodes]
+            plans = [quad.plan(h) for h in (f, g)] + [
+                quad.plan(apply_generator_orbital(name, h))
+                for h in (f, g) for name in own]
+            # per variant: the spin sums (bra_u . F[g]_v, conj(F[f]_v) .
+            # ket_u) and each generator's two orbital dot products
+            spin = np.zeros((len(variants), 2, two_s + 1, two_s + 1),
+                            dtype=complex)
+            orbital = np.zeros((len(variants), 2, len(own)), dtype=complex)
+            for cut, w, kernels in quad.slabs(variants):
+                ff, gg, *images = [quad.values(plan, cut) for plan in plans]
+                ffc = ff.conj()
+                a_fc = np.stack(images[:len(own)]).reshape(len(own), -1).conj()
+                a_g = np.stack(images[len(own):]).reshape(len(own), -1)
+                for i, kernel in enumerate(kernels):
+                    bra = np.einsum("un,uvn,n->vn", ffc, kernel, w)
+                    ket = np.einsum("uvn,vn,n->un", kernel, gg, w)
+                    spin[i, 0] += bra @ gg.T
+                    spin[i, 1] += ket @ ffc.T
+                    orbital[i, 0] += a_g @ bra.ravel()
+                    orbital[i, 1] += a_fc @ ket.ravel()
+                del ff, gg, images   # before the next slab's are evaluated
+            for i, variant in enumerate(variants):
+                for j, name in enumerate(own):
                     S = generator_spin_matrix(name, two_s, variant)
-                    lhs = bra.ravel() @ a_g.ravel() + np.sum(S * spin_lhs)
-                    rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
-                    found[name, variant] = (complex(lhs), complex(rhs))
-                del kernel, bra, ket   # before the next variant's are built
+                    found[name, variant] = (
+                        complex(orbital[i, 0, j] + np.sum(S * spin[i, 0])),
+                        complex(orbital[i, 1, j]
+                                + np.sum(S.conj() * spin[i, 1])))
         for name in names:
             for variant in variants:
                 lhs, rhs = found[name, variant]
                 rows.append((idx, name, variant, lhs, rhs,
                              abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)))
-        for quad in quads.values():
-            quad.drop_transforms()
     return rows
 
 

@@ -36,9 +36,10 @@ TWO_PI = 2.0 * np.pi
 #: inner products by well under 1e-8
 DEFAULT_NODES = 96
 
-#: points per slab of the tensor-grid transform: whole planes of the first
-#: axis, so that a slab's radial factor, pole and group block (about 0.5 MB
-#: together) stay in cache while every term group adds into it
+#: points per slab of the tensor grid: whole planes of the first axis, so
+#: that a slab's radial factor, pole and group block (about 0.5 MB
+#: together) stay in cache while every term group adds into it, and every
+#: pairing's scratch is slab-sized
 SLAB_POINTS = 16384
 
 #: terms of one (tau0, alpha, k, component) group summed per matrix
@@ -269,21 +270,30 @@ class TestFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TestFunction":
+        """Read :meth:`as_dict` output; anything malformed is a ValueError."""
         def real(value):
             # JSON numbers only: a string or a boolean is not coerced
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"expected a number, got {value!r}")
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:           # an int beyond every float
+                raise ValueError(f"number out of range: {value!r}") from None
 
-        comps = tuple(
-            tuple(Term(complex(real(td["coef"][0]), real(td["coef"][1])),
-                       td["k"], real(td["alpha"]), real(td["tau0"]),
-                       tuple(td["powers"]), real(td["beta"]),
-                       tuple(map(real, td["center"])))
-                  for td in ts)
-            for ts in data["components"])
+        def term(td):
+            re, im = td["coef"]
+            return Term(complex(real(re), real(im)), td["k"],
+                        real(td["alpha"]), real(td["tau0"]),
+                        tuple(td["powers"]), real(td["beta"]),
+                        tuple(map(real, td["center"])))
+
+        try:
+            comps = tuple(tuple(map(term, ts)) for ts in data["components"])
+            two_s = data["two_s"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed test function: {exc!r}") from None
         # k, powers and two_s as read: a non-integer is rejected, not truncated
-        return cls(data["two_s"], comps)
+        return cls(two_s, comps)
 
 
 def gaussian_packet(two_s=0, component=0, coef=1.0, k=0, alpha=1.0, tau0=0.0,
@@ -351,102 +361,31 @@ class MomentumWaveFunction:
         Each term's image is a product of three axis factors (Gaussian
         moment times center phase) and the radial factor
         ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  On a tensor grid in
-        :func:`tensor_grid`'s layout the image is sum-factorized: axis
-        factors are evaluated on the n nodes of one axis, the terms sharing
-        ``(tau0, alpha, k)`` are summed as matrix products of outer
-        products, and the radial factor is applied once per such group;
-        the n^3 passes run in slabs of whole planes (see
-        :func:`_evaluate_tensor`).  ``grid``, when given, is the pair
-        ``(x, omega)`` of that layout's node vector and its flattened
-        ``sqrt(m^2 + |p|^2)``, as a :class:`MomentumQuadrature` keeps them;
-        the caller vouches that ``points`` is that grid.  Without it the
-        layout is recognized from the values alone (see
-        :func:`_tensor_nodes`).  Every other input (permuted, perturbed or
-        scattered points, as in the irrep action) is evaluated point by
-        point; that loop is the reference the tensor path is tested
-        against.  Both paths evaluate the same closed-form factors and
-        differ only in the order of the floating-point products and sums.
+        :func:`tensor_grid`'s layout the image is sum-factorized by a
+        :class:`TensorPlan`: axis factors are evaluated on the n nodes of
+        one axis, the terms sharing ``(tau0, alpha, k)`` are summed as
+        matrix products of outer products, and the radial factor is
+        applied once per such group, slab by slab.  ``grid``, when given,
+        is ``(plan, lo, hi)``: this function's plan on a tensor grid, as a
+        :class:`MomentumQuadrature` keeps it, and the range of first-axis
+        planes to fill; the caller vouches that ``points`` are those
+        planes' points.  Without it the layout is recognized from the
+        values alone (see :func:`_tensor_nodes`).  Every other input
+        (permuted, perturbed or scattered points, as in the irrep action)
+        is evaluated point by point; that loop is the reference the tensor
+        path is tested against.  Both paths evaluate the same closed-form
+        factors and differ only in the order of the floating-point
+        products and sums.
         """
         if grid is not None:
-            return self._evaluate_tensor(*grid)
+            plan, lo, hi = grid
+            return plan.fill(lo, hi)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         nodes = _tensor_nodes(pts)
         if nodes is None:
             return self._evaluate_pointwise(pts)
-        return self._evaluate_tensor(nodes, _tensor_omega(nodes, self.m))
-
-    def _evaluate_tensor(self, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        """Values on the tensor grid x^3 (``ij`` layout), shape (2s+1, n^3).
-
-        The grid is processed in slabs of whole planes of the first axis,
-        about :data:`SLAB_POINTS` points each, so that a slab's radial
-        factor, pole and group block stay in cache while every group adds
-        into it.  A group's terms are summed :data:`TERM_BLOCK` at a time,
-        which bounds the scratch of a group with very many terms.
-        """
-        n = x.size
-
-        def axis(t, ax):
-            return (_gaussian_moment(t.powers[ax], x, t.beta)
-                    * np.exp(-1j * t.center[ax] * x))
-
-        def blocks(k, terms):
-            # axis factors (a, b, c) of TERM_BLOCK terms at a time, a scaled
-            scale = math.factorial(k) / TWO_PI ** 1.5
-            return [(np.stack([scale * t.coef * axis(t, 0) for t in part]),
-                     np.stack([axis(t, 1) for t in part]),
-                     np.stack([axis(t, 2) for t in part]))
-                    for part in (terms[j:j + TERM_BLOCK]
-                                 for j in range(0, len(terms), TERM_BLOCK))]
-
-        # (tau0, alpha) -> k -> component -> terms, then their blocks
-        groups: dict = {}
-        for i, terms in enumerate(self.comps):
-            for t in terms:
-                groups.setdefault((t.tau0, t.alpha), {}).setdefault(
-                    t.k, {}).setdefault(i, []).append(t)
-        groups = {key: [(k, [(i, blocks(k, terms))
-                             for i, terms in by_k[k].items()])
-                        for k in sorted(by_k)]
-                  for key, by_k in groups.items()}
-
-        out = np.zeros((self.dim, n ** 3), dtype=complex)
-        planes = min(n, max(1, SLAB_POINTS // (n * n)))
-        # slab scratch reused by every group: pole, radial factor, block
-        pole = np.empty(planes * n * n)
-        radial = np.empty_like(pole)
-        block = np.empty(planes * n * n, dtype=complex)
-        for lo in range(0, n, planes):
-            hi = min(lo + planes, n)
-            rows = slice(lo * n * n, hi * n * n)
-            size = (hi - lo) * n * n
-            om, pl, rad = omega[rows], pole[:size], radial[:size]
-            blk = block[:size].reshape(-1, n)
-            started = set()
-            for (tau0, alpha), by_k in groups.items():
-                np.reciprocal(np.add(om, alpha, out=pl), out=pl)
-                # exp(-omega tau0) / (alpha + omega)^power, raised along k
-                np.exp(np.multiply(om, -tau0, out=rad), out=rad)
-                power = 0
-                for k, by_comp in by_k:
-                    while power <= k:
-                        rad *= pl
-                        power += 1
-                    for i, parts in by_comp:
-                        dest = out[i, rows]
-                        for a, b, c in parts:
-                            # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
-                            ab = (a[:, lo:hi, None]
-                                  * b[:, None, :]).reshape(len(a), -1)
-                            np.matmul(ab.T, c, out=blk)
-                            flat = blk.reshape(-1)
-                            if i in started:
-                                flat *= rad
-                                dest += flat
-                            else:
-                                np.multiply(flat, rad, out=dest)
-                                started.add(i)
-        return out
+        plan = TensorPlan(self, nodes, _tensor_omega(nodes, self.m))
+        return plan.fill(0, nodes.size)
 
     def _evaluate_pointwise(self, pts: np.ndarray) -> np.ndarray:
         """Values at arbitrary (N, 3) momenta.
@@ -485,6 +424,94 @@ class MomentumWaveFunction:
                             t.powers[ax], pts[:, ax], t.beta)
                     val = val * axis_cache[key]
                 out[i] += val
+        return out
+
+
+def slab_planes(n: int):
+    """``(lo, hi)`` first-axis plane ranges of the slabs of an n^3 tensor
+    grid: about :data:`SLAB_POINTS` points each, at least one plane, and
+    the last slab partial when the planes do not divide n."""
+    planes = min(n, max(1, SLAB_POINTS // (n * n)))
+    return [(lo, min(lo + planes, n)) for lo in range(0, n, planes)]
+
+
+class TensorPlan:
+    """One transform's sum factorization on the tensor grid x^3.
+
+    Built once per function and grid: the axis factors of every term,
+    stacked :data:`TERM_BLOCK` terms at a time, grouped by ``(tau0,
+    alpha)``, then ``k``, then component.  :meth:`fill` evaluates any
+    range of first-axis planes slab by slab (see :func:`slab_planes`),
+    so a slab's pole, radial factor and group block stay in cache while
+    every group adds into it.
+    """
+
+    def __init__(self, mwf: "MomentumWaveFunction", x: np.ndarray,
+                 omega: np.ndarray):
+        def axis(t, ax):
+            return (_gaussian_moment(t.powers[ax], x, t.beta)
+                    * np.exp(-1j * t.center[ax] * x))
+
+        def blocks(k, terms):
+            # axis factors (a, b, c) of TERM_BLOCK terms at a time, a scaled
+            scale = math.factorial(k) / TWO_PI ** 1.5
+            return [(np.stack([scale * t.coef * axis(t, 0) for t in part]),
+                     np.stack([axis(t, 1) for t in part]),
+                     np.stack([axis(t, 2) for t in part]))
+                    for part in (terms[j:j + TERM_BLOCK]
+                                 for j in range(0, len(terms), TERM_BLOCK))]
+
+        # (tau0, alpha) -> k -> component -> terms, then their blocks
+        groups: dict = {}
+        for i, terms in enumerate(mwf.comps):
+            for t in terms:
+                groups.setdefault((t.tau0, t.alpha), {}).setdefault(
+                    t.k, {}).setdefault(i, []).append(t)
+        self.groups = {key: [(k, [(i, blocks(k, terms))
+                                  for i, terms in by_k[k].items()])
+                             for k in sorted(by_k)]
+                       for key, by_k in groups.items()}
+        self.mwf, self.dim, self.n, self.omega = mwf, mwf.dim, x.size, omega
+
+    def fill(self, lo: int, hi: int) -> np.ndarray:
+        """Values on first-axis planes ``lo`` to ``hi``, shape
+        ``(2s+1, (hi - lo) n^2)``, filled one slab at a time."""
+        n = self.n
+        out = np.zeros((self.dim, (hi - lo) * n * n), dtype=complex)
+        for s_lo, s_hi in slab_planes(n):
+            s_lo, s_hi = max(s_lo, lo), min(s_hi, hi)
+            if s_lo >= s_hi:
+                continue
+            size = (s_hi - s_lo) * n * n
+            rows = slice((s_lo - lo) * n * n, (s_hi - lo) * n * n)
+            om = self.omega[s_lo * n * n:s_hi * n * n]
+            # slab scratch reused by every group: pole, radial factor, block
+            pl, rad = np.empty(size), np.empty(size)
+            blk = np.empty((size // n, n), dtype=complex)
+            started = set()
+            for (tau0, alpha), by_k in self.groups.items():
+                np.reciprocal(np.add(om, alpha, out=pl), out=pl)
+                # exp(-omega tau0) / (alpha + omega)^power, raised along k
+                np.exp(np.multiply(om, -tau0, out=rad), out=rad)
+                power = 0
+                for k, by_comp in by_k:
+                    while power <= k:
+                        rad *= pl
+                        power += 1
+                    for i, parts in by_comp:
+                        dest = out[i, rows]
+                        for a, b, c in parts:
+                            # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
+                            ab = (a[:, s_lo:s_hi, None]
+                                  * b[:, None, :]).reshape(len(a), -1)
+                            np.matmul(ab.T, c, out=blk)
+                            flat = blk.reshape(-1)
+                            if i in started:
+                                flat *= rad
+                                dest += flat
+                            else:
+                                np.multiply(flat, rad, out=dest)
+                                started.add(i)
         return out
 
 
@@ -574,17 +601,22 @@ class MomentumQuadrature:
 
     Built over the functions it will pair: they share one spin, stored as
     ``two_s``, and the Gauss-Legendre tensor grid covers
-    ``momentum_box(functions, m)``.  The RIGHT on-shell kernel is built
-    on first use and kept; each function's exact transform is
-    evaluated once on the grid, keyed by the function (held in normal
-    form), until :meth:`drop_transforms`.  A function of another spin, or
-    one with a term narrower in position (larger ``beta``) than any the
-    box was sized for, is rejected, so the box always covers what it
-    pairs.  The engine also keeps its grid's node vector and ``omega``
-    cube and hands both to :meth:`MomentumWaveFunction.evaluate`, so a
-    transform does not re-derive the grid from the points.  Node-doubling
-    convergence compares two engines built over the same functions at
-    ``nodes`` and ``2 * nodes``.
+    ``momentum_box(functions, m)``.  A function of another spin, or one
+    with a term narrower in position (larger ``beta``) than any the box
+    was sized for, is rejected, so the box always covers what it pairs.
+
+    Every pairing is a sum over grid points and runs slab by slab over
+    :meth:`slabs`, the slabs of whole first-axis planes that transforms
+    fill (about :data:`SLAB_POINTS` points each), so no full-grid
+    temporary feeds a dot product.  The full-grid arrays kept are the
+    points, weights and ``omega`` cube, the RIGHT on-shell kernel (built
+    on first use; every other variant reads its slab rows as a reflected
+    view of it) and the cached transforms of :meth:`transform`.  The
+    engine hands its node vector and ``omega`` to
+    :meth:`MomentumWaveFunction.evaluate` through each function's
+    :class:`TensorPlan`, so a transform does not re-derive the grid from
+    the points.  Node-doubling convergence compares two engines built
+    over the same functions at ``nodes`` and ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -604,39 +636,59 @@ class MomentumQuadrature:
         self._right = None
         self._transforms: dict = {}
 
-    def kernel(self, variant: KernelVariant) -> np.ndarray:
-        """On-shell kernel on the grid, shape ``(2s+1, 2s+1, N)``: the kept
-        RIGHT kernel with the axes that ``REFLECTION[variant]`` negates
-        reversed (the nodes are exactly antisymmetric), as a copy if any."""
+    def slabs(self, variants):
+        """``(rows, weights, kernels)`` per slab: the slab's slice of the
+        flattened grid, its weights, and per variant in ``variants`` its
+        on-shell kernel rows, shape ``(2s+1, 2s+1, len(weights))``.  A
+        variant's rows are the kept RIGHT kernel's with the axes that
+        ``REFLECTION[variant]`` negates reversed (the nodes are exactly
+        antisymmetric): a view, copied only to flatten a reversed slab."""
         if self._right is None:
             self._right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
                                               self.two_s, self.points)
-        right = self._right
-        flips = [ax + 2 for ax in range(3) if REFLECTION[variant][ax] < 0]
-        cube = right.reshape(right.shape[:2] + (self.nodes,) * 3)
-        return np.ascontiguousarray(np.flip(cube, flips)).reshape(right.shape)
+        n, dim = self.nodes, self._right.shape[0]
+        cube = self._right.reshape(dim, dim, n, n, n)
+        views = [cube[:, :, ::sign[0], ::sign[1], ::sign[2]]
+                 for sign in (REFLECTION[v] for v in variants)]
+        for lo, hi in slab_planes(n):
+            rows = slice(lo * n * n, hi * n * n)
+            yield rows, self.weights[rows], [
+                view[:, :, lo:hi].reshape(dim, dim, -1) for view in views]
+
+    def plan(self, f: TestFunction) -> TensorPlan:
+        """f's :class:`TensorPlan` on this grid, after checking that the
+        engine can pair f."""
+        if f.two_s != self.two_s:
+            raise ValueError("function spin differs from the engine's")
+        if any(t.beta > self.max_beta for ts in f.comps for t in ts):
+            raise ValueError("function decays slower in momentum than "
+                             "the engine's box allows")
+        return TensorPlan(laplace_fourier_transform(f, self.m), *self._grid)
+
+    def values(self, plan: TensorPlan, rows: slice) -> np.ndarray:
+        """A planned transform on the grid rows ``rows`` (whole planes, as
+        :meth:`slabs` yields them), shape ``(2s+1, rows)``."""
+        n2 = self.nodes ** 2
+        return plan.mwf.evaluate(
+            self.points[rows], grid=(plan, rows.start // n2, rows.stop // n2))
 
     def transform(self, f: TestFunction) -> np.ndarray:
-        """Exact transform of f on the grid, shape ``(2s+1, N)``."""
+        """Exact transform of f on the whole grid, shape ``(2s+1, N)``,
+        evaluated once and kept."""
         if f not in self._transforms:
-            if f.two_s != self.two_s:
-                raise ValueError("function spin differs from the engine's")
-            if any(t.beta > self.max_beta for ts in f.comps for t in ts):
-                raise ValueError("function decays slower in momentum than "
-                                 "the engine's box allows")
-            self._transforms[f] = laplace_fourier_transform(
-                f, self.m).evaluate(self.points, grid=self._grid)
+            self._transforms[f] = self.values(self.plan(f),
+                                              slice(0, len(self.weights)))
         return self._transforms[f]
-
-    def drop_transforms(self):
-        """Free the cached transforms; the kernel stays."""
-        self._transforms.clear()
 
     def contract(self, ff: np.ndarray, gg: np.ndarray,
                  variant: KernelVariant) -> complex:
-        """``sum_n w_n conj(ff_u) K_uv gg_v`` for transforms on this grid."""
-        return complex(np.einsum("un,uvn,vn,n->", ff.conj(),
-                                 self.kernel(variant), gg, self.weights))
+        """``sum_n w_n conj(ff_u) K_uv gg_v`` for transforms on this grid,
+        summed slab by slab."""
+        total = 0j
+        for rows, w, (kernel,) in self.slabs((variant,)):
+            total += np.einsum("un,uvn,vn,n->", ff[:, rows].conj(), kernel,
+                               gg[:, rows], w)
+        return complex(total)
 
 
 def inner_product(quad: MomentumQuadrature, f: TestFunction, g: TestFunction,
@@ -669,15 +721,19 @@ def gram_matrix(quad: MomentumQuadrature, fs,
     """Gram matrix G_ij = <f_i|f_j>, the extremes of its Hermitian part's
     spectrum and its Hermiticity defect ``max |G - G^dag|``.
 
-    Every pairing comes from one stacked product of the engine's
-    transforms, so the assembled matrix is a weighted sum of rank-one
-    positive contributions up to rounding.
+    The engine's cached transforms are paired slab by slab: each slab
+    adds one stacked product of its rows, so the matrix is a weighted sum
+    of rank-one positive contributions up to rounding, and the scratch is
+    a few slab-sized stacks rather than full-grid copies.
     """
     fs = list(fs)
-    stack = np.stack([quad.transform(f) for f in fs])   # (nf, dim, N)
-    mixed = np.einsum("uvn,jvn->jun", quad.kernel(variant), stack)
-    weighted = stack.conj() * quad.weights
-    gram = weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
+    transforms = [quad.transform(f) for f in fs]
+    gram = np.zeros((len(fs), len(fs)), dtype=complex)
+    for rows, w, (kernel,) in quad.slabs((variant,)):
+        stack = np.stack([t[:, rows] for t in transforms])   # (nf, dim, n)
+        mixed = np.einsum("uvn,jvn->jun", kernel, stack)
+        weighted = stack.conj() * w
+        gram += weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
     herm = float(np.max(np.abs(gram - gram.conj().T)))
     gram_h = 0.5 * (gram + gram.conj().T)
     evals = np.linalg.eigvalsh(gram_h)

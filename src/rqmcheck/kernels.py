@@ -31,6 +31,9 @@ from .spin import dim, wigner_d, wigner_d_entries
 _EULER_GAMMA = 0.5772156649015328606
 _K_SWITCH = 2.0
 
+#: momenta per block of an on-shell kernel build
+POINT_BLOCK = 16384
+
 #: variant -> signs of p at which the RIGHT on-shell matrix is the variant's:
 #: transposition flips p_y, sigma2-conjugation flips p_x and p_z
 REFLECTION = {v: ((-1) ** v.dual, (-1) ** v.left, (-1) ** v.dual)
@@ -158,17 +161,23 @@ def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
                         points: np.ndarray) -> np.ndarray:
     """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
     ``(2s+1, 2s+1, N)``: ``M_v(p)`` is the RIGHT matrix ``omega + p.sigma``
-    at ``REFLECTION[variant] * p``, its entries mass-rescaled."""
-    p = np.asarray(points, dtype=float)
-    if min(REFLECTION[variant]) < 0:
-        p = p * REFLECTION[variant]
-    omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
-    x, y, z = p.T
-    D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
-                         (x + 1j * y) / m, (omega - z) / m)
-    D *= m ** two_s
-    D /= omega
-    return D
+    at ``REFLECTION[variant] * p``, its entries mass-rescaled.  Filled
+    :data:`POINT_BLOCK` points at a time, so the scratch of the D
+    polynomial and its Kahan sums is block-sized."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty((two_s + 1, two_s + 1, len(points)), dtype=complex)
+    for lo in range(0, len(points), POINT_BLOCK):
+        p = points[lo:lo + POINT_BLOCK]
+        if min(REFLECTION[variant]) < 0:
+            p = p * REFLECTION[variant]
+        omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
+        x, y, z = p.T
+        D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
+                             (x + 1j * y) / m, (omega - z) / m)
+        D *= m ** two_s
+        D /= omega
+        out[..., lo:lo + POINT_BLOCK] = D
+    return out
 
 
 def onshell_kernel(variant: KernelVariant, m: float, two_s: int,

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they certify: the Bessel oracle
 integrates the cosh representation, the radial oracle reduces the 4D
 Fourier transform to a 1D oscillatory integral accelerated with Wynn's
 epsilon algorithm, the on-shell kernel oracle uses each variant's own
-Euclidean sigma basis, and the transform oracle does brute 1D quadratures.
+Euclidean sigma basis, the transform oracle does brute 1D quadratures,
+and the full-grid contractions pair whole-grid arrays in one product
+each, where the engine streams slabs.
 """
 
 import math
@@ -158,3 +160,68 @@ def wigner_d_power_table(two_s: int, a, b, c, d) -> np.ndarray:
                 acc = t
             out[i, j] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# full-grid contractions: every pairing as one product over the whole grid
+# ---------------------------------------------------------------------------
+
+def full_grid_kernel(quad, variant):
+    """The variant's on-shell kernel on the whole grid, built directly at
+    the reflected points rather than read from the RIGHT kernel."""
+    from rqmcheck.kernels import onshell_kernel_grid
+
+    return onshell_kernel_grid(variant, quad.m, quad.two_s, quad.points)
+
+
+def contract_full_grid(quad, ff, gg, variant) -> complex:
+    """``sum_n w_n conj(ff_u) K_uv gg_v`` in one einsum."""
+    return complex(np.einsum("un,uvn,vn,n->", ff.conj(),
+                             full_grid_kernel(quad, variant), gg,
+                             quad.weights))
+
+
+def gram_full_grid(quad, fs, variant) -> np.ndarray:
+    """Gram matrix ``<f_i|f_j>`` from one stacked product of whole-grid
+    transforms."""
+    stack = np.stack([quad.transform(f) for f in fs])   # (nf, dim, N)
+    mixed = np.einsum("uvn,jvn->jun", full_grid_kernel(quad, variant), stack)
+    weighted = stack.conj() * quad.weights
+    return weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
+
+
+def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
+                               small_nodes):
+    """``(pair, name, variant, lhs, rhs)`` as
+    ``generators.hermiticity_defects`` orders them, from whole-grid
+    transforms of f, g and their orbital images and whole-grid kernels."""
+    from rqmcheck import generators as gn
+    from rqmcheck import hilbert as hl
+
+    functions = [h for pair in pairs for h in pair]
+    grid_of = {name: small_nodes if name[0] in ("H", "P") else nodes
+               for name in names}
+    quads = {n: hl.MomentumQuadrature(functions, m, n)
+             for n in set(grid_of.values())}
+    two_s = functions[0].two_s
+    rows = []
+    for idx, (f, g) in enumerate(pairs):
+        for name in names:
+            quad = quads[grid_of[name]]
+            ff, gg = quad.transform(f), quad.transform(g)
+            a_f = quad.transform(gn.apply_generator_orbital(name, f))
+            a_g = quad.transform(gn.apply_generator_orbital(name, g))
+            for variant in variants:
+                kernel = full_grid_kernel(quad, variant)
+                bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel,
+                                quad.weights)
+                ket = np.einsum("uvn,vn,n->un", kernel, gg, quad.weights)
+                spin_lhs = bra @ gg.T
+                spin_rhs = np.array([[np.vdot(ff[v], ket[u])
+                                      for v in range(len(ff))]
+                                     for u in range(len(ff))])
+                S = gn.generator_spin_matrix(name, two_s, variant)
+                lhs = bra.ravel() @ a_g.ravel() + np.sum(S * spin_lhs)
+                rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
+                rows.append((idx, name, variant, complex(lhs), complex(rhs)))
+    return rows

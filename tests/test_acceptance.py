@@ -6,10 +6,14 @@ sizes, Monte-Carlo budgets) follow the certified defaults.  The library
 functions return measurements only; verdicts come from the tolerances
 pinned here for this gate and from ``suites.DEFAULT_TOLERANCES`` (through
 ``RunConfig``) for ``rqmcheck run``.  Every pin here that has a suite
-counterpart equals it; the position-kernel oracle pin has none.
+counterpart equals it, through the name table ``PINS`` that
+``test_tolerance_pins_match_suite_defaults`` reads; the position-kernel
+oracle pin has none.
 """
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 from oracles import radial_position_kernel
@@ -23,6 +27,28 @@ from rqmcheck.spacetime import KernelVariant as KV
 
 SPINS = (0, 1, 2)          # doubled: s = 0, 1/2, 1
 WIGNER_SPINS = (0, 1, 2, 3, 4)
+
+#: each gate's report name -> the suites.DEFAULT_TOLERANCES entries its
+#: pinned tolerance must equal; an empty tuple marks a pin with no suite
+#: counterpart, whose value is named here instead
+PINS = {
+    "wigner_group_law_su2": ("group_law_su2",),
+    "wigner_group_law_sl2c": ("group_law_sl2c",),
+    "cg_addition_identities": ("cg_addition",),
+    "kernel_positivity_factorization": ("factorization",),
+    "position_kernel_vs_radial_oracle": (),
+    "bessel_small_argument_law": ("bessel_small_arg",),
+    "reflection_positivity_gram": ("gram_eig",),
+    "lie_algebra_commutators": ("commutator",),
+    "generator_hermiticity": ("hermiticity",),
+    "contraction_semigroup": ("semigroup",),
+    "wedge_local_semigroup": ("wedge",),
+    "irrep_group_law_unitarity": ("irrep_group_law", "irrep_unitarity"),
+    "mass_casimir": ("casimir",),
+    "mc_position_crosscheck": ("mc_sigmas",),
+}
+#: pins without a DEFAULT_TOLERANCES entry, at their pinned values
+UNPAIRED_PINS = {"position_kernel_vs_radial_oracle": 1e-6}
 
 
 def report(name, measured, tolerance, started, budget):
@@ -243,3 +269,38 @@ def test_acceptance_mc_crosscheck():
     assert se / abs(exact) <= 0.02, se / abs(exact)
     sigmas = abs(val - exact) / se
     report("mc_position_crosscheck", sigmas, 3.0, started, 300.0)
+
+
+def _pinned_tolerances():
+    """(report name, tolerance literal) of every ``report`` call in this
+    file, plus the literal the hermiticity collector hands to
+    ``su.make_report`` under the name of that gate's ``report``."""
+    tree = ast.parse(Path(__file__).read_text())
+    pins = []
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)
+               and n.name.startswith("test_acceptance_")):
+        reported = [c for c in ast.walk(fn) if isinstance(c, ast.Call)
+                    and isinstance(c.func, ast.Name) and c.func.id == "report"]
+        for call in reported:
+            pins.append((ast.literal_eval(call.args[0]),
+                         ast.literal_eval(call.args[2])))
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "make_report"):
+                (name,) = {ast.literal_eval(c.args[0]) for c in reported}
+                pins.append((name, ast.literal_eval(call.args[2])))
+    return pins
+
+
+def test_tolerance_pins_match_suite_defaults():
+    pins = _pinned_tolerances()
+    assert {name for name, _ in pins} == set(PINS)
+    for name, tolerance in pins:
+        if PINS[name]:
+            assert [su.DEFAULT_TOLERANCES[key] for key in PINS[name]] == [
+                tolerance] * len(PINS[name]), name
+        else:
+            assert UNPAIRED_PINS[name] == tolerance, name
+    assert set(UNPAIRED_PINS) == {name for name, keys in PINS.items()
+                                  if not keys}

@@ -159,14 +159,20 @@ def test_inner_product_spin_mismatch():
 
 
 @pytest.mark.parametrize("nodes", [7, 12])
-def test_engine_kernels_equal_direct_builds(nodes):
+def test_engine_kernels_equal_direct_builds(monkeypatch, nodes):
+    # slabs of two planes; at 7 nodes the last slab is one plane
+    monkeypatch.setattr(hl, "SLAB_POINTS", 2 * nodes ** 2)
     m = 1.3
     for two_s in range(5):
         f = hl.gaussian_packet(two_s=two_s, beta=0.4)
         quad = hl.MomentumQuadrature([f], m, nodes)
-        for v in KV:
+        slabs = list(quad.slabs(tuple(KV)))
+        assert len(slabs) == (nodes + 1) // 2
+        for i, v in enumerate(KV):
             direct = onshell_kernel_grid(v, m, two_s, quad.points)
-            assert np.array_equal(quad.kernel(v), direct), (two_s, v)
+            rows = np.concatenate([kernels[i] for _, _, kernels in slabs],
+                                  axis=-1)
+            assert np.array_equal(rows, direct), (two_s, v)
 
 
 def test_momentum_quadrature_validation():
@@ -239,7 +245,7 @@ def test_non_grid_points_take_the_pointwise_path(monkeypatch):
     perm = np.random.default_rng(3).permutation(len(pts))
     nudged = pts.copy()
     nudged[77, 1] = np.nextafter(nudged[77, 1], np.inf)
-    monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_tensor", _refuse)
+    monkeypatch.setattr(hl, "TensorPlan", _refuse)
     for points, want in ((pts[perm], on_grid[:, perm]),   # permuted grid
                          (nudged, on_grid),               # one ulp off
                          (pts[:-1], on_grid[:, :-1]),     # N not a cube
@@ -386,6 +392,18 @@ def _set_term_field(name, value):
     return mutate
 
 
+def _drop_term_field(name):
+    def mutate(data):
+        del data["components"][0][0][name]
+    return mutate
+
+
+def _drop_field(name):
+    def mutate(data):
+        del data[name]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate", [
     _set_term_field("powers", [1, 0]),
     _set_term_field("center", [0.0, 0.1, 0.2, 0.3]),
@@ -396,9 +414,19 @@ def _set_term_field(name, value):
     _set_term_field("tau0", False),
     _set_term_field("center", ["0.1", True, 0]),
     _set_term_field("coef", [True, "2"]),
+    _set_term_field("alpha", 10 ** 400),
+    _set_term_field("coef", [1.0]),
+    _set_term_field("coef", [1.0, 0.0, 0.0]),
+    _set_term_field("coef", 1.0),
+    _set_term_field("powers", 2),
+    _drop_term_field("beta"),
+    _drop_field("components"),
+    _drop_field("two_s"),
 ], ids=["powers-length", "center-length", "non-integral-k",
         "non-integral-power", "string-alpha", "string-beta", "bool-tau0",
-        "string-and-bool-center", "bool-and-string-coef"])
+        "string-and-bool-center", "bool-and-string-coef", "huge-int-alpha",
+        "short-coef", "long-coef", "scalar-coef", "scalar-powers",
+        "missing-beta", "missing-components", "missing-two_s"])
 def test_malformed_term_from_disk_rejected(mutate):
     data = json.loads(json.dumps(hl.gaussian_packet(k=1).as_dict()))
     hl.TestFunction.from_dict(data)

@@ -1,0 +1,76 @@
+"""Pairings streamed through grid slabs against whole-grid products.
+
+``MomentumQuadrature.contract``, ``gram_matrix`` and
+``generators.hermiticity_defects`` sum over the grid one slab of
+first-axis planes at a time.  Each is compared with the one-product
+oracle in ``oracles.py`` with the grid cut into one slab, into slabs of
+five planes (the last one partial) and into single planes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from oracles import (contract_full_grid, gram_full_grid,
+                     hermiticity_rows_full_grid)
+from rqmcheck import generators as gn
+from rqmcheck import hilbert as hl
+from rqmcheck import suites as su
+from rqmcheck.spacetime import KernelVariant as KV
+
+NODES, SMALL_NODES = 24, 16
+
+# SLAB_POINTS -> planes per slab at 24 nodes: 24 (one slab), 5 (slabs of
+# 5, 5, 5, 5, 4; at 16 nodes 11 and 5) and 1
+SLABBINGS = pytest.mark.parametrize("slab_points", [
+    NODES ** 3, 5 * NODES ** 2, 1], ids=["one-slab", "five-planes",
+                                         "one-plane"])
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+@SLABBINGS
+@pytest.mark.parametrize("two_s", [1, 2])
+def test_streamed_gram_and_contract_match_full_grid(monkeypatch, two_s,
+                                                    slab_points):
+    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    fs = su.positivity_family(np.random.default_rng(40 + two_s), two_s, 4)
+    quad = hl.MomentumQuadrature(fs, 1.2, NODES)
+    for variant in KV:
+        got = hl.gram_matrix(quad, fs, variant).matrix
+        want = gram_full_grid(quad, fs, variant)
+        for i in range(len(fs)):
+            for j in range(len(fs)):
+                assert_close(got[i, j], want[i, j])
+                ff, gg = quad.transform(fs[i]), quad.transform(fs[j])
+                assert_close(quad.contract(ff, gg, variant),
+                             contract_full_grid(quad, ff, gg, variant))
+
+
+@SLABBINGS
+def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
+    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
+    args = (pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES, SMALL_NODES)
+    rows = gn.hermiticity_defects(*args)
+    want = hermiticity_rows_full_grid(*args)
+    assert [r[:3] for r in rows] == [w[:3] for w in want]
+    for (*_, lhs, rhs, _), (*_, want_lhs, want_rhs) in zip(rows, want):
+        assert_close(lhs, want_lhs)
+        assert_close(rhs, want_rhs)
+
+
+def test_hermiticity_pair_memory_is_slab_bounded():
+    # the whole-grid form held 14 transforms, kernel copies and kernel
+    # build scratch at once: a 478 MB peak for this pair
+    pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
+    tracemalloc.start()
+    try:
+        gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES,
+                               88, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120e6, peak / 1e6

@@ -25,10 +25,10 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (MomentumQuadrature, TestFunction, inner_product,
+from .hilbert import (MomentumQuadrature, Term, TestFunction, inner_product,
                       laplace_fourier_transform, norm,
                       position_inner_product_mc, rotate_pointwise,
-                      tensor_grid)
+                      tensor_grid, then)
 from .kernels import KernelVariant
 from .report import worst_of
 from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
@@ -64,19 +64,27 @@ def _require_tau_degree(f: TestFunction, degree: int, what: str):
             "support edge (raise the (tau - tau0) powers)")
 
 
-def apply_generator_orbital(name: str, f: TestFunction) -> TestFunction:
-    """Variant-independent (spinless) part of a generator's action."""
+def _orbital_rule(name: str, f: TestFunction):
+    """A generator's orbital part as one term rule; -i, i and -1 scale the
+    source term (exact, and commuting with the rules' real factors)."""
+    if name[0] in ("H", "K"):
+        _require_tau_degree(f, 1, name[0])
     if name == "H":
-        _require_tau_degree(f, 1, "H")
-        return f.d_tau()
+        return Term.d_tau
     j = int(name[1]) - 1
-    if name.startswith("P"):
-        return f.d_x(j).scale(-1j)
-    if name.startswith("J"):
+    if name[0] == "P":               # -i d_j
+        return lambda t: t.scaled(-1j).d_x(j)
+    if name[0] == "J":               # -i (x_a d_b - x_b d_a)
         a, b = (j + 1) % 3, (j + 2) % 3
-        return (f.d_x(b).mul_x(a) - f.d_x(a).mul_x(b)).scale(-1j)
-    _require_tau_degree(f, 1, "K")
-    return f.d_tau().mul_x(j) - f.d_x(j).mul_tau()
+        return lambda t: (then(t.scaled(-1j).d_x(b), Term.mul_x, a)
+                          + then(t.scaled(1j).d_x(a), Term.mul_x, b))
+    return lambda t: (then(t.d_tau(), Term.mul_x, j)   # x_j d_tau - tau d_j
+                      + then(t.scaled(-1.0).d_x(j), Term.mul_tau))
+
+
+def apply_generator_orbital(name: str, f: TestFunction) -> TestFunction:
+    """Variant-free (spinless) part of a generator's action, in one pass."""
+    return f.map_terms(_orbital_rule(name, f))
 
 
 def generator_spin_matrix(name: str, two_s: int,
@@ -90,14 +98,13 @@ def generator_spin_matrix(name: str, two_s: int,
 
 
 def apply_generator(tag, f: TestFunction) -> TestFunction:
-    """Exact symbolic action of one generator on a family member."""
+    """Exact symbolic action of one generator on a family member: orbital
+    and (J, K at nonzero spin) spin-mixed terms in one construction."""
     if isinstance(tag, str):
         tag = GeneratorTag(tag)
-    orbital = apply_generator_orbital(tag.name, f)
-    if tag.name[0] in ("H", "P") or f.two_s == 0:
-        return orbital
-    spin = generator_spin_matrix(tag.name, f.two_s, tag.variant)
-    return orbital + f.spin_mix(spin)
+    spin = (None if tag.name[0] in ("H", "P") or f.two_s == 0 else
+            generator_spin_matrix(tag.name, f.two_s, tag.variant))
+    return f.map_terms(_orbital_rule(tag.name, f), mix=spin)
 
 
 def _eps(i: int, j: int, k: int) -> int:
@@ -156,8 +163,8 @@ def check_commutator(name_a: str, name_b: str, f: TestFunction,
     """Coefficient-exact residual of ``[A, B] f - (rhs) f``.
 
     Works entirely in the family's coefficient algebra; the value is the
-    largest coefficient of the difference (in normal form), relative to
-    the largest coefficient appearing on either side.
+    largest coefficient of the difference (merged in one construction),
+    relative to the largest coefficient appearing on either side.
     """
     needs_tau = sum(1 for n in (name_a, name_b) if n[0] in ("H", "K"))
     _require_tau_degree(f, needs_tau, f"[{name_a}, {name_b}]")
@@ -165,10 +172,12 @@ def check_commutator(name_a: str, name_b: str, f: TestFunction,
     tag_b = GeneratorTag(name_b, variant)
     ab = apply_generator(tag_a, apply_generator(tag_b, f))
     ba = apply_generator(tag_b, apply_generator(tag_a, f))
-    diff = ab - ba
-    for coef, gname in commutator_rhs(name_a, name_b):
-        diff = diff - apply_generator(GeneratorTag(gname, variant),
-                                      f).scale(coef)
+    minus = [(-1.0, ba)] + [
+        (-coef, apply_generator(GeneratorTag(gname, variant), f))
+        for coef, gname in commutator_rhs(name_a, name_b)]
+    diff = TestFunction(f.two_s, tuple(      # one construction, one merge
+        ab.comps[i] + tuple(t.scaled(c) for c, g in minus for t in g.comps[i])
+        for i in range(f.dim)))
     scale = max(_coef_scale(ab), _coef_scale(ba), _coef_scale(f), 1e-300)
     return _coef_scale(diff) / scale
 

@@ -65,16 +65,64 @@ class Term:
         return (self.k, self.alpha, self.tau0, self.powers, self.beta,
                 self.center)
 
+    # coordinate rules: each returns the Terms of its image, so rules chain
+    # term by term (see then) and an image is built in one construction
+
+    def scaled(self, c: complex) -> "Term":
+        return Term(c * self.coef, *self.key())
+
+    def d_tau(self) -> list:
+        """Classical time derivative on the open support: a ``k = 0``
+        term's jump at tau0 is not representable, so operators that rely
+        on integration by parts check :func:`min_tau_degree` first."""
+        out = [self.scaled(-self.alpha)]
+        if self.k > 0:
+            out.append(Term(self.k * self.coef, self.k - 1, *self.key()[1:]))
+        return out
+
+    def d_x(self, axis: int) -> list:
+        # (x-c)^p e^(-beta (x-c)^2) -> p (x-c)^(p-1) - 2 beta (x-c)^(p+1)
+        k, alpha, tau0, powers, beta, center = self.key()
+        return [Term(c * self.coef, k, alpha, tau0, _bump(powers, axis, step),
+                     beta, center)
+                for c, step in ((powers[axis], -1), (-2.0 * beta, 1)) if c]
+
+    def mul_tau(self) -> list:
+        out = [Term(self.coef, self.k + 1, *self.key()[1:])]
+        if self.tau0 != 0.0:
+            out.append(self.scaled(self.tau0))
+        return out
+
+    def mul_x(self, axis: int) -> list:
+        k, alpha, tau0, powers, beta, center = self.key()
+        out = [Term(self.coef, k, alpha, tau0, _bump(powers, axis, 1), beta,
+                    center)]
+        if center[axis] != 0.0:
+            out.append(self.scaled(center[axis]))
+        return out
+
 
 def _merge(terms):
     acc: dict = {}
     for t in terms:
         key = t.key()
         if key in acc:
-            acc[key] = Term(acc[key].coef + t.coef, *key)
+            coef = acc[key].coef + t.coef
+            if not cmath.isfinite(coef):     # finite terms can sum to inf
+                raise ValueError(f"merged coefficient overflows: {key}")
+            acc[key] = Term(coef, *key)
         else:
             acc[key] = t
     return tuple(t for t in acc.values() if t.coef != 0.0)
+
+
+def then(terms, rule, *args) -> list:
+    """Apply a term rule to each of ``terms``: rules chain term by term."""
+    return [out for t in terms for out in rule(t, *args)]
+
+
+def _bump(powers: tuple, axis: int, step: int) -> tuple:
+    return powers[:axis] + (powers[axis] + step,) + powers[axis + 1:]
 
 
 @dataclass(frozen=True)
@@ -115,13 +163,21 @@ class TestFunction:
     def dim(self) -> int:
         return self.two_s + 1
 
-    def map_terms(self, fn) -> "TestFunction":
-        comps = tuple(tuple(out for t in ts for out in fn(t))
-                      for ts in self.comps)
-        return TestFunction(self.two_s, comps)
+    def map_terms(self, rule, *args, mix=None) -> "TestFunction":
+        """The image under a term rule (Term -> Terms, called with
+        ``args``) in one construction, so it is validated and merged once;
+        ``mix`` adds the terms of ``f_mu -> sum_nu mix[mu, nu] f_nu``."""
+        comps = [then(ts, rule, *args) for ts in self.comps]
+        if mix is not None:
+            mix = np.asarray(mix, dtype=complex)
+            for i, terms in enumerate(comps):
+                for j, src in enumerate(self.comps):
+                    if mix[i, j] != 0.0:
+                        terms.extend(t.scaled(mix[i, j]) for t in src)
+        return TestFunction(self.two_s, tuple(map(tuple, comps)))
 
     def scale(self, c: complex) -> "TestFunction":
-        return self.map_terms(lambda t: [Term(c * t.coef, *t.key())])
+        return self.map_terms(lambda t: [t.scaled(c)])
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
         if other.two_s != self.two_s:
@@ -136,55 +192,16 @@ class TestFunction:
         return self.scale(c)
 
     def d_tau(self) -> "TestFunction":
-        """Classical time derivative on the open support.
-
-        Terms with ``k = 0`` carry a jump at tau0 whose distributional
-        derivative is not representable here; operators that rely on
-        integration by parts must check :func:`min_tau_degree` first.
-        """
-        def rule(t):
-            out = [Term(-t.alpha * t.coef, *t.key())]
-            if t.k > 0:
-                out.append(Term(t.k * t.coef, t.k - 1, t.alpha, t.tau0,
-                                t.powers, t.beta, t.center))
-            return out
-        return self.map_terms(rule)
+        return self.map_terms(Term.d_tau)
 
     def d_x(self, axis: int) -> "TestFunction":
-        def rule(t):
-            out = []
-            p = list(t.powers)
-            if p[axis] > 0:
-                q = list(p)
-                q[axis] -= 1
-                out.append(Term(p[axis] * t.coef, t.k, t.alpha, t.tau0,
-                                tuple(q), t.beta, t.center))
-            q = list(p)
-            q[axis] += 1
-            out.append(Term(-2.0 * t.beta * t.coef, t.k, t.alpha, t.tau0,
-                            tuple(q), t.beta, t.center))
-            return out
-        return self.map_terms(rule)
+        return self.map_terms(Term.d_x, axis)
 
     def mul_tau(self) -> "TestFunction":
-        def rule(t):
-            out = [Term(t.coef, t.k + 1, t.alpha, t.tau0, t.powers, t.beta,
-                        t.center)]
-            if t.tau0 != 0.0:
-                out.append(Term(t.tau0 * t.coef, *t.key()))
-            return out
-        return self.map_terms(rule)
+        return self.map_terms(Term.mul_tau)
 
     def mul_x(self, axis: int) -> "TestFunction":
-        def rule(t):
-            q = list(t.powers)
-            q[axis] += 1
-            out = [Term(t.coef, t.k, t.alpha, t.tau0, tuple(q), t.beta,
-                        t.center)]
-            if t.center[axis] != 0.0:
-                out.append(Term(t.center[axis] * t.coef, *t.key()))
-            return out
-        return self.map_terms(rule)
+        return self.map_terms(Term.mul_x, axis)
 
     def shift_time(self, dt: float) -> "TestFunction":
         """Exact positive Euclidean time translation (the semigroup action)."""
@@ -219,17 +236,7 @@ class TestFunction:
 
     def spin_mix(self, mat) -> "TestFunction":
         """Component mixing f_mu -> sum_nu mat[mu, nu] f_nu."""
-        mat = np.asarray(mat, dtype=complex)
-        comps = []
-        for i in range(self.dim):
-            terms = []
-            for j in range(self.dim):
-                c = mat[i, j]
-                if c != 0.0:
-                    terms.extend(Term(c * t.coef, *t.key())
-                                 for t in self.comps[j])
-            comps.append(tuple(terms))
-        return TestFunction(self.two_s, tuple(comps))
+        return self.map_terms(lambda t: (), mix=mat)
 
     def min_tau_degree(self) -> int:
         degs = [t.k for ts in self.comps for t in ts]

@@ -285,37 +285,30 @@ def check_residue_consistency(variant: KernelVariant, m: float, two_s: int,
     omega2 = m * m + np.dot(p, p)
     omega = np.sqrt(omega2)
     n = dim(two_s)
-    # numerator entries as exact polynomials in p0 (degree <= 2s)
-    nodes_p0 = np.arange(two_s + 1, dtype=float)
-    vander = np.vander(nodes_p0, two_s + 1, increasing=True)
-    samples = np.empty((two_s + 1, n, n), dtype=complex)
-    for idx, p0 in enumerate(nodes_p0):
-        M = eucl_to_matrix(np.array([p0, p[0], p[1], p[2]]), variant)
-        samples[idx] = wigner_d_entries(two_s, M[0, 0], M[0, 1],
-                                        M[1, 0], M[1, 1])
-    coeffs = np.linalg.solve(vander, samples.reshape(two_s + 1, -1))
-    coeffs = coeffs.reshape(two_s + 1, n, n)      # coeffs[k] multiplies p0^k
-
+    # numerator entries as exact polynomials in p0 (degree <= 2s), from
+    # their values at p0 = 0, ..., 2s; coeffs[k] multiplies p0^k
+    p0 = np.arange(two_s + 1, dtype=float)
+    M = eucl_to_matrix(np.stack([p0, *np.outer(p, np.ones_like(p0))]),
+                       variant)
+    samples = wigner_d_entries(two_s, M[:, 0, 0], M[:, 0, 1], M[:, 1, 0],
+                               M[:, 1, 1])
+    coeffs = np.linalg.solve(np.vander(p0, increasing=True),
+                             samples.reshape(n * n, -1).T)
+    # remainder mod p0^2 + omega^2 by p0^2 -> -omega^2, c0 + c1 p0 per
+    # entry (the quotient is the distributional part: zero for tau > 0)
+    shrink = (-omega2) ** (np.arange(two_s + 1)[:, None] // 2)
+    c0, c1 = (np.sum(shrink[r::2] * coeffs[r::2], axis=0).reshape(n, n)
+              for r in (0, 1))
+    # two trapezoids, of 1 and of p0 over p0^2 + omega^2, then serve every
+    # entry, each with its 1/p0 and 1/p0^2 tail corrections
     grid = np.linspace(-window, window, nodes)
-    weight = np.exp(-1j * grid * tau)
-    denom = grid * grid + omega2
+    weight = np.exp(-1j * grid * tau) / (grid * grid + omega2)
     si_val, _ = sici(window * tau)
     tail_lin = -2j * (0.5 * np.pi - si_val)
     tail_const = (2.0 * np.cos(window * tau) / window
                   - 2.0 * tau * (0.5 * np.pi - si_val))
-    result = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            poly = np.polynomial.Polynomial(coeffs[:, i, j])
-            quot, rem = divmod(poly, np.polynomial.Polynomial([omega2, 0, 1]))
-            # quot is the distributional part: zero for tau > 0
-            rem_c = rem.coef
-            c0 = rem_c[0] if len(rem_c) > 0 else 0.0
-            c1 = rem_c[1] if len(rem_c) > 1 else 0.0
-            vals = (c0 + c1 * grid) / denom * weight
-            integral = np.trapezoid(vals, grid)
-            integral += c1 * tail_lin + c0 * tail_const
-            result[i, j] = integral / np.pi
+    result = (c0 * (np.trapezoid(weight, grid) + tail_const)
+              + c1 * (np.trapezoid(grid * weight, grid) + tail_lin)) / np.pi
     target = onshell_kernel(variant, m, two_s, p) * np.exp(-omega * tau)
     scale = np.max(np.abs(target))
     return float(np.max(np.abs(result - target)) / scale)

@@ -355,19 +355,17 @@ def suite_kernels(cfg: RunConfig):
     for seed in cfg.seeds:
         rng = _rng(seed)
         for m in cfg.masses:
-            worst_fact = 0.0
+            momenta = rng.normal(size=(100, 3)) * (1.5 * m)
+            worst_fact = worst_of(0.0, *(kr.check_factorization(m, ts, p)
+                                         for p in momenta for ts in spins))
             worst_pos = 0.0
-            for _ in range(100):
-                p = rng.normal(size=3) * (1.5 * m)
-                for ts in spins:
-                    worst_fact = worst_of(worst_fact,
-                                          kr.check_factorization(m, ts, p))
-                    for variant in cfg.variants:
-                        K = kr.onshell_kernel(variant, m, ts, p)
-                        evals = np.linalg.eigvalsh(K)
-                        worst_pos = worst_of(
-                            worst_pos, 0.0,
-                            -float(evals[0]) / max(float(evals[-1]), 1e-300))
+            for ts in spins:
+                for variant in cfg.variants:
+                    K = kr.onshell_kernel_grid(variant, m, ts, momenta)
+                    evals = np.linalg.eigvalsh(np.moveaxis(K, -1, 0))
+                    worst_pos = worst_of(
+                        worst_pos, 0.0,
+                        *(-evals[:, 0] / np.maximum(evals[:, -1], 1e-300)))
             out.append(cfg.report("onshell_factorization", "factorization",
                                   worst_fact, {"seed": seed, "m": m}))
             out.append(cfg.report("onshell_positivity", "kernel_positivity",
@@ -461,14 +459,10 @@ def hermiticity_pairs(rng, two_s, count):
     """Correlated random pairs with compact, shared envelopes."""
     pairs = []
     for _ in range(count):
-        f = hl.random_test_function(rng, two_s=two_s, terms_per_component=1,
-                                    min_k=2, max_k=3, center_scale=0.3,
-                                    beta_range=(0.22, 0.3),
-                                    shared_envelope=True)
-        h = hl.random_test_function(rng, two_s=two_s, terms_per_component=1,
-                                    min_k=2, max_k=3, center_scale=0.3,
-                                    beta_range=(0.22, 0.3),
-                                    shared_envelope=True)
+        f, h = (hl.random_test_function(
+            rng, two_s=two_s, terms_per_component=1, min_k=2, max_k=3,
+            center_scale=0.3, beta_range=(0.22, 0.3), shared_envelope=True)
+            for _ in range(2))
         pairs.append((f, h + 0.6 * f))
     return pairs
 
@@ -589,12 +583,9 @@ def suite_casimir(cfg: RunConfig):
         for m in cfg.masses:
             for ts in [t for t in cfg.two_spins if t <= 2]:
                 rng = _rng(seed * 911 + ts)
-                f = hl.random_test_function(
+                f, g = (hl.random_test_function(
                     rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
-                    center_scale=0.3, beta_range=(0.3, 0.6))
-                g = hl.random_test_function(
-                    rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
-                    center_scale=0.3, beta_range=(0.3, 0.6))
+                    center_scale=0.3, beta_range=(0.3, 0.6)) for _ in range(2))
                 quad = hl.MomentumQuadrature((f, g), m, 48)
                 for variant in cfg.variants:
                     out.append(cfg.report(

@@ -5,8 +5,11 @@ integrates the cosh representation, the radial oracle reduces the 4D
 Fourier transform to a 1D oscillatory integral accelerated with Wynn's
 epsilon algorithm, the on-shell kernel oracle uses each variant's own
 Euclidean sigma basis, the transform oracle does brute 1D quadratures,
-and the full-grid contractions pair whole-grid arrays in one product
-each, where the engine streams slabs.
+the full-grid contractions pair whole-grid arrays in one product
+each, where the engine streams slabs, the method-chain generator action
+builds every intermediate function, where the library applies one term
+rule per image, and the residue integral takes one trapezoid per kernel
+entry, where the library combines two shared ones.
 """
 
 import math
@@ -225,3 +228,86 @@ def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
                 rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
                 rows.append((idx, name, variant, complex(lhs), complex(rhs)))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# generator images as chains of family operations
+# ---------------------------------------------------------------------------
+
+def apply_generator_orbital_chain(name, f):
+    """Orbital part of a generator as a chain of whole-function family
+    operations, each building (and merging) an intermediate function."""
+    if name[0] in ("H", "K") and f.min_tau_degree() < 1:
+        raise ValueError(f"{name} needs a vanishing support edge")
+    if name == "H":
+        return f.d_tau()
+    j = int(name[1]) - 1
+    if name[0] == "P":
+        return f.d_x(j).scale(-1j)
+    if name[0] == "J":
+        a, b = (j + 1) % 3, (j + 2) % 3
+        return (f.d_x(b).mul_x(a) - f.d_x(a).mul_x(b)).scale(-1j)
+    return f.d_tau().mul_x(j) - f.d_x(j).mul_tau()
+
+
+def apply_generator_chain(name, f, variant):
+    """Full generator: the chained orbital part plus ``spin_mix`` of the
+    generator's spin matrix, added as a second function."""
+    from rqmcheck import generators as gn
+
+    orbital = apply_generator_orbital_chain(name, f)
+    if name[0] in ("H", "P") or f.two_s == 0:
+        return orbital
+    return orbital + f.spin_mix(gn.generator_spin_matrix(name, f.two_s,
+                                                         variant))
+
+
+# ---------------------------------------------------------------------------
+# residue integral, one trapezoid per kernel entry
+# ---------------------------------------------------------------------------
+
+def residue_consistency_per_entry(variant, m, two_s, p, tau,
+                                  nodes=200_000) -> float:
+    """``kernels.check_residue_consistency`` with the energy integral taken
+    entry by entry: each entry's remainder ``(c0 + c1 p0) / (p0^2 +
+    omega^2)`` gets its own trapezoid over the whole window."""
+    from scipy.special import sici
+
+    from rqmcheck.kernels import onshell_kernel
+    from rqmcheck.spacetime import eucl_to_matrix
+    from rqmcheck.spin import wigner_d_entries
+
+    p = np.asarray(p, dtype=float)
+    window = 200.0 * m
+    omega2 = m * m + float(p @ p)
+    omega = math.sqrt(omega2)
+    n = two_s + 1
+    nodes_p0 = np.arange(two_s + 1, dtype=float)
+    vander = np.vander(nodes_p0, two_s + 1, increasing=True)
+    samples = np.empty((two_s + 1, n, n), dtype=complex)
+    for idx, p0 in enumerate(nodes_p0):
+        M = eucl_to_matrix(np.array([p0, p[0], p[1], p[2]]), variant)
+        samples[idx] = wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0],
+                                        M[1, 1])
+    coeffs = np.linalg.solve(vander, samples.reshape(two_s + 1, -1))
+    coeffs = coeffs.reshape(two_s + 1, n, n)
+    grid = np.linspace(-window, window, nodes)
+    weight = np.exp(-1j * grid * tau)
+    denom = grid * grid + omega2
+    si_val, _ = sici(window * tau)
+    tail_lin = -2j * (0.5 * np.pi - si_val)
+    tail_const = (2.0 * np.cos(window * tau) / window
+                  - 2.0 * tau * (0.5 * np.pi - si_val))
+    result = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            poly = np.polynomial.Polynomial(coeffs[:, i, j])
+            _, rem = divmod(poly, np.polynomial.Polynomial([omega2, 0, 1]))
+            rem_c = rem.coef
+            c0 = rem_c[0] if len(rem_c) > 0 else 0.0
+            c1 = rem_c[1] if len(rem_c) > 1 else 0.0
+            integral = np.trapezoid((c0 + c1 * grid) / denom * weight, grid)
+            integral += c1 * tail_lin + c0 * tail_const
+            result[i, j] = integral / np.pi
+    target = onshell_kernel(variant, m, two_s, p) * np.exp(-omega * tau)
+    return float(np.max(np.abs(result - target)) / np.max(np.abs(target)))

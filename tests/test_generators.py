@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_generator_chain, apply_generator_orbital_chain
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import spacetime as st
@@ -75,6 +76,94 @@ def test_full_commutator_table_scalar():
         for j in range(i + 1, len(names)):
             residual = gn.check_commutator(names[i], names[j], f)
             assert residual <= 1e-13, (names[i], names[j], residual)
+
+
+def _edge_case_function(two_s):
+    """Terms with tau0 != 0, nonzero centers, k >= 2 and a positive power
+    on every axis, so that mul_tau's and mul_x's second terms and d_x's
+    lowering term all fire."""
+    rng = np.random.default_rng(60 + two_s)
+    f = hl.random_test_function(rng, two_s=two_s, terms_per_component=2,
+                                min_k=2, max_k=3, tau0_max=0.5)
+    terms = [t for ts in f.comps for t in ts]
+    assert all(t.tau0 > 0 and t.k >= 2 and all(t.center) for t in terms)
+    assert all(any(t.powers[ax] for t in terms) for ax in range(3))
+    return f
+
+
+def _normal_form(f):
+    return [{t.key(): t.coef for t in ts} for ts in f.comps]
+
+
+@pytest.mark.parametrize("two_s", range(5))
+def test_one_pass_images_match_method_chains(two_s):
+    f = _edge_case_function(two_s)
+    for name in gn.GENERATOR_NAMES:
+        pairs = [(gn.apply_generator_orbital(name, f),
+                  apply_generator_orbital_chain(name, f))]
+        pairs += [(gn.apply_generator(gn.GeneratorTag(name, v), f),
+                   apply_generator_chain(name, f, v)) for v in KV]
+        for got, want in pairs:
+            scale = max(abs(t.coef) for ts in want.comps for t in ts)
+            for g, w in zip(_normal_form(got), _normal_form(want)):
+                assert g.keys() == w.keys(), name
+                assert all(abs(g[key] - w[key]) <= 1e-15 * scale
+                           for key in w), name
+    edge = hl.gaussian_packet(two_s=two_s, k=0, tau0=0.3)
+    for name in ("H", "K1", "K2", "K3"):
+        for apply in (gn.apply_generator, gn.apply_generator_orbital):
+            with pytest.raises(ValueError):
+                apply(name, edge)
+
+
+def test_each_generator_image_is_one_construction(monkeypatch):
+    built = []
+    post_init = hl.TestFunction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(hl.TestFunction, "__post_init__", counting)
+    for two_s in (0, 1, 2):
+        f = _edge_case_function(two_s)
+        for name in gn.GENERATOR_NAMES:
+            calls = [(gn.apply_generator_orbital, name)] + [
+                (gn.apply_generator, gn.GeneratorTag(name, v)) for v in KV]
+            for apply, tag in calls:
+                built.clear()
+                image = apply(tag, f)
+                assert len(built) == 1 and built[0] is image, (tag, two_s)
+
+
+def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
+    """Negative control: one boost's spin term with the wrong sign, for
+    one variant, must make its K-K and J-K commutators fail.  Flipping
+    all three boosts' spin terms is an automorphism of the algebra (K ->
+    orbital - spin term keeps every bracket), so the control flips K1
+    alone."""
+    rng = np.random.default_rng(7)
+    f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
+                                min_k=2, max_k=3)
+    spin_matrix = gn.generator_spin_matrix
+
+    def flipped(names):
+        def patched(name, two_s, variant):
+            S = spin_matrix(name, two_s, variant)
+            return -S if variant is KV.LEFT and name in names else S
+        return patched
+
+    monkeypatch.setattr(gn, "generator_spin_matrix", flipped({"K1"}))
+    for v in KV:
+        for pair in (("K1", "K2"), ("J3", "K1")):
+            residual = gn.check_commutator(*pair, f, v)
+            if v is KV.LEFT:
+                assert 1e-6 < residual < math.inf, (pair, residual)
+            else:
+                assert residual < 1e-13, (pair, v, residual)
+    monkeypatch.setattr(gn, "generator_spin_matrix",
+                        flipped({"K1", "K2", "K3"}))
+    assert gn.check_commutator("K1", "K2", f, KV.LEFT) < 1e-13
 
 
 def test_commutator_rhs_antisymmetry():

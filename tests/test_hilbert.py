@@ -435,6 +435,19 @@ def test_malformed_term_from_disk_rejected(mutate):
         hl.TestFunction.from_dict(data)
 
 
+def test_merged_coefficient_overflow_rejected():
+    # every term is finite and valid; only the merged sum overflows
+    t = hl.Term(1e308, *hl.gaussian_packet(k=1).comps[0][0].key())
+    with pytest.raises(ValueError):
+        hl.TestFunction(0, ((t, t),))
+    h = hl.TestFunction(0, ((t,),))
+    with pytest.raises(ValueError):
+        h + h
+    with pytest.raises(ValueError):
+        h.map_terms(lambda u: [u, u])
+    assert (h - h).comps == ((),)       # a cancellation is no overflow
+
+
 def test_negative_spin_rejected():
     with pytest.raises(ValueError):
         hl.TestFunction(-1, ())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (bessel_k1_integral, onshell_kernel_euclidean,
-                     radial_position_kernel)
+                     radial_position_kernel, residue_consistency_per_entry)
 from rqmcheck import kernels as kr
 from rqmcheck import spacetime as st
 from rqmcheck import spin
@@ -247,3 +247,15 @@ def test_residue_consistency():
                                                [0.3, -0.2, 0.5], 1.0,
                                                nodes=200001)
             assert dev <= 1e-4, (v, two_s, dev)
+
+
+@pytest.mark.parametrize("two_s", range(5))
+def test_residue_shared_integrals_match_per_entry_trapezoids(two_s):
+    # both values are deviations relative to the kernel's largest entry,
+    # so the bound is 1e-12 relative to that entry
+    rng = np.random.default_rng(40 + two_s)
+    for v in KV:
+        p = rng.normal(size=3) * 0.5
+        dev = kr.check_residue_consistency(v, 1.3, two_s, p, 1.0 / 1.3)
+        ref = residue_consistency_per_entry(v, 1.3, two_s, p, 1.0 / 1.3)
+        assert abs(dev - ref) <= 1e-12, (v, dev, ref)

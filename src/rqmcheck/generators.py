@@ -358,6 +358,9 @@ class IrrepState:
 
     States pair on the grid of ``quad``, the engine built over the
     function they came from; the irrep action and the projections keep it.
+    :meth:`inner` and :meth:`distance` stream the engine's slabs (see
+    :meth:`MomentumQuadrature.slabs`): both states are evaluated on one
+    slab's points at a time, so no full-grid array is held.
     """
 
     m: float
@@ -378,14 +381,23 @@ class IrrepState:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.func(pts)
 
-    def grid(self):
-        return self.quad.points, self.quad.weights
+    def _slab_values(self, other: "IrrepState"):
+        """Both states on each slab of this state's grid, with the slab's
+        weights."""
+        points = self.quad.points
+        for rows, w, _ in self.quad.slabs(()):
+            yield self.evaluate(points[rows]), other.evaluate(points[rows]), w
 
     def inner(self, other: "IrrepState") -> complex:
-        pts, wts = self.grid()
-        a = self.evaluate(pts)
-        b = other.evaluate(pts)
-        return complex(np.einsum("un,un,n->", a.conj(), b, wts))
+        """``sum_n w_n conj(self_u) other_u`` over this state's grid."""
+        return complex(sum(np.einsum("un,un,n->", a.conj(), b, w)
+                           for a, b, w in self._slab_values(other)))
+
+    def distance(self, other: "IrrepState") -> float:
+        """L^2 distance ``sqrt(sum_n w_n |self - other|^2)`` over this
+        state's grid."""
+        return math.sqrt(sum(float(np.einsum("un,n->", np.abs(a - b) ** 2, w))
+                             for a, b, w in self._slab_values(other)))
 
     def norm(self) -> float:
         return math.sqrt(max(self.inner(self).real, 0.0))

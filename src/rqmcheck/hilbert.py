@@ -367,32 +367,25 @@ class MomentumWaveFunction:
 
         Each term's image is a product of three axis factors (Gaussian
         moment times center phase) and the radial factor
-        ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  On a tensor grid in
-        :func:`tensor_grid`'s layout the image is sum-factorized by a
-        :class:`TensorPlan`: axis factors are evaluated on the n nodes of
-        one axis, the terms sharing ``(tau0, alpha, k)`` are summed as
-        matrix products of outer products, and the radial factor is
-        applied once per such group, slab by slab.  ``grid``, when given,
-        is ``(plan, lo, hi)``: this function's plan on a tensor grid, as a
-        :class:`MomentumQuadrature` keeps it, and the range of first-axis
-        planes to fill; the caller vouches that ``points`` are those
-        planes' points.  Without it the layout is recognized from the
-        values alone (see :func:`_tensor_nodes`).  Every other input
-        (permuted, perturbed or scattered points, as in the irrep action)
-        is evaluated point by point; that loop is the reference the tensor
-        path is tested against.  Both paths evaluate the same closed-form
-        factors and differ only in the order of the floating-point
-        products and sums.
+        ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  ``grid``, when
+        given, is ``(plan, lo, hi)``: this function's :class:`TensorPlan`
+        on a tensor grid, as a :class:`MomentumQuadrature` keeps it, and
+        the range of first-axis planes to fill; the caller vouches that
+        ``points`` are those planes' points.  The plan sum-factorizes the
+        image: axis factors are evaluated on the n nodes of one axis, the
+        terms sharing ``(tau0, alpha, k)`` are summed as matrix products
+        of outer products, and the radial factor is applied once per such
+        group, slab by slab.  Without ``grid`` the points are evaluated
+        one by one, whatever their layout; that loop is the reference the
+        plan path is tested against.  Both paths evaluate the same
+        closed-form factors and differ only in the order of the
+        floating-point products and sums.
         """
         if grid is not None:
             plan, lo, hi = grid
             return plan.fill(lo, hi)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        nodes = _tensor_nodes(pts)
-        if nodes is None:
-            return self._evaluate_pointwise(pts)
-        plan = TensorPlan(self, nodes, _tensor_omega(nodes, self.m))
-        return plan.fill(0, nodes.size)
+        return self._evaluate_pointwise(
+            np.atleast_2d(np.asarray(points, dtype=float)))
 
     def _evaluate_pointwise(self, pts: np.ndarray) -> np.ndarray:
         """Values at arbitrary (N, 3) momenta.
@@ -530,25 +523,6 @@ def _tensor_omega(x: np.ndarray, m: float) -> np.ndarray:
                              + sq[None, None, :])).reshape(-1)
 
 
-def _tensor_nodes(pts: np.ndarray):
-    """The node vector x when ``pts`` is :func:`tensor_grid`'s layout of
-    x^3, else None.
-
-    The layout is read from the values alone: N = n^3 with n >= 2, and
-    point ``i n^2 + j n + k`` equals ``(x_i, x_j, x_k)`` exactly.
-    """
-    n = round(pts.shape[0] ** (1.0 / 3.0))
-    if pts.shape[1] != 3 or n < 2 or n ** 3 != pts.shape[0]:
-        return None
-    x = pts[:n, 2]
-    cube = pts.reshape(n, n, n, 3)
-    if ((cube[..., 0] == x[:, None, None]).all()
-            and (cube[..., 1] == x[None, :, None]).all()
-            and (cube[..., 2] == x[None, None, :]).all()):
-        return x
-    return None
-
-
 def _gaussian_moment(n: int, p: np.ndarray, beta: float) -> np.ndarray:
     """Closed form of ``int u^n exp(-beta u^2 - i p u) du``."""
     base = np.sqrt(np.pi / beta) * np.exp(-p * p / (4.0 * beta))
@@ -612,18 +586,18 @@ class MomentumQuadrature:
     with a term narrower in position (larger ``beta``) than any the box
     was sized for, is rejected, so the box always covers what it pairs.
 
-    Every pairing is a sum over grid points and runs slab by slab over
-    :meth:`slabs`, the slabs of whole first-axis planes that transforms
-    fill (about :data:`SLAB_POINTS` points each), so no full-grid
-    temporary feeds a dot product.  The full-grid arrays kept are the
-    points, weights and ``omega`` cube, the RIGHT on-shell kernel (built
-    on first use; every other variant reads its slab rows as a reflected
-    view of it) and the cached transforms of :meth:`transform`.  The
-    engine hands its node vector and ``omega`` to
+    Every sum over the grid, a kernel pairing here or an irrep state's
+    ``inner`` and ``distance``, runs slab by slab over :meth:`slabs`, the
+    slabs of whole first-axis planes that transforms fill (about
+    :data:`SLAB_POINTS` points each), so no full-grid temporary feeds a
+    dot product.  The full-grid arrays kept are the points, weights and
+    ``omega`` cube, the RIGHT on-shell kernel (built on the first kernel
+    pairing; every other variant reads its slab rows as a reflected view
+    of it) and the cached transforms of :meth:`transform`.  The engine
+    hands its node vector and ``omega`` to
     :meth:`MomentumWaveFunction.evaluate` through each function's
-    :class:`TensorPlan`, so a transform does not re-derive the grid from
-    the points.  Node-doubling convergence compares two engines built
-    over the same functions at ``nodes`` and ``2 * nodes``.
+    :class:`TensorPlan`.  Node-doubling convergence compares two engines
+    built over the same functions at ``nodes`` and ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -649,13 +623,14 @@ class MomentumQuadrature:
         on-shell kernel rows, shape ``(2s+1, 2s+1, len(weights))``.  A
         variant's rows are the kept RIGHT kernel's with the axes that
         ``REFLECTION[variant]`` negates reversed (the nodes are exactly
-        antisymmetric): a view, copied only to flatten a reversed slab."""
-        if self._right is None:
+        antisymmetric): a view, copied only to flatten a reversed slab.
+        With no variant the RIGHT kernel is not built."""
+        n, dim = self.nodes, self.two_s + 1
+        if variants and self._right is None:
             self._right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
                                               self.two_s, self.points)
-        n, dim = self.nodes, self._right.shape[0]
-        cube = self._right.reshape(dim, dim, n, n, n)
-        views = [cube[:, :, ::sign[0], ::sign[1], ::sign[2]]
+        views = [self._right.reshape(dim, dim, n, n, n)[
+                     :, :, ::sign[0], ::sign[1], ::sign[2]]
                  for sign in (REFLECTION[v] for v in variants)]
         for lo, hi in slab_planes(n):
             rows = slice(lo * n * n, hi * n * n)

@@ -5,8 +5,8 @@ integrates the cosh representation, the radial oracle reduces the 4D
 Fourier transform to a 1D oscillatory integral accelerated with Wynn's
 epsilon algorithm, the on-shell kernel oracle uses each variant's own
 Euclidean sigma basis, the transform oracle does brute 1D quadratures,
-the full-grid contractions pair whole-grid arrays in one product
-each, where the engine streams slabs, the method-chain generator action
+the full-grid contractions and irrep-state pairings take whole-grid
+arrays in one product each, where the engine streams slabs, the method-chain generator action
 builds every intermediate function, where the library applies one term
 rule per image, and the residue integral takes one trapezoid per kernel
 entry, where the library combines two shared ones.
@@ -228,6 +228,21 @@ def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
                 rhs = np.vdot(a_f, ket) + np.sum(S.conj() * spin_rhs)
                 rows.append((idx, name, variant, complex(lhs), complex(rhs)))
     return rows
+
+
+def irrep_inner_full_grid(a, b) -> complex:
+    """``IrrepState`` inner product from both states evaluated on a's
+    whole grid at once, in one einsum."""
+    pts, wts = a.quad.points, a.quad.weights
+    return complex(np.einsum("un,un,n->", a.evaluate(pts).conj(),
+                             b.evaluate(pts), wts))
+
+
+def irrep_distance_full_grid(a, b) -> float:
+    """``sqrt(sum_n w_n |a - b|^2)`` over a's whole grid, in one einsum."""
+    pts, wts = a.quad.points, a.quad.weights
+    diff = a.evaluate(pts) - b.evaluate(pts)
+    return math.sqrt(float(np.einsum("un,n->", np.abs(diff) ** 2, wts)))
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_acceptance_irrep_group_law_unitarity():
                                 tau0_max=0.3, shared_envelope=True)
     coarse = gn.state_from_test_function(f, 1.0, nodes=40)
     fine = gn.state_from_test_function(f, 1.0, nodes=72)
-    pts, wts = coarse.grid()
+    pts, wts = coarse.quad.points, coarse.quad.weights
     n0 = coarse.norm()
     n_fine = fine.norm()
     worst = 0.0

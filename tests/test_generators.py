@@ -136,6 +136,15 @@ def test_each_generator_image_is_one_construction(monkeypatch):
                 assert len(built) == 1 and built[0] is image, (tag, two_s)
 
 
+def _flipped_left_spin_terms(names, spin_matrix=gn.generator_spin_matrix):
+    """``generator_spin_matrix`` with the LEFT spin terms of ``names``
+    sign-flipped."""
+    def patched(name, two_s, variant):
+        S = spin_matrix(name, two_s, variant)
+        return -S if variant is KV.LEFT and name in names else S
+    return patched
+
+
 def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
     """Negative control: one boost's spin term with the wrong sign, for
     one variant, must make its K-K and J-K commutators fail.  Flipping
@@ -145,15 +154,8 @@ def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
     rng = np.random.default_rng(7)
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 min_k=2, max_k=3)
-    spin_matrix = gn.generator_spin_matrix
-
-    def flipped(names):
-        def patched(name, two_s, variant):
-            S = spin_matrix(name, two_s, variant)
-            return -S if variant is KV.LEFT and name in names else S
-        return patched
-
-    monkeypatch.setattr(gn, "generator_spin_matrix", flipped({"K1"}))
+    monkeypatch.setattr(gn, "generator_spin_matrix",
+                        _flipped_left_spin_terms({"K1"}))
     for v in KV:
         for pair in (("K1", "K2"), ("J3", "K1")):
             residual = gn.check_commutator(*pair, f, v)
@@ -162,8 +164,32 @@ def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
             else:
                 assert residual < 1e-13, (pair, v, residual)
     monkeypatch.setattr(gn, "generator_spin_matrix",
-                        flipped({"K1", "K2", "K3"}))
+                        _flipped_left_spin_terms({"K1", "K2", "K3"}))
     assert gn.check_commutator("K1", "K2", f, KV.LEFT) < 1e-13
+
+
+def test_all_boost_sign_flips_break_hermiticity(monkeypatch):
+    """Negative control for the flip the algebra cannot see: every LEFT
+    boost's spin term with the wrong sign keeps the commutators exact, so
+    hermiticity must catch it.  The pair and grids are the hermiticity
+    suite's at seed 0."""
+    from rqmcheck import suites as su
+
+    pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
+    boosts = ("K1", "K2", "K3")
+
+    def defects():
+        return [row[-1] for row in gn.hermiticity_defects(
+            pairs, 1.0, (KV.LEFT,), boosts, 88, 32)]
+
+    unflipped = defects()
+    monkeypatch.setattr(gn, "generator_spin_matrix",
+                        _flipped_left_spin_terms(set(boosts)))
+    for pair in (("K1", "K2"), ("K2", "K3"), ("K3", "K1")):
+        assert gn.check_commutator(*pair, pairs[0][0], KV.LEFT) < 1e-13
+    flipped = defects()
+    assert max(unflipped) <= 1e-7, unflipped
+    assert min(flipped) >= 1e-2, flipped
 
 
 def test_commutator_rhs_antisymmetry():
@@ -354,7 +380,7 @@ def test_irrep_group_law_and_unitarity():
                                 tau0_max=0.3, shared_envelope=True)
     coarse = gn.state_from_test_function(f, 1.0, nodes=40)
     fine = gn.state_from_test_function(f, 1.0, nodes=72)
-    pts, wts = coarse.grid()
+    pts, wts = coarse.quad.points, coarse.quad.weights
     n0 = coarse.norm()
     for _ in range(3):
         L = (st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 1.2))

@@ -222,35 +222,14 @@ def _refuse(*args):
 @pytest.mark.parametrize("nodes", [8, 32])
 @pytest.mark.parametrize("two_s", [0, 1, 2])
 def test_tensor_grid_transform_matches_pointwise(monkeypatch, two_s, nodes):
-    rng = np.random.default_rng(nodes)
     fs = _transform_cases(two_s)
-    pts, _ = hl.tensor_grid(hl.momentum_box(fs, 1.3), nodes)
-    perm = rng.permutation(len(pts))
+    quad = hl.MomentumQuadrature(fs, 1.3, nodes)
     for f in fs:
-        mwf = hl.laplace_fourier_transform(f, 1.3)
-        want = np.empty((f.dim, len(pts)), dtype=complex)
-        want[:, perm] = mwf.evaluate(pts[perm])
+        want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
         with monkeypatch.context() as patch:
             patch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
                           _refuse)
-            got = mwf.evaluate(pts)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_non_grid_points_take_the_pointwise_path(monkeypatch):
-    f = _transform_cases(1)[-1]
-    mwf = hl.laplace_fourier_transform(f, 1.3)
-    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), 8)
-    on_grid = mwf.evaluate(pts)
-    perm = np.random.default_rng(3).permutation(len(pts))
-    nudged = pts.copy()
-    nudged[77, 1] = np.nextafter(nudged[77, 1], np.inf)
-    monkeypatch.setattr(hl, "TensorPlan", _refuse)
-    for points, want in ((pts[perm], on_grid[:, perm]),   # permuted grid
-                         (nudged, on_grid),               # one ulp off
-                         (pts[:-1], on_grid[:, :-1]),     # N not a cube
-                         (pts[:1], on_grid[:, :1])):      # N = 1
-        got = mwf.evaluate(points)
+            got = quad.transform(f)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -262,9 +241,9 @@ def test_slabbed_transform_matches_pointwise(nodes, one_slab):
     assert (planes >= nodes) == one_slab
     assert one_slab or nodes % planes != 0
     f = _transform_cases(1)[0]
-    mwf = hl.laplace_fourier_transform(f, 1.3)
-    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), nodes)
-    got, want = mwf.evaluate(pts), mwf._evaluate_pointwise(pts)
+    quad = hl.MomentumQuadrature([f], 1.3, nodes)
+    got = quad.transform(f)
+    want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -278,12 +257,11 @@ def test_term_blocks_split_large_groups(monkeypatch):
                       (0.4, -0.2, 0.1)) for p in powers)
         for _ in range(2)))
     assert all(len(ts) == 12 for ts in f.comps)
-    mwf = hl.laplace_fourier_transform(f, 1.3)
-    pts, _ = hl.tensor_grid(hl.momentum_box([f], 1.3), 20)
-    whole = mwf.evaluate(pts)
+    quad = hl.MomentumQuadrature([f], 1.3, 20)
+    whole = quad.plan(f).fill(0, 20)
     monkeypatch.setattr(hl, "TERM_BLOCK", 5)
-    blocked = mwf.evaluate(pts)
-    want = mwf._evaluate_pointwise(pts)
+    blocked = quad.plan(f).fill(0, 20)
+    want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(blocked - want)) <= 1e-13 * scale
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * scale
@@ -293,10 +271,19 @@ def test_term_blocks_split_large_groups(monkeypatch):
 def test_engine_grid_equals_recognized_grid(monkeypatch, nodes):
     fs = _transform_cases(2)[:3]
     quad = hl.MomentumQuadrature(fs, 1.3, nodes)
-    recognized = [hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
-                  for f in fs]
-    # the engine hands its grid over: no recognition, no pointwise path
-    monkeypatch.setattr(hl, "_tensor_nodes", _refuse)
+    # the grid read off the points: point i n^2 + j n + k is
+    # (x_i, x_j, x_k), and omega is sqrt(m^2 + |p|^2) there
+    x = quad.points[:nodes, 2]
+    cube = quad.points.reshape(nodes, nodes, nodes, 3)
+    assert (cube[..., 0] == x[:, None, None]).all()
+    assert (cube[..., 1] == x[None, :, None]).all()
+    assert (cube[..., 2] == x[None, None, :]).all()
+    omega = hl._tensor_omega(x, 1.3)
+    assert np.allclose(omega, np.sqrt(1.3 ** 2 + np.einsum(
+        "ni,ni->n", quad.points, quad.points)), rtol=1e-15, atol=0)
+    recognized = [hl.TensorPlan(hl.laplace_fourier_transform(f, 1.3), x,
+                                omega).fill(0, nodes) for f in fs]
+    # the engine hands its grid over: no pointwise path
     monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
                         _refuse)
     for f, want in zip(fs, recognized):

@@ -1,10 +1,11 @@
 """Pairings streamed through grid slabs against whole-grid products.
 
-``MomentumQuadrature.contract``, ``gram_matrix`` and
-``generators.hermiticity_defects`` sum over the grid one slab of
-first-axis planes at a time.  Each is compared with the one-product
-oracle in ``oracles.py`` with the grid cut into one slab, into slabs of
-five planes (the last one partial) and into single planes.
+``MomentumQuadrature.contract``, ``gram_matrix``,
+``generators.hermiticity_defects`` and ``IrrepState.inner`` and
+``.distance`` sum over the grid one slab of first-axis planes at a time.
+Each is compared with the one-product oracle in ``oracles.py`` with the
+grid cut into one slab, into slabs of five planes (the last one partial)
+and into single planes.
 """
 
 import tracemalloc
@@ -12,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import (contract_full_grid, gram_full_grid,
-                     hermiticity_rows_full_grid)
+                     hermiticity_rows_full_grid, irrep_distance_full_grid,
+                     irrep_inner_full_grid)
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import suites as su
@@ -74,3 +76,42 @@ def test_hermiticity_pair_memory_is_slab_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 120e6, peak / 1e6
+
+
+def _irrep_state(rng, two_s, nodes):
+    f = hl.random_test_function(rng, two_s=two_s, terms_per_component=1,
+                                center_scale=0.25, beta_range=(0.3, 0.45),
+                                tau0_max=0.3, shared_envelope=True)
+    return gn.state_from_test_function(f, 1.0, nodes=nodes)
+
+
+@SLABBINGS
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_streamed_irrep_inner_and_distance_match_full_grid(
+        monkeypatch, two_s, slab_points):
+    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    rng = np.random.default_rng(50 + two_s)
+    state = _irrep_state(rng, two_s, NODES)
+    moved = gn.apply_poincare_irrep(state, su._random_poincare(rng))
+    window = gn.momentum_project(state.source, 1.0, [0.5, 0.0, 0.0], 0.8,
+                                 nodes=NODES)
+    projected = gn.spin_project(state, two_s, euler_nodes=(2, 2, 2))
+    for a, b in ((state, state), (state, moved), (moved, moved),
+                 (window, moved), (projected, state), (moved, projected)):
+        assert_close(a.inner(b), irrep_inner_full_grid(a, b))
+        assert_close(a.distance(b), irrep_distance_full_grid(a, b))
+
+
+def test_moved_irrep_norm_memory_is_slab_bounded():
+    # the whole-grid form held the moved state's values and the irrep
+    # action's scratch on all 72^3 points at once: a 218 MB peak
+    rng = np.random.default_rng(0)
+    state = _irrep_state(rng, 2, 72)
+    moved = gn.apply_poincare_irrep(state, su._random_poincare(rng))
+    tracemalloc.start()
+    try:
+        moved.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak / 1e6

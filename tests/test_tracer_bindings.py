@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` rebinds the public functions of ``rqmcheck`` at
 every module that imports them; a refactor that moves or renames one
 breaks ``perfbench/run.py --trace 1``.  This runs the binding part of
-``perfbench/selftest.py`` (its other checks take minutes).
+``perfbench/selftest.py`` and its lazy irrep-state check, which pins how
+``IrrepState`` evaluations and ``inner`` are charged (its workload
+checks take minutes).
 """
 
 from pathlib import Path
@@ -16,4 +18,12 @@ def test_tracer_binds_every_traced_name_and_restores(monkeypatch, capsys):
     import selftest
 
     selftest.check_bindings()      # exits 1 on a failed check
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_tracer_charges_lazy_irrep_states(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+
+    selftest.check_lazy_states()   # exits 1 on a failed check
     assert "FAIL" not in capsys.readouterr().out

@@ -25,8 +25,8 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (MomentumQuadrature, Term, TestFunction, inner_product,
-                      laplace_fourier_transform, norm,
+from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
+                      inner_product, laplace_fourier_transform, norm,
                       position_inner_product_mc, rotate_pointwise,
                       tensor_grid, then)
 from .kernels import KernelVariant
@@ -158,28 +158,65 @@ def _coef_scale(f: TestFunction) -> float:
     return max(coefs) if coefs else 0.0
 
 
+def _commutator_residual(name_a: str, name_b: str, f: TestFunction,
+                         single: dict, nested: dict) -> float:
+    """Residual of ``[A, B] f - (rhs) f`` from prebuilt images: ``single[X]``
+    is ``X f`` and ``nested[A, B]`` is ``A(B f)``.
+
+    Per component, ``A(B f) - B(A f) - sum c C f`` is merged term by term
+    (:func:`hilbert._merge`) without building a function; the value is its
+    largest coefficient relative to the largest of ``A(B f)``, ``B(A f)``
+    and ``f``, and NaN if any is NaN.  A merged sum or a modulus beyond
+    the float range raises ``ValueError``.
+    """
+    ab, ba = nested[name_a, name_b], nested[name_b, name_a]
+    minus = [(-1.0, ba)] + [(-coef, single[gname]) for coef, gname
+                            in commutator_rhs(name_a, name_b)]
+    diff = [_merge(ab.comps[i] + tuple(t.scaled(c) for c, g in minus
+                                       for t in g.comps[i]))
+            for i in range(f.dim)]
+    try:
+        size = worst_of(0.0, *(abs(t.coef) for ts in diff for t in ts))
+        scale = max(_coef_scale(ab), _coef_scale(ba), _coef_scale(f), 1e-300)
+    except OverflowError:        # abs() of finite parts can overflow
+        raise ValueError(f"coefficient modulus overflows in "
+                         f"[{name_a}, {name_b}]") from None
+    return size / scale
+
+
 def check_commutator(name_a: str, name_b: str, f: TestFunction,
                      variant: KernelVariant = KernelVariant.RIGHT) -> float:
     """Coefficient-exact residual of ``[A, B] f - (rhs) f``.
 
     Works entirely in the family's coefficient algebra; the value is the
-    largest coefficient of the difference (merged in one construction),
-    relative to the largest coefficient appearing on either side.
+    largest coefficient of the difference, merged term by term, relative
+    to the largest coefficient appearing on either side.  Builds only the
+    images this pair needs; :func:`lie_algebra_residuals` shares them
+    over all 45 pairs and gives the same values.
     """
     needs_tau = sum(1 for n in (name_a, name_b) if n[0] in ("H", "K"))
     _require_tau_degree(f, needs_tau, f"[{name_a}, {name_b}]")
-    tag_a = GeneratorTag(name_a, variant)
-    tag_b = GeneratorTag(name_b, variant)
-    ab = apply_generator(tag_a, apply_generator(tag_b, f))
-    ba = apply_generator(tag_b, apply_generator(tag_a, f))
-    minus = [(-1.0, ba)] + [
-        (-coef, apply_generator(GeneratorTag(gname, variant), f))
-        for coef, gname in commutator_rhs(name_a, name_b)]
-    diff = TestFunction(f.two_s, tuple(      # one construction, one merge
-        ab.comps[i] + tuple(t.scaled(c) for c, g in minus for t in g.comps[i])
-        for i in range(f.dim)))
-    scale = max(_coef_scale(ab), _coef_scale(ba), _coef_scale(f), 1e-300)
-    return _coef_scale(diff) / scale
+    names = {name_a, name_b} | {g for _, g in commutator_rhs(name_a, name_b)}
+    single = {n: apply_generator(GeneratorTag(n, variant), f) for n in names}
+    nested = {(a, b): apply_generator(GeneratorTag(a, variant), single[b])
+              for a, b in ((name_a, name_b), (name_b, name_a))}
+    return _commutator_residual(name_a, name_b, f, single, nested)
+
+
+def lie_algebra_residuals(f: TestFunction,
+                          variant: KernelVariant = KernelVariant.RIGHT):
+    """:func:`check_commutator` for the 45 pairs of :data:`GENERATOR_NAMES`
+    in order (``(H, P1), (H, P2), ...``), with each of the ten images
+    ``X f`` and the 90 nested images ``A(B f)`` built once: 100
+    constructions in all.  ``f`` must vanish to order 2 at its support
+    edge."""
+    _require_tau_degree(f, 2, "the Lie algebra")
+    names = GENERATOR_NAMES
+    single = {n: apply_generator(GeneratorTag(n, variant), f) for n in names}
+    nested = {(a, b): apply_generator(GeneratorTag(a, variant), single[b])
+              for a in names for b in names if a != b}
+    return [_commutator_residual(a, b, f, single, nested)
+            for a, b in itertools.combinations(names, 2)]
 
 
 def hermiticity_defects(pairs, m: float, variants, names, nodes: int,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,14 @@ TERM_BLOCK = 256
 # the symbolic family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
+    """One term of the family (see the module docstring).
+
+    An immutable tuple of its seven fields: equal terms compare and hash
+    equal, and building one is a tuple allocation.  It is not validated
+    here; :class:`TestFunction` checks every term it is built from.
+    """
+
     coef: complex
     k: int
     alpha: float
@@ -61,15 +68,15 @@ class Term:
     beta: float
     center: tuple
 
-    def key(self):
-        return (self.k, self.alpha, self.tau0, self.powers, self.beta,
-                self.center)
+    def key(self) -> tuple:
+        """The six fields besides ``coef``: terms with equal keys merge."""
+        return self[1:]
 
     # coordinate rules: each returns the Terms of its image, so rules chain
     # term by term (see then) and an image is built in one construction
 
     def scaled(self, c: complex) -> "Term":
-        return Term(c * self.coef, *self.key())
+        return Term(c * self.coef, *self[1:])
 
     def d_tau(self) -> list:
         """Classical time derivative on the open support: a ``k = 0``
@@ -77,25 +84,25 @@ class Term:
         on integration by parts check :func:`min_tau_degree` first."""
         out = [self.scaled(-self.alpha)]
         if self.k > 0:
-            out.append(Term(self.k * self.coef, self.k - 1, *self.key()[1:]))
+            out.append(Term(self.k * self.coef, self.k - 1, *self[2:]))
         return out
 
     def d_x(self, axis: int) -> list:
         # (x-c)^p e^(-beta (x-c)^2) -> p (x-c)^(p-1) - 2 beta (x-c)^(p+1)
-        k, alpha, tau0, powers, beta, center = self.key()
-        return [Term(c * self.coef, k, alpha, tau0, _bump(powers, axis, step),
+        coef, k, alpha, tau0, powers, beta, center = self
+        return [Term(c * coef, k, alpha, tau0, _bump(powers, axis, step),
                      beta, center)
                 for c, step in ((powers[axis], -1), (-2.0 * beta, 1)) if c]
 
     def mul_tau(self) -> list:
-        out = [Term(self.coef, self.k + 1, *self.key()[1:])]
+        out = [Term(self.coef, self.k + 1, *self[2:])]
         if self.tau0 != 0.0:
             out.append(self.scaled(self.tau0))
         return out
 
     def mul_x(self, axis: int) -> list:
-        k, alpha, tau0, powers, beta, center = self.key()
-        out = [Term(self.coef, k, alpha, tau0, _bump(powers, axis, 1), beta,
+        coef, k, alpha, tau0, powers, beta, center = self
+        out = [Term(coef, k, alpha, tau0, _bump(powers, axis, 1), beta,
                     center)]
         if center[axis] != 0.0:
             out.append(self.scaled(center[axis]))
@@ -105,7 +112,7 @@ class Term:
 def _merge(terms):
     acc: dict = {}
     for t in terms:
-        key = t.key()
+        key = t[1:]            # t.key(), inlined: runs for every term built
         if key in acc:
             coef = acc[key].coef + t.coef
             if not cmath.isfinite(coef):     # finite terms can sum to inf

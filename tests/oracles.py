@@ -6,10 +6,13 @@ Fourier transform to a 1D oscillatory integral accelerated with Wynn's
 epsilon algorithm, the on-shell kernel oracle uses each variant's own
 Euclidean sigma basis, the transform oracle does brute 1D quadratures,
 the full-grid contractions and irrep-state pairings take whole-grid
-arrays in one product each, where the engine streams slabs, the method-chain generator action
-builds every intermediate function, where the library applies one term
-rule per image, and the residue integral takes one trapezoid per kernel
-entry, where the library combines two shared ones.
+arrays in one product each, where the engine streams slabs, the
+method-chain generator action builds every intermediate function, where
+the library applies one term rule per image, the construction-based
+commutator residual rebuilds every image per pair and merges the
+difference by building a function, where the library shares the images
+and merges the terms directly, and the residue integral takes one
+trapezoid per kernel entry, where the library combines two shared ones.
 """
 
 import math
@@ -275,6 +278,31 @@ def apply_generator_chain(name, f, variant):
         return orbital
     return orbital + f.spin_mix(gn.generator_spin_matrix(name, f.two_s,
                                                          variant))
+
+
+def commutator_residual_by_construction(name_a, name_b, f, variant):
+    """Residual of ``[A, B] f - (rhs) f`` with every image rebuilt for this
+    pair and the difference merged by building (and validating) one
+    whole function from ``A(B f)`` and the scaled terms of the rest."""
+    from rqmcheck import generators as gn
+    from rqmcheck.hilbert import TestFunction
+
+    def image(name, g):
+        return gn.apply_generator(gn.GeneratorTag(name, variant), g)
+
+    def coef_scale(g):
+        return max((abs(t.coef) for ts in g.comps for t in ts), default=0.0)
+
+    ab = image(name_a, image(name_b, f))
+    ba = image(name_b, image(name_a, f))
+    minus = [(-1.0, ba)] + [(-coef, image(gname, f))
+                            for coef, gname in gn.commutator_rhs(name_a,
+                                                                 name_b)]
+    diff = TestFunction(f.two_s, tuple(
+        ab.comps[i] + tuple(t.scaled(c) for c, g in minus for t in g.comps[i])
+        for i in range(f.dim)))
+    scale = max(coef_scale(ab), coef_scale(ba), coef_scale(f), 1e-300)
+    return coef_scale(diff) / scale
 
 
 # ---------------------------------------------------------------------------

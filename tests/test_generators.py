@@ -1,16 +1,21 @@
 """Generator actions, commutators, hermiticity, semigroup, irrep, projections."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import apply_generator_chain, apply_generator_orbital_chain
+from oracles import (apply_generator_chain, apply_generator_orbital_chain,
+                     commutator_residual_by_construction)
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import spacetime as st
 from rqmcheck import spin as sp
+from rqmcheck.report import worst_of
 from rqmcheck.spacetime import KernelVariant as KV
+
+PAIRS = list(itertools.combinations(gn.GENERATOR_NAMES, 2))
 
 
 def test_momentum_generator_on_gaussian():
@@ -136,6 +141,81 @@ def test_each_generator_image_is_one_construction(monkeypatch):
                 assert len(built) == 1 and built[0] is image, (tag, two_s)
 
 
+@pytest.mark.parametrize("two_s", range(5))
+def test_lie_algebra_residuals_match_per_pair_checks(two_s):
+    """The shared images give every pair's residual bit for bit: the same
+    as check_commutator and as the residual of a construction per pair."""
+    f = _edge_case_function(two_s)
+    for v in KV:
+        residuals = gn.lie_algebra_residuals(f, v)
+        assert len(residuals) == 45 and any(residuals), v
+        assert residuals == [gn.check_commutator(a, b, f, v)
+                             for a, b in PAIRS], v
+        assert residuals == [commutator_residual_by_construction(a, b, f, v)
+                             for a, b in PAIRS], v
+        assert worst_of(*residuals) < 1e-13, v
+
+
+def test_lie_algebra_residuals_are_one_hundred_constructions(monkeypatch):
+    """Ten single images X f and 90 nested images A(B f), nothing else."""
+    built = []
+    post_init = hl.TestFunction.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(hl.TestFunction, "__post_init__", counting)
+    for two_s in (0, 1, 2):
+        f = _edge_case_function(two_s)
+        for v in KV:
+            built.clear()
+            gn.lie_algebra_residuals(f, v)
+            assert len(built) == 100, (two_s, v)
+    with pytest.raises(ValueError):       # every pair's images need k >= 2
+        gn.lie_algebra_residuals(hl.gaussian_packet(k=1, tau0=0.2))
+
+
+def _largest_coefficient(f, largest):
+    return f.scale(largest / max(abs(t.coef) for ts in f.comps for t in ts))
+
+
+@pytest.mark.parametrize("largest", [10.0 ** 307.25, 1e308],
+                         ids=["modulus", "images"])
+def test_overflowing_coefficients_fail_closed(monkeypatch, largest):
+    """Coefficients near the float limit: an image, merged sum or modulus
+    beyond the float range raises ValueError, never a finite pass.  At
+    1e308 every image of this function overflows; at 10^307.25 only the
+    K-K pairs reach a modulus beyond the range."""
+    from rqmcheck import suites as su
+
+    rng = np.random.default_rng(1)
+    f = _largest_coefficient(hl.random_test_function(
+        rng, two_s=1, terms_per_component=1, min_k=2, max_k=3), largest)
+    for v in KV:
+        with pytest.raises(ValueError):
+            gn.lie_algebra_residuals(f, v)
+        for pair in (("K1", "K2"), ("K2", "K3"), ("K3", "K1")):
+            with pytest.raises(ValueError):
+                gn.check_commutator(*pair, f, v)
+    make = hl.random_test_function
+    monkeypatch.setattr(hl, "random_test_function", lambda *args, **kwargs:
+                        _largest_coefficient(make(*args, **kwargs), largest))
+    reports = su.run_suites(su.RunConfig(suites=("generators",),
+                                         two_spins=(1,)))
+    assert reports and not any(r.passed for r in reports), reports
+    assert all(not math.isfinite(r.measured) for r in reports), reports
+
+
+def test_residual_merge_overflow_raises():
+    """The residual merges A(B f) and -B(A f) without building a function;
+    a sum of two finite coefficients beyond the range still raises."""
+    h = hl.gaussian_packet(k=2, coef=1e308)
+    nested = {("P1", "P2"): h, ("P2", "P1"): h.scale(-1.0)}
+    with pytest.raises(ValueError, match="overflows"):
+        gn._commutator_residual("P1", "P2", h, {}, nested)
+
+
 def _flipped_left_spin_terms(names, spin_matrix=gn.generator_spin_matrix):
     """``generator_spin_matrix`` with the LEFT spin terms of ``names``
     sign-flipped."""
@@ -163,9 +243,17 @@ def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
                 assert 1e-6 < residual < math.inf, (pair, residual)
             else:
                 assert residual < 1e-13, (pair, v, residual)
+        # the suite's shared-image path sees the same flip
+        worst = worst_of(*gn.lie_algebra_residuals(f, v))
+        if v is KV.LEFT:
+            assert 1e-2 <= worst < math.inf, worst
+        else:
+            assert worst < 1e-13, (v, worst)
     monkeypatch.setattr(gn, "generator_spin_matrix",
                         _flipped_left_spin_terms({"K1", "K2", "K3"}))
     assert gn.check_commutator("K1", "K2", f, KV.LEFT) < 1e-13
+    for v in KV:      # the documented blind spot: an automorphism
+        assert worst_of(*gn.lie_algebra_residuals(f, v)) < 1e-13, v
 
 
 def test_all_boost_sign_flips_break_hermiticity(monkeypatch):

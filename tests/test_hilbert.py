@@ -435,6 +435,27 @@ def test_merged_coefficient_overflow_rejected():
     assert (h - h).comps == ((),)       # a cancellation is no overflow
 
 
+def test_term_is_an_immutable_value():
+    t = hl.gaussian_packet(k=2, powers=(1, 0, 2),
+                           center=(0.1, 0.0, -0.2)).comps[0][0]
+    u = hl.Term(complex(t.coef), t.k, t.alpha, t.tau0, tuple(t.powers),
+                t.beta, tuple(t.center))
+    assert u is not t and u == t and hash(u) == hash(t)
+    assert len({t, u}) == 1 and t != t.scaled(2.0)
+    for name in hl.Term._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 0)
+    assert t.key() == (t.k, t.alpha, t.tau0, t.powers, t.beta, t.center)
+    f = hl.TestFunction(1, ((t,), (t.scaled(1j), t.mul_x(0)[0])))
+    assert hl.TestFunction.from_dict(json.loads(json.dumps(f.as_dict()))) == f
+    # a term is not validated until a function is built from it
+    for bad in (t._replace(k=2.0), t._replace(powers=(True, 0, 2)),
+                t._replace(coef=complex(float("nan"), 0.0)),
+                t._replace(center=(float("inf"), 0.0, -0.2))):
+        with pytest.raises(ValueError):
+            hl.TestFunction(0, ((bad,),))
+
+
 def test_negative_spin_rejected():
     with pytest.raises(ValueError):
         hl.TestFunction(-1, ())

@@ -85,7 +85,7 @@ def test_worst_of_keeps_nan():
      0),
     (kr, "check_factorization", "kernels", ("onshell_factorization",), 0),
     (kr, "check_kernel_covariance", "kernels", ("kernel_covariance",), 0),
-    (gn, "check_commutator", "generators", ("lie_algebra",), 0),
+    (gn, "_commutator_residual", "generators", ("lie_algebra",), 0),
     # one report per call: the first report holds the first call alone
     (gn, "mass_casimir_check", "casimir", ("mass_casimir",), 1),
 ], ids=["wigner", "kernels-factorization", "kernels-covariance",

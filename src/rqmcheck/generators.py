@@ -48,13 +48,25 @@ class GeneratorTag:
             raise ValueError(f"unknown generator {self.name!r}")
 
 
+#: _spin_terms by (two_s, variant), filled on first use
+_SPIN_TERMS: dict = {}
+
+
 def _spin_terms(two_s: int, variant: KernelVariant):
-    """(rotation, boost) spin matrices for each variant, index j = 0, 1, 2."""
-    flipped = variant.dual != variant.left
-    mats = tuple(s.T if flipped else s for s in spin_matrices(two_s))
-    boost = -1j if variant.dual else 1j
-    return (tuple(-s if flipped else s for s in mats),
-            tuple(boost * s for s in mats))
+    """(rotation, boost) spin matrices for each variant, index j = 0, 1, 2:
+    built once per ``(two_s, variant)`` and read-only, since every caller
+    shares them."""
+    key = (two_s, variant)
+    if key not in _SPIN_TERMS:
+        flipped = variant.dual != variant.left
+        mats = tuple(s.T if flipped else s for s in spin_matrices(two_s))
+        boost = -1j if variant.dual else 1j
+        terms = (tuple(-s if flipped else s for s in mats),
+                 tuple(boost * s for s in mats))
+        for s in itertools.chain(*terms):
+            s.flags.writeable = False
+        _SPIN_TERMS[key] = terms
+    return _SPIN_TERMS[key]
 
 
 def _require_tau_degree(f: TestFunction, degree: int, what: str):
@@ -89,7 +101,8 @@ def apply_generator_orbital(name: str, f: TestFunction) -> TestFunction:
 
 def generator_spin_matrix(name: str, two_s: int,
                           variant: KernelVariant) -> np.ndarray:
-    """Constant component-mixing matrix the generator adds to the orbital part."""
+    """Constant component-mixing matrix the generator adds to the orbital
+    part; for J and K the shared, read-only matrix of ``_spin_terms``."""
     if name[0] in ("H", "P"):
         return np.zeros((two_s + 1, two_s + 1), dtype=complex)
     rot, boost = _spin_terms(two_s, variant)

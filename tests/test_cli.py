@@ -189,11 +189,12 @@ def test_comma_separated_flags(tmp_path, capsys):
     assert doc["config"]["seeds"] == [0, 1]
 
 
-def test_internal_error_recorded_per_check(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_internal_error_recorded_per_check(capsys, monkeypatch, error):
     from rqmcheck import suites as su
 
     def broken(cfg):
-        raise RuntimeError("synthetic failure")
+        raise error("synthetic failure")
 
     monkeypatch.setitem(su.SUITES, "algebra",
                         (broken, su.SUITES["algebra"][1]))

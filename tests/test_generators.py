@@ -141,6 +141,28 @@ def test_each_generator_image_is_one_construction(monkeypatch):
                 assert len(built) == 1 and built[0] is image, (tag, two_s)
 
 
+def test_spin_terms_are_built_once_and_read_only(monkeypatch):
+    builds = []
+
+    def counting(two_s):
+        builds.append(two_s)
+        return sp.spin_matrices(two_s)
+
+    monkeypatch.setattr(gn, "spin_matrices", counting)
+    monkeypatch.setattr(gn, "_SPIN_TERMS", {})
+    for _ in range(3):
+        for two_s in (1, 2):
+            f = _edge_case_function(two_s)
+            for v in KV:
+                for name in ("J1", "J2", "J3", "K1", "K2", "K3"):
+                    gn.apply_generator(gn.GeneratorTag(name, v), f)
+                    S = gn.generator_spin_matrix(name, two_s, v)
+                    assert not S.flags.writeable
+                    with pytest.raises(ValueError):
+                        S[0, 0] = 0.0
+    assert sorted(builds) == [1] * len(KV) + [2] * len(KV)
+
+
 @pytest.mark.parametrize("two_s", range(5))
 def test_lie_algebra_residuals_match_per_pair_checks(two_s):
     """The shared images give every pair's residual bit for bit: the same

@@ -115,3 +115,19 @@ def test_moved_irrep_norm_memory_is_slab_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, peak / 1e6
+
+
+def test_off_center_spin_projection_norm_holds_one_phase():
+    # 1024 terms over 512 centers: one phase array per center, kept for
+    # the whole evaluation, gave a 67 MB peak here
+    f = hl.gaussian_packet(two_s=1, center=(0.3, -0.2, 0.1))
+    state = gn.state_from_test_function(f, 1.0, nodes=20)
+    projected = gn.spin_project(state, 1, euler_nodes=(8, 8, 8))
+    assert len({t.center for c in projected.source.comps for t in c}) == 512
+    tracemalloc.start()
+    try:
+        projected.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak / 1e6

@@ -26,8 +26,8 @@ import numpy as np
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
 from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
-                      inner_product, laplace_fourier_transform, norm,
-                      position_inner_product_mc, rotate_pointwise,
+                      apply_kernel, inner_product, laplace_fourier_transform,
+                      position_inner_product_mc, root_norm, rotate_pointwise,
                       tensor_grid, then)
 from .kernels import KernelVariant
 from .report import worst_of
@@ -240,14 +240,15 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
     every variant.  H and P multiply by functions of p and use the
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
-    are built over every pair function and keep only their RIGHT kernel.
-    Each pair streams through an engine's slabs (see
-    :meth:`MomentumQuadrature.slabs`): f, g and their orbital images are
-    evaluated on one slab, every sum below takes that slab's share for
-    every variant and generator, and the next slab reuses the memory.
-    Beyond the engines' kept grids and kernels, memory is a few slab-sized
-    arrays per function of the pair, whatever the pair count.  Per slab
-    and variant the kernel is applied once, to each side:
+    are built over every pair function, and each is walked once (see
+    :meth:`MomentumQuadrature.slabs`): a slab's kernel rows are built once
+    for all pairs, and each pair's f, g and orbital images are evaluated
+    on the slab, take their share of every sum below for every variant
+    and generator, and are freed before the next pair's.  Beyond the
+    engines' axis grids and ``omega`` cubes, memory is a few slab-sized
+    arrays and every pair's :class:`TensorPlan`.  Per slab and variant the
+    kernel is applied once to each side (:func:`hilbert.apply_kernel`;
+    the bra side through the transposed rows):
     ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
     Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
     and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
@@ -262,68 +263,77 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     quads = {n: MomentumQuadrature(functions, m, n)
              for n in set(grid_of.values())}
     two_s = functions[0].two_s
-    rows = []
-    for idx, (f, g) in enumerate(pairs):
-        found = {}
-        for n_nodes, quad in quads.items():
-            own = [name for name in names if grid_of[name] == n_nodes]
-            plans = [quad.plan(h) for h in (f, g)] + [
-                quad.plan(apply_generator_orbital(name, h))
-                for h in (f, g) for name in own]
-            # per variant: the spin sums (bra_u . F[g]_v, conj(F[f]_v) .
-            # ket_u) and each generator's two orbital dot products
-            spin = np.zeros((len(variants), 2, two_s + 1, two_s + 1),
-                            dtype=complex)
-            orbital = np.zeros((len(variants), 2, len(own)), dtype=complex)
-            for cut, w, kernels in quad.slabs(variants):
-                ff, gg, *images = [quad.values(plan, cut) for plan in plans]
+    found = {}
+    for n_nodes, quad in quads.items():
+        own = [name for name in names if grid_of[name] == n_nodes]
+        plans = [[quad.plan(h) for h in (f, g)]
+                 + [quad.plan(apply_generator_orbital(name, h))
+                    for h in (f, g) for name in own] for f, g in pairs]
+        # per pair and variant: the spin sums (bra_u . F[g]_v,
+        # conj(F[f]_v) . ket_u) and each generator's two orbital products
+        spin = np.zeros((len(pairs), len(variants), 2, two_s + 1, two_s + 1),
+                        dtype=complex)
+        orbital = np.zeros((len(pairs), len(variants), 2, len(own)),
+                           dtype=complex)
+        for slab in quad.slabs(variants):
+            w = slab.weights
+            for idx, pair_plans in enumerate(plans):
+                ff, gg, *images = [quad.values(plan, slab)
+                                   for plan in pair_plans]
                 ffc = ff.conj()
                 a_fc = np.stack(images[:len(own)]).reshape(len(own), -1).conj()
                 a_g = np.stack(images[len(own):]).reshape(len(own), -1)
-                for i, kernel in enumerate(kernels):
-                    bra = np.einsum("un,uvn,n->vn", ffc, kernel, w)
-                    ket = np.einsum("uvn,vn,n->un", kernel, gg, w)
-                    spin[i, 0] += bra @ gg.T
-                    spin[i, 1] += ket @ ffc.T
-                    orbital[i, 0] += a_g @ bra.ravel()
-                    orbital[i, 1] += a_fc @ ket.ravel()
-                del ff, gg, images   # before the next slab's are evaluated
+                del images
+                bra_w, ket_w = (ffc * w)[None], (gg * w)[None]
+                for i, kernel in enumerate(slab.kernels):
+                    bra = apply_kernel(kernel.swapaxes(0, 1), bra_w)[0]
+                    ket = apply_kernel(kernel, ket_w)[0]
+                    spin[idx, i, 0] += bra @ gg.T
+                    spin[idx, i, 1] += ket @ ffc.T
+                    orbital[idx, i, 0] += a_g @ bra.ravel()
+                    orbital[idx, i, 1] += a_fc @ ket.ravel()
+                del ff, gg, ffc, a_fc, a_g   # before the next pair's
+        for idx in range(len(pairs)):
             for i, variant in enumerate(variants):
                 for j, name in enumerate(own):
                     S = generator_spin_matrix(name, two_s, variant)
-                    found[name, variant] = (
-                        complex(orbital[i, 0, j] + np.sum(S * spin[i, 0])),
-                        complex(orbital[i, 1, j]
-                                + np.sum(S.conj() * spin[i, 1])))
+                    found[idx, name, variant] = (
+                        complex(orbital[idx, i, 0, j]
+                                + np.sum(S * spin[idx, i, 0])),
+                        complex(orbital[idx, i, 1, j]
+                                + np.sum(S.conj() * spin[idx, i, 1])))
+    rows = []
+    for idx in range(len(pairs)):
         for name in names:
             for variant in variants:
-                lhs, rhs = found[name, variant]
+                lhs, rhs = found[idx, name, variant]
                 rows.append((idx, name, variant, lhs, rhs,
                              abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)))
     return rows
 
 
 def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
-                                variant: KernelVariant, dtaus):
+                                variants, dtaus):
     """Contraction properties of the positive-time-shift semigroup.
 
-    Norms are taken on ``quad`` at its mass ``m = quad.m``.  Measures
-    how far (i) norm ratios rise above one, (ii) they fail to decrease
-    along increasing shifts, (iii) shifts fail to compose exactly, and
-    (iv) a shift of 10/m exceeds the mass-gap bound ``exp(-10)`` with a
-    factor-10 safety margin.  Returns ``(worst violation, details)``.
+    Norms are taken on ``quad`` at its mass ``m = quad.m``, for f and
+    each of its shifts at every one of ``variants``, in one pass over the
+    grid.  Measures how far (i) norm ratios rise above one, (ii) they
+    fail to decrease along increasing shifts, (iii) shifts fail to
+    compose exactly, and (iv) a shift of 10/m exceeds the mass-gap bound
+    ``exp(-10)`` with a factor-10 safety margin.  A negative or NaN
+    squared norm gives a NaN ratio (:func:`hilbert.root_norm`), so a
+    positivity failure fails the check.  Returns ``(worst violation,
+    details)`` per variant, in the order of ``variants``.
     """
     m = quad.m
     dtaus = sorted(float(d) for d in dtaus)
     if any(d < 0 for d in dtaus):
         raise ValueError("time shifts must be nonnegative")
-    base = norm(quad, f, variant)
-    ratios = [norm(quad, f.shift_time(d), variant) / base for d in dtaus]
-    violation = worst_of(0.0, *[r - 1.0 for r in ratios])
-    pos = [(d, r) for d, r in zip(dtaus, ratios) if d > 0]
-    for (d1, r1), (d2, r2) in zip(pos, pos[1:]):
-        violation = worst_of(violation, r2 - r1)
+    shifted = [f] + [f.shift_time(d) for d in dtaus + [10.0 / m]]
+    bound = 10.0 * math.exp(-10.0)
     # semigroup law: two half shifts equal one full shift, exactly
+    law = -math.inf
     if dtaus and dtaus[-1] > 0:
         d = dtaus[-1]
         twice = f.shift_time(0.5 * d).shift_time(0.5 * d)
@@ -331,12 +341,18 @@ def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
         pts = np.array([[0.7 + d, 0.1, -0.2, 0.3], [1.3 + d, 0.5, 0.4, -0.1]])
         dev = np.max(np.abs(twice.evaluate(pts) - once.evaluate(pts)))
         ref = max(np.max(np.abs(once.evaluate(pts))), 1e-300)
-        violation = worst_of(violation, dev / ref - 1e-12)
-    gap = norm(quad, f.shift_time(10.0 / m), variant) / base
-    bound = 10.0 * math.exp(-10.0)
-    violation = worst_of(violation, gap - bound)
-    return violation, {"dtaus": dtaus, "ratios": ratios, "gap_ratio": gap,
-                       "gap_bound": bound}
+        law = dev / ref - 1e-12
+    out = []
+    for gram in quad.pairings(shifted, shifted, variants):
+        base, *norms, gap = [root_norm(v.real) for v in np.diagonal(gram)]
+        ratios = [n / base for n in norms]
+        pos = [r for d, r in zip(dtaus, ratios) if d > 0]
+        violation = worst_of(0.0, *[r - 1.0 for r in ratios],
+                             *[r2 - r1 for r1, r2 in zip(pos, pos[1:])],
+                             law, gap / base - bound)
+        out.append((violation, {"dtaus": dtaus, "ratios": ratios,
+                                "gap_ratio": gap / base, "gap_bound": bound}))
+    return out
 
 
 def boost_wedge_check(w1, w2, angles, m: float, seed: int = 0,
@@ -434,9 +450,9 @@ class IrrepState:
     def _slab_values(self, other: "IrrepState"):
         """Both states on each slab of this state's grid, with the slab's
         weights."""
-        points = self.quad.points
-        for rows, w, _ in self.quad.slabs(()):
-            yield self.evaluate(points[rows]), other.evaluate(points[rows]), w
+        for slab in self.quad.slabs(()):
+            yield (self.evaluate(slab.points), other.evaluate(slab.points),
+                   slab.weights)
 
     def inner(self, other: "IrrepState") -> complex:
         """``sum_n w_n conj(self_u) other_u`` over this state's grid."""
@@ -486,25 +502,35 @@ def apply_poincare_irrep(state: IrrepState, g: PoincareElement) -> IrrepState:
     return IrrepState(m, two_s, func, state.quad)
 
 
-def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
-                       g: TestFunction, variant: KernelVariant,
-                       test_mass: float | None = None) -> float:
-    """Residual of ``<f|(H^2 - P^2 - m^2)|g> / <f|g>`` on the family.
-
-    Both pairings are taken on ``quad`` at its kernel mass ``m = quad.m``.
-    ``test_mass`` different from the kernel mass turns this into a loud
-    negative control: the residual then sits at ``|m^2 - test_mass^2|``.
-    """
-    m = quad.m
+def casimir_pairings(quad: MomentumQuadrature, f: TestFunction,
+                     g: TestFunction, variants) -> np.ndarray:
+    """``(<f|(H^2 - P^2) g>, <f|g>)`` at each of ``variants``, shape
+    ``(len(variants), 2)``, from one pass over ``quad``'s grid; the
+    kernel mass is ``m = quad.m``."""
     _require_tau_degree(g, 2, "H^2")
-    if test_mass is None:
-        test_mass = m
     wave_op = g.d_tau().d_tau()
     for ax in range(3):
         wave_op = wave_op + g.d_x(ax).d_x(ax)
-    val = inner_product(quad, f, wave_op, variant)
-    overlap = inner_product(quad, f, g, variant)
+    return inner_product(quad, f, (wave_op, g), tuple(variants))
+
+
+def casimir_residual(pairing, test_mass: float) -> float:
+    """``|<f|(H^2 - P^2) g> - test_mass^2 <f|g>| / |<f|g>|`` from one row
+    of :func:`casimir_pairings`.  A ``test_mass`` other than the kernel
+    mass turns this into a loud negative control: the residual then sits
+    at ``|m^2 - test_mass^2|``."""
+    val, overlap = pairing
     return abs(val - test_mass ** 2 * overlap) / max(abs(overlap), 1e-300)
+
+
+def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
+                       g: TestFunction, variant: KernelVariant,
+                       test_mass: float | None = None) -> float:
+    """Residual of ``<f|(H^2 - P^2 - m^2)|g> / <f|g>`` on the family at
+    one variant (:func:`casimir_residual`), ``m`` the kernel mass
+    ``quad.m`` unless ``test_mass`` is given."""
+    return casimir_residual(casimir_pairings(quad, f, g, (variant,))[0],
+                            quad.m if test_mass is None else test_mass)
 
 
 def momentum_project(f: TestFunction, m: float, p0, width: float,

@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import REFLECTION, onshell_kernel_grid, scalar_position_kernel
+from .kernels import (onshell_kernel_grid, scalar_position_kernel,
+                      variant_kernel)
 from .spacetime import KernelVariant
 
 TWO_PI = 2.0 * np.pi
@@ -575,15 +576,36 @@ def momentum_box(functions, m: float) -> float:
 
 
 def tensor_grid(box: float, nodes: int):
-    """Gauss-Legendre tensor grid on [-box, box]^3: (N, 3) points, (N,)
-    weights."""
+    """Gauss-Legendre rule on [-box, box]: the per-axis nodes and weights
+    of the tensor grid on [-box, box]^3."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    x = x * box
-    w = w * box
-    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    wts = (w[:, None, None] * w[None, :, None]
-           * w[None, None, :]).reshape(-1)
-    return pts, wts
+    return x * box, w * box
+
+
+class Slab(NamedTuple):
+    """First-axis planes ``lo`` to ``hi`` of a tensor grid: their points,
+    shape ``(N, 3)`` with point ``i n^2 + j n + k`` at ``(x_i, x_j, x_k)``,
+    their weights, and per requested variant the on-shell kernel rows,
+    shape ``(2s+1, 2s+1, N)``."""
+
+    lo: int
+    hi: int
+    points: np.ndarray
+    weights: np.ndarray
+    kernels: list
+
+
+def apply_kernel(kernel: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_v kernel[u, v] stack[j, v]`` at every point, shape of
+    ``stack`` ``(functions, 2s+1, N)``: (2s+1)^2 broadcast multiply-adds of
+    one kernel row into one component of every function."""
+    out = np.empty_like(stack)
+    scratch = np.empty_like(stack[:, 0])
+    for u, row in enumerate(kernel):
+        np.multiply(row[0], stack[:, 0], out=out[:, u])
+        for v in range(1, len(row)):
+            out[:, u] += np.multiply(row[v], stack[:, v], out=scratch)
+    return out
 
 
 class MomentumQuadrature:
@@ -591,22 +613,24 @@ class MomentumQuadrature:
 
     Built over the functions it will pair: they share one spin, stored as
     ``two_s``, and the Gauss-Legendre tensor grid covers
-    ``momentum_box(functions, m)``.  A function of another spin, or one
-    with a term narrower in position (larger ``beta``) than any the box
-    was sized for, is rejected, so the box always covers what it pairs.
+    ``momentum_box(functions, m)``, stored as ``box``.  A function of
+    another spin, or one with a term narrower in position (larger
+    ``beta``) than any the box was sized for, is rejected, so the box
+    always covers what it pairs.
 
     Every sum over the grid, a kernel pairing here or an irrep state's
     ``inner`` and ``distance``, runs slab by slab over :meth:`slabs`, the
     slabs of whole first-axis planes that transforms fill (about
-    :data:`SLAB_POINTS` points each), so no full-grid temporary feeds a
-    dot product.  The full-grid arrays kept are the points, weights and
-    ``omega`` cube, the RIGHT on-shell kernel (built on the first kernel
-    pairing; every other variant reads its slab rows as a reflected view
-    of it) and the cached transforms of :meth:`transform`.  The engine
-    hands its node vector and ``omega`` to
-    :meth:`MomentumWaveFunction.evaluate` through each function's
-    :class:`TensorPlan`.  Node-doubling convergence compares two engines
-    built over the same functions at ``nodes`` and ``2 * nodes``.
+    :data:`SLAB_POINTS` points each).  The engine keeps only the axis
+    nodes ``x``, the axis weights and the ``omega`` cube: a slab forms its
+    points, weights and RIGHT on-shell kernel rows when it is reached, and
+    every variant reads those rows through :func:`kernels.variant_kernel`.
+    :meth:`pairings` therefore walks the grid once for all the functions
+    and variants a caller needs.  The engine hands its node vector and
+    ``omega`` to :meth:`MomentumWaveFunction.evaluate` through each
+    function's :class:`TensorPlan`.  Node-doubling convergence compares
+    two engines built over the same functions at ``nodes`` and
+    ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -619,32 +643,32 @@ class MomentumQuadrature:
         self.m = float(m)
         self.max_beta = _max_beta(functions)
         self.nodes = nodes
-        self.points, self.weights = tensor_grid(momentum_box(functions, m),
-                                                nodes)
-        x = self.points[:nodes, 2]
-        self._grid = (x, _tensor_omega(x, self.m))
-        self._right = None
-        self._transforms: dict = {}
+        self.box = momentum_box(functions, m)
+        self.x, self.axis_weights = tensor_grid(self.box, nodes)
+        self.omega = _tensor_omega(self.x, self.m)
 
     def slabs(self, variants):
-        """``(rows, weights, kernels)`` per slab: the slab's slice of the
-        flattened grid, its weights, and per variant in ``variants`` its
-        on-shell kernel rows, shape ``(2s+1, 2s+1, len(weights))``.  A
-        variant's rows are the kept RIGHT kernel's with the axes that
-        ``REFLECTION[variant]`` negates reversed (the nodes are exactly
-        antisymmetric): a view, copied only to flatten a reversed slab.
-        With no variant the RIGHT kernel is not built."""
-        n, dim = self.nodes, self.two_s + 1
-        if variants and self._right is None:
-            self._right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
-                                              self.two_s, self.points)
-        views = [self._right.reshape(dim, dim, n, n, n)[
-                     :, :, ::sign[0], ::sign[1], ::sign[2]]
-                 for sign in (REFLECTION[v] for v in variants)]
-        for lo, hi in slab_planes(n):
-            rows = slice(lo * n * n, hi * n * n)
-            yield rows, self.weights[rows], [
-                view[:, :, lo:hi].reshape(dim, dim, -1) for view in views]
+        """The grid's :class:`Slab` s in order.  Each slab's points and
+        weights are formed once, and with any variant requested its RIGHT
+        kernel rows are built once from its points; each variant in
+        ``variants`` reads them through :func:`kernels.variant_kernel`."""
+        # formed by _slab, so this generator holds none of a handed-on
+        # slab's arrays while it forms the next one
+        for lo, hi in slab_planes(self.nodes):
+            yield self._slab(lo, hi, variants)
+
+    def _slab(self, lo: int, hi: int, variants) -> Slab:
+        x, w = self.x, self.axis_weights
+        points = np.stack(np.meshgrid(x[lo:hi], x, x, indexing="ij"),
+                          axis=-1).reshape(-1, 3)
+        weights = (w[lo:hi, None, None] * w[None, :, None]
+                   * w[None, None, :]).reshape(-1)
+        kernels = []
+        if variants:
+            right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
+                                        self.two_s, points)
+            kernels = [variant_kernel(right, v) for v in variants]
+        return Slab(lo, hi, points, weights, kernels)
 
     def plan(self, f: TestFunction) -> TensorPlan:
         """f's :class:`TensorPlan` on this grid, after checking that the
@@ -654,48 +678,67 @@ class MomentumQuadrature:
         if any(t.beta > self.max_beta for ts in f.comps for t in ts):
             raise ValueError("function decays slower in momentum than "
                              "the engine's box allows")
-        return TensorPlan(laplace_fourier_transform(f, self.m), *self._grid)
+        return TensorPlan(laplace_fourier_transform(f, self.m), self.x,
+                          self.omega)
 
-    def values(self, plan: TensorPlan, rows: slice) -> np.ndarray:
-        """A planned transform on the grid rows ``rows`` (whole planes, as
-        :meth:`slabs` yields them), shape ``(2s+1, rows)``."""
-        n2 = self.nodes ** 2
-        return plan.mwf.evaluate(
-            self.points[rows], grid=(plan, rows.start // n2, rows.stop // n2))
+    def values(self, plan: TensorPlan, slab: Slab) -> np.ndarray:
+        """A planned transform on one slab, shape ``(2s+1, N)``."""
+        return plan.mwf.evaluate(slab.points, grid=(plan, slab.lo, slab.hi))
 
-    def transform(self, f: TestFunction) -> np.ndarray:
-        """Exact transform of f on the whole grid, shape ``(2s+1, N)``,
-        evaluated once and kept."""
-        if f not in self._transforms:
-            self._transforms[f] = self.values(self.plan(f),
-                                              slice(0, len(self.weights)))
-        return self._transforms[f]
+    def pairings(self, bras, kets, variants) -> np.ndarray:
+        """``<bra_i|ket_j>`` for every variant, shape ``(len(variants),
+        len(bras), len(kets))``, in one pass over the grid.
 
-    def contract(self, ff: np.ndarray, gg: np.ndarray,
-                 variant: KernelVariant) -> complex:
-        """``sum_n w_n conj(ff_u) K_uv gg_v`` for transforms on this grid,
-        summed slab by slab."""
-        total = 0j
-        for rows, w, (kernel,) in self.slabs((variant,)):
-            total += np.einsum("un,uvn,vn,n->", ff[:, rows].conj(), kernel,
-                               gg[:, rows], w)
-        return complex(total)
+        Per slab, each distinct function among ``bras`` and ``kets`` is
+        evaluated once and the kernel rows are built once; per variant the
+        kernel is applied to the kets (:func:`apply_kernel`) and the cross
+        sums ``sum_n w_n conj(bra_u) (K ket)_u`` are one matrix product.
+        """
+        bras, kets, variants = list(bras), list(kets), tuple(variants)
+        funcs = list(dict.fromkeys(bras + kets))
+        plans = [self.plan(f) for f in funcs]
+        at = {f: i for i, f in enumerate(funcs)}
+        bra_at = [at[f] for f in bras]
+        ket_at = [at[f] for f in kets]
+        out = np.zeros((len(variants), len(bras), len(kets)), dtype=complex)
+        for slab in self.slabs(variants):
+            vals = np.stack([self.values(plan, slab) for plan in plans])
+            bra = np.conjugate(vals[bra_at])
+            bra *= slab.weights
+            bra = bra.reshape(len(bras), -1)
+            ket = vals if ket_at == list(range(len(funcs))) else vals[ket_at]
+            del vals
+            for i, kernel in enumerate(slab.kernels):
+                out[i] += bra @ apply_kernel(kernel, ket).reshape(
+                    len(kets), -1).T
+            del slab, bra, ket   # before the next slab forms its own
+        return out
 
 
-def inner_product(quad: MomentumQuadrature, f: TestFunction, g: TestFunction,
-                  variant: KernelVariant) -> complex:
+def inner_product(quad: MomentumQuadrature, f: TestFunction, g,
+                  variant):
     """Reflection-positive inner product <f|g> for one kernel variant.
 
     Computed on the engine's grid as the 3-momentum quadrature of
-    ``conj(F[f]) . (onshell kernel) . F[g]``.
+    ``conj(F[f]) . (onshell kernel) . F[g]``.  With a sequence of kets
+    ``g`` and a sequence of variants, the value is the array of every
+    ``<f|g_j>``, variants along the first axis and kets along the second,
+    all taken in one pass over the grid (:meth:`MomentumQuadrature.pairings`).
     """
-    return quad.contract(quad.transform(f), quad.transform(g), variant)
+    if isinstance(variant, KernelVariant):
+        return complex(quad.pairings([f], [g], (variant,))[0, 0, 0])
+    return quad.pairings([f], g, variant)[:, 0]
+
+
+def root_norm(squared: float) -> float:
+    """``sqrt`` of a squared norm; NaN where it is negative or NaN, so a
+    failure of positivity never reads as a small norm."""
+    return math.sqrt(squared) if squared >= 0.0 else math.nan
 
 
 def norm(quad: MomentumQuadrature, f: TestFunction,
          variant: KernelVariant) -> float:
-    val = inner_product(quad, f, f, variant)
-    return math.sqrt(max(val.real, 0.0))
+    return root_norm(inner_product(quad, f, f, variant).real)
 
 
 @dataclass(frozen=True)
@@ -707,31 +750,27 @@ class GramReport:
     matrix: np.ndarray = field(repr=False, default=None)
 
 
-def gram_matrix(quad: MomentumQuadrature, fs,
-                variant: KernelVariant) -> GramReport:
+def gram_matrix(quad: MomentumQuadrature, fs, variant):
     """Gram matrix G_ij = <f_i|f_j>, the extremes of its Hermitian part's
     spectrum and its Hermiticity defect ``max |G - G^dag|``.
 
-    The engine's cached transforms are paired slab by slab: each slab
-    adds one stacked product of its rows, so the matrix is a weighted sum
+    The matrix comes from :meth:`MomentumQuadrature.pairings`: each slab
+    adds one product of its weighted rows, so the matrix is a weighted sum
     of rank-one positive contributions up to rounding, and the scratch is
-    a few slab-sized stacks rather than full-grid copies.
+    a few slab-sized stacks.  For a sequence of variants the value is one
+    :class:`GramReport` per variant, all from one pass over the grid.
     """
     fs = list(fs)
-    transforms = [quad.transform(f) for f in fs]
-    gram = np.zeros((len(fs), len(fs)), dtype=complex)
-    for rows, w, (kernel,) in quad.slabs((variant,)):
-        stack = np.stack([t[:, rows] for t in transforms])   # (nf, dim, n)
-        mixed = np.einsum("uvn,jvn->jun", kernel, stack)
-        weighted = stack.conj() * w
-        gram += weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
-    herm = float(np.max(np.abs(gram - gram.conj().T)))
-    gram_h = 0.5 * (gram + gram.conj().T)
-    evals = np.linalg.eigvalsh(gram_h)
-    lam_min = float(evals[0])
-    lam_max = float(evals[-1])
-    return GramReport(size=len(fs), min_eig=lam_min, max_eig=lam_max,
-                      hermiticity_defect=herm, matrix=gram)
+    single = isinstance(variant, KernelVariant)
+    grams = quad.pairings(fs, fs, (variant,) if single else variant)
+    reports = []
+    for gram in grams:
+        herm = float(np.max(np.abs(gram - gram.conj().T)))
+        evals = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        reports.append(GramReport(size=len(fs), min_eig=float(evals[0]),
+                                  max_eig=float(evals[-1]),
+                                  hermiticity_defect=herm, matrix=gram))
+    return reports[0] if single else reports
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
 
 * momentum space: ``D^s(p_e . sigma_variant) / (p_e^2 + m^2)``
 * on shell (after the energy contour integral): ``D^s(M_v(p)) / omega`` with
-  ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``: for
-  every variant, the RIGHT matrix ``omega + p.sigma`` at ``REFLECTION[v] * p``
+  ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``, built
+  as the RIGHT kernel ``D^s(omega + p.sigma) / omega`` and read for the
+  other variants at the same momentum through :func:`variant_kernel`
 * position space (s <= 1): derivative polynomial acting on the scalar
   ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``; at s = 1 the polarized ``D^1``
   of its Hessian
 
-:data:`REFLECTION` and :func:`variant_pair_action` follow from the variant
-flags ``dual`` (sigma2-conjugation) and ``left`` (transposition).
+:func:`variant_kernel` and :func:`variant_pair_action` follow from the
+variant flags ``dual`` (sigma2-conjugation) and ``left`` (transposition).
 
 The scalar position kernel is the 4D inverse Fourier transform of
 ``2 / ((2 pi)^4 (p^2 + m^2))``; the prefactor above is fixed by that
@@ -36,11 +37,6 @@ _K_TAIL = 40.0
 
 #: momenta per block of an on-shell kernel build
 POINT_BLOCK = 16384
-
-#: variant -> signs of p at which the RIGHT on-shell matrix is the variant's:
-#: transposition flips p_y, sigma2-conjugation flips p_x and p_z
-REFLECTION = {v: ((-1) ** v.dual, (-1) ** v.left, (-1) ** v.dual)
-              for v in KernelVariant}
 
 
 def _bessel_k01(x):
@@ -128,19 +124,34 @@ def momentum_kernel(variant: KernelVariant, m: float, two_s: int,
     return wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1]) / denom
 
 
+def variant_kernel(right: np.ndarray, variant: KernelVariant) -> np.ndarray:
+    """The variant's on-shell kernel from the RIGHT one at the same momenta,
+    by the variant's two defining involutions: ``left`` transposes (u, v),
+    and ``dual`` conjugates by the signed anti-diagonal ``D^s(i sigma2)``,
+    which reverses both indices with sign ``(-1)^(u + v)``.  Both are exact
+    (index moves and negations), so RIGHT and LEFT are views of ``right``
+    and a dual variant one signed copy."""
+    kernel = right
+    if variant.dual:
+        sign = (-1.0) ** np.arange(len(right))
+        kernel = right[::-1, ::-1] * np.multiply.outer(sign, sign)[..., None]
+    return kernel.swapaxes(0, 1) if variant.left else kernel
+
+
 def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
                         points: np.ndarray) -> np.ndarray:
     """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
-    ``(2s+1, 2s+1, N)``: ``M_v(p)`` is the RIGHT matrix ``omega + p.sigma``
-    at ``REFLECTION[variant] * p``, its entries mass-rescaled.  Filled
-    :data:`POINT_BLOCK` points at a time, so the scratch of the D
-    polynomial and its Kahan sums is block-sized."""
+    ``(2s+1, 2s+1, N)``.  The RIGHT kernel ``D^s(omega + p.sigma) / omega``,
+    its entries mass-rescaled, is filled :data:`POINT_BLOCK` points at a
+    time, so the scratch of the D polynomial and its Kahan sums is
+    block-sized; the other variants are read from it at the same momenta
+    (:func:`variant_kernel`).  Those equal ``D^s`` of the RIGHT matrix at
+    the reflected momentum (``left`` flips p_y, ``dual`` p_x and p_z) up
+    to the rounding of the D polynomial, none at ``2s <= 1``."""
     points = np.asarray(points, dtype=float)
     out = np.empty((two_s + 1, two_s + 1, len(points)), dtype=complex)
     for lo in range(0, len(points), POINT_BLOCK):
         p = points[lo:lo + POINT_BLOCK]
-        if min(REFLECTION[variant]) < 0:
-            p = p * REFLECTION[variant]
         omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
         x, y, z = p.T
         D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
@@ -148,7 +159,7 @@ def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
         D *= m ** two_s
         D /= omega
         out[..., lo:lo + POINT_BLOCK] = D
-    return out
+    return variant_kernel(out, variant)
 
 
 def onshell_kernel(variant: KernelVariant, m: float, two_s: int,

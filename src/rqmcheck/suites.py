@@ -427,8 +427,8 @@ def suite_positivity(cfg: RunConfig):
                 rng = _rng(seed * 7919 + ts)
                 fs = positivity_family(rng, ts, cfg.gram_size)
                 quad = hl.MomentumQuadrature(fs, m, cfg.gram_nodes)
-                for variant in cfg.variants:
-                    rep = hl.gram_matrix(quad, fs, variant)
+                reps = hl.gram_matrix(quad, fs, cfg.variants)
+                for variant, rep in zip(cfg.variants, reps):
                     measured = worst_of(0.0, -rep.min_eig
                                         / worst_of(1.0, rep.max_eig))
                     out.append(cfg.report(
@@ -504,9 +504,9 @@ def suite_semigroup(cfg: RunConfig):
                                         shared_envelope=True)
             for m in cfg.masses:
                 quad = hl.MomentumQuadrature((f,), m, 48)
-                for variant in cfg.variants:
-                    measured, details = gn.semigroup_contraction_check(
-                        quad, f, variant, [0.0, 0.1 / m, 0.5 / m, 1.0 / m])
+                checks = gn.semigroup_contraction_check(
+                    quad, f, cfg.variants, [0.0, 0.1 / m, 0.5 / m, 1.0 / m])
+                for variant, (measured, details) in zip(cfg.variants, checks):
                     out.append(cfg.report(
                         "semigroup_contraction", "semigroup", measured,
                         {"seed": seed, "two_s": ts, "m": m,
@@ -587,14 +587,15 @@ def suite_casimir(cfg: RunConfig):
                     rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
                     center_scale=0.3, beta_range=(0.3, 0.6)) for _ in range(2))
                 quad = hl.MomentumQuadrature((f, g), m, 48)
-                for variant in cfg.variants:
+                pairings = gn.casimir_pairings(quad, f, g, cfg.variants)
+                for variant, pairing in zip(cfg.variants, pairings):
                     out.append(cfg.report(
                         "mass_casimir", "casimir",
-                        gn.mass_casimir_check(quad, f, g, variant),
+                        gn.casimir_residual(pairing, m),
                         {"seed": seed, "m": m, "two_s": ts,
                          "variant": variant.value}))
-                neg = gn.mass_casimir_check(quad, f, g, cfg.variants[0],
-                                            test_mass=2.0 * m)
+                # the negative control reuses the first variant's pairings
+                neg = gn.casimir_residual(pairings[0], 2.0 * m)
                 out.append(cfg.report(
                     "mass_casimir_negative_control", "casimir", neg,
                     {"seed": seed, "m": m, "two_s": ts,

@@ -172,27 +172,59 @@ def wigner_d_power_table(two_s: int, a, b, c, d) -> np.ndarray:
 # full-grid contractions: every pairing as one product over the whole grid
 # ---------------------------------------------------------------------------
 
-def full_grid_kernel(quad, variant):
-    """The variant's on-shell kernel on the whole grid, built directly at
-    the reflected points rather than read from the RIGHT kernel."""
-    from rqmcheck.kernels import onshell_kernel_grid
+def reflection(variant) -> np.ndarray:
+    """Signs of p at which the RIGHT on-shell matrix ``omega + p.sigma`` is
+    the variant's: transposition flips p_y, sigma2-conjugation flips p_x
+    and p_z."""
+    return np.array([(-1.0) ** variant.dual, (-1.0) ** variant.left,
+                     (-1.0) ** variant.dual])
 
-    return onshell_kernel_grid(variant, quad.m, quad.two_s, quad.points)
+
+def grid_points(quad):
+    """The engine's whole grid, ``(N, 3)`` points and ``(N,)`` weights,
+    formed here from ``tensor_grid`` (the engine keeps only its axes)."""
+    from rqmcheck.hilbert import tensor_grid
+
+    x, w = tensor_grid(quad.box, quad.nodes)
+    points = np.stack(np.meshgrid(x, x, x, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+    weights = (w[:, None, None] * w[None, :, None]
+               * w[None, None, :]).reshape(-1)
+    return points, weights
+
+
+def engine_values(quad, f) -> np.ndarray:
+    """f's transform on the engine's whole grid, shape ``(2s+1, N)``: its
+    slab values joined."""
+    plan = quad.plan(f)
+    return np.concatenate([quad.values(plan, slab)
+                           for slab in quad.slabs(())], axis=-1)
+
+
+def full_grid_kernel(quad, variant):
+    """The variant's on-shell kernel on the whole grid, built as the RIGHT
+    kernel at the reflected points rather than read from the RIGHT kernel
+    at the same points."""
+    from rqmcheck.kernels import KernelVariant, onshell_kernel_grid
+
+    points = grid_points(quad)[0] * reflection(variant)
+    return onshell_kernel_grid(KernelVariant.RIGHT, quad.m, quad.two_s,
+                               points)
 
 
 def contract_full_grid(quad, ff, gg, variant) -> complex:
     """``sum_n w_n conj(ff_u) K_uv gg_v`` in one einsum."""
     return complex(np.einsum("un,uvn,vn,n->", ff.conj(),
                              full_grid_kernel(quad, variant), gg,
-                             quad.weights))
+                             grid_points(quad)[1]))
 
 
 def gram_full_grid(quad, fs, variant) -> np.ndarray:
     """Gram matrix ``<f_i|f_j>`` from one stacked product of whole-grid
     transforms."""
-    stack = np.stack([quad.transform(f) for f in fs])   # (nf, dim, N)
+    stack = np.stack([engine_values(quad, f) for f in fs])   # (nf, dim, N)
     mixed = np.einsum("uvn,jvn->jun", full_grid_kernel(quad, variant), stack)
-    weighted = stack.conj() * quad.weights
+    weighted = stack.conj() * grid_points(quad)[1]
     return weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
 
 
@@ -214,14 +246,14 @@ def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
     for idx, (f, g) in enumerate(pairs):
         for name in names:
             quad = quads[grid_of[name]]
-            ff, gg = quad.transform(f), quad.transform(g)
-            a_f = quad.transform(gn.apply_generator_orbital(name, f))
-            a_g = quad.transform(gn.apply_generator_orbital(name, g))
+            weights = grid_points(quad)[1]
+            ff, gg = engine_values(quad, f), engine_values(quad, g)
+            a_f = engine_values(quad, gn.apply_generator_orbital(name, f))
+            a_g = engine_values(quad, gn.apply_generator_orbital(name, g))
             for variant in variants:
                 kernel = full_grid_kernel(quad, variant)
-                bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel,
-                                quad.weights)
-                ket = np.einsum("uvn,vn,n->un", kernel, gg, quad.weights)
+                bra = np.einsum("un,uvn,n->vn", ff.conj(), kernel, weights)
+                ket = np.einsum("uvn,vn,n->un", kernel, gg, weights)
                 spin_lhs = bra @ gg.T
                 spin_rhs = np.array([[np.vdot(ff[v], ket[u])
                                       for v in range(len(ff))]
@@ -236,14 +268,14 @@ def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
 def irrep_inner_full_grid(a, b) -> complex:
     """``IrrepState`` inner product from both states evaluated on a's
     whole grid at once, in one einsum."""
-    pts, wts = a.quad.points, a.quad.weights
+    pts, wts = grid_points(a.quad)
     return complex(np.einsum("un,un,n->", a.evaluate(pts).conj(),
                              b.evaluate(pts), wts))
 
 
 def irrep_distance_full_grid(a, b) -> float:
     """``sqrt(sum_n w_n |a - b|^2)`` over a's whole grid, in one einsum."""
-    pts, wts = a.quad.points, a.quad.weights
+    pts, wts = grid_points(a.quad)
     diff = a.evaluate(pts) - b.evaluate(pts)
     return math.sqrt(float(np.einsum("un,n->", np.abs(diff) ** 2, wts)))
 

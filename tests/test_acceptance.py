@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import radial_position_kernel
+from oracles import grid_points, radial_position_kernel
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import kernels as kr
@@ -134,8 +134,7 @@ def test_acceptance_reflection_positivity():
             rng = np.random.default_rng(seed * 7919 + two_s)
             fs = su.positivity_family(rng, two_s, 20)
             quad = hl.MomentumQuadrature(fs, 1.0, 40)
-            for variant in KV:
-                rep = hl.gram_matrix(quad, fs, variant)
+            for rep in hl.gram_matrix(quad, fs, tuple(KV)):
                 assert rep.hermiticity_defect <= 1e-10 * max(
                     abs(rep.max_eig), 1.0)
                 worst = max(worst, -rep.min_eig / max(1.0, rep.max_eig))
@@ -179,8 +178,8 @@ def test_acceptance_contraction_semigroup():
     f = hl.random_test_function(rng, two_s=0, terms_per_component=2,
                                 min_k=1, max_k=2, center_scale=0.3,
                                 beta_range=(0.3, 0.6), shared_envelope=True)
-    violation, details = gn.semigroup_contraction_check(
-        hl.MomentumQuadrature((f,), 1.0, 48), f, KV.RIGHT,
+    [(violation, details)] = gn.semigroup_contraction_check(
+        hl.MomentumQuadrature((f,), 1.0, 48), f, (KV.RIGHT,),
         [0.0, 0.1, 0.3, 0.5, 1.0])
     ratios = details["ratios"]
     assert all(b < a for a, b in zip(ratios[1:], ratios[2:])), ratios
@@ -212,7 +211,7 @@ def test_acceptance_irrep_group_law_unitarity():
                                 tau0_max=0.3, shared_envelope=True)
     coarse = gn.state_from_test_function(f, 1.0, nodes=40)
     fine = gn.state_from_test_function(f, 1.0, nodes=72)
-    pts, wts = coarse.quad.points, coarse.quad.weights
+    pts, wts = grid_points(coarse.quad)
     n0 = coarse.norm()
     n_fine = fine.norm()
     worst = 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (apply_generator_chain, apply_generator_orbital_chain,
-                     commutator_residual_by_construction)
+                     commutator_residual_by_construction, grid_points)
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import spacetime as st
@@ -442,14 +442,54 @@ def test_semigroup_contraction():
                                 min_k=1, max_k=2, center_scale=0.3,
                                 beta_range=(0.3, 0.6), shared_envelope=True)
     quad = hl.MomentumQuadrature((f,), 1.0, 48)
-    violation, details = gn.semigroup_contraction_check(
-        quad, f, KV.RIGHT, [0.0, 0.1, 0.5, 1.0])
+    [(violation, details)] = gn.semigroup_contraction_check(
+        quad, f, (KV.RIGHT,), [0.0, 0.1, 0.5, 1.0])
     assert violation <= 1e-10, violation
     ratios = details["ratios"]
     assert abs(ratios[0] - 1.0) < 1e-12
     assert ratios[1] > ratios[2] > ratios[3] > 0.0
     assert all(r <= 1.0 + 1e-10 for r in ratios)
     assert details["gap_ratio"] <= 10.0 * np.exp(-10.0)
+
+
+@pytest.mark.parametrize("rank", [1, 2], ids=["gap-shift", "last-shift"])
+def test_negative_shifted_norm_fails_semigroup(monkeypatch, rank):
+    """A shifted function whose squared norm reads negative breaks
+    reflection positivity: its ratio must be NaN and fail the check,
+    never a 0 that passes the contraction, monotonicity and gap tests.
+    ``rank`` picks the shift from the largest: the 10/m gap shift or the
+    last of the suite's shifts."""
+    from rqmcheck import suites as su
+
+    pairings = hl.MomentumQuadrature.pairings
+
+    def start(h):
+        return min(t.tau0 for ts in h.comps for t in ts)
+
+    def negated(self, bras, kets, variants):
+        out = pairings(self, bras, kets, variants)
+        target = sorted({start(h) for h in bras})[-rank]
+        for i, h in enumerate(bras):
+            if start(h) == target:
+                out[:, i, i] = -out[:, i, i]
+        return out
+
+    monkeypatch.setattr(hl.MomentumQuadrature, "pairings", negated)
+    reports = su.suite_semigroup(su.RunConfig(suites=("semigroup",),
+                                              two_spins=(0,)))
+    assert len(reports) == len(su.ALL_VARIANTS)
+    for r in reports:
+        assert r.name == "semigroup_contraction"
+        assert math.isnan(r.measured) and not r.passed, r
+
+
+def test_norm_of_negative_square_is_nan(monkeypatch):
+    pairings = hl.MomentumQuadrature.pairings
+    monkeypatch.setattr(hl.MomentumQuadrature, "pairings",
+                        lambda *args: -pairings(*args))
+    f = hl.gaussian_packet(beta=0.5)
+    assert math.isnan(hl.norm(hl.MomentumQuadrature([f], 1.0, 8), f,
+                              KV.RIGHT))
 
 
 def test_boost_wedge_check():
@@ -490,7 +530,7 @@ def test_irrep_group_law_and_unitarity():
                                 tau0_max=0.3, shared_envelope=True)
     coarse = gn.state_from_test_function(f, 1.0, nodes=40)
     fine = gn.state_from_test_function(f, 1.0, nodes=72)
-    pts, wts = coarse.quad.points, coarse.quad.weights
+    pts, wts = grid_points(coarse.quad)
     n0 = coarse.norm()
     for _ in range(3):
         L = (st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 1.2))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import transform_quadrature
+from oracles import engine_values, grid_points, transform_quadrature
 from rqmcheck import hilbert as hl
 from rqmcheck.generators import apply_generator_orbital
 from rqmcheck.kernels import onshell_kernel_grid
@@ -168,9 +168,12 @@ def test_engine_kernels_equal_direct_builds(monkeypatch, nodes):
         quad = hl.MomentumQuadrature([f], m, nodes)
         slabs = list(quad.slabs(tuple(KV)))
         assert len(slabs) == (nodes + 1) // 2
+        points = grid_points(quad)[0]
+        assert np.array_equal(np.concatenate([s.points for s in slabs]),
+                              points)
         for i, v in enumerate(KV):
-            direct = onshell_kernel_grid(v, m, two_s, quad.points)
-            rows = np.concatenate([kernels[i] for _, _, kernels in slabs],
+            direct = onshell_kernel_grid(v, m, two_s, points)
+            rows = np.concatenate([slab.kernels[i] for slab in slabs],
                                   axis=-1)
             assert np.array_equal(rows, direct), (two_s, v)
 
@@ -186,12 +189,12 @@ def test_momentum_quadrature_validation():
     quad = hl.MomentumQuadrature((f0,), 1.0, 8)
     assert quad.two_s == 0
     with pytest.raises(ValueError):
-        quad.transform(f1)
+        quad.plan(f1)
     # a larger beta decays slower in momentum than the box was sized for
     with pytest.raises(ValueError):
-        quad.transform(f0 + hl.gaussian_packet(beta=0.7))
+        quad.plan(f0 + hl.gaussian_packet(beta=0.7))
     # derivatives and shifts keep every beta, so they stay pairable
-    assert quad.transform(f0.d_x(0).shift_time(0.3)).shape == (1, 8 ** 3)
+    assert engine_values(quad, f0.d_x(0).shift_time(0.3)).shape == (1, 8 ** 3)
 
 
 def test_function_without_terms_does_not_widen_grid():
@@ -199,7 +202,8 @@ def test_function_without_terms_does_not_widen_grid():
     alone = hl.MomentumQuadrature([f], 1.0, 8)
     with_zero = hl.MomentumQuadrature([f, f - f], 1.0, 8)
     assert with_zero.max_beta == alone.max_beta == 0.3
-    assert np.array_equal(with_zero.points, alone.points)
+    assert with_zero.box == alone.box
+    assert np.array_equal(with_zero.x, alone.x)
     assert hl.momentum_box([f, f - f], 1.0) == hl.momentum_box([f], 1.0)
 
 
@@ -224,12 +228,13 @@ def _refuse(*args):
 def test_tensor_grid_transform_matches_pointwise(monkeypatch, two_s, nodes):
     fs = _transform_cases(two_s)
     quad = hl.MomentumQuadrature(fs, 1.3, nodes)
+    points = grid_points(quad)[0]
     for f in fs:
-        want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
+        want = hl.laplace_fourier_transform(f, 1.3).evaluate(points)
         with monkeypatch.context() as patch:
             patch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
                           _refuse)
-            got = quad.transform(f)
+            got = engine_values(quad, f)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -242,8 +247,8 @@ def test_slabbed_transform_matches_pointwise(nodes, one_slab):
     assert one_slab or nodes % planes != 0
     f = _transform_cases(1)[0]
     quad = hl.MomentumQuadrature([f], 1.3, nodes)
-    got = quad.transform(f)
-    want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
+    got = engine_values(quad, f)
+    want = hl.laplace_fourier_transform(f, 1.3).evaluate(grid_points(quad)[0])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -261,7 +266,7 @@ def test_term_blocks_split_large_groups(monkeypatch):
     whole = quad.plan(f).fill(0, 20)
     monkeypatch.setattr(hl, "TERM_BLOCK", 5)
     blocked = quad.plan(f).fill(0, 20)
-    want = hl.laplace_fourier_transform(f, 1.3).evaluate(quad.points)
+    want = hl.laplace_fourier_transform(f, 1.3).evaluate(grid_points(quad)[0])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(blocked - want)) <= 1e-13 * scale
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * scale
@@ -273,21 +278,23 @@ def test_engine_grid_equals_recognized_grid(monkeypatch, nodes):
     quad = hl.MomentumQuadrature(fs, 1.3, nodes)
     # the grid read off the points: point i n^2 + j n + k is
     # (x_i, x_j, x_k), and omega is sqrt(m^2 + |p|^2) there
-    x = quad.points[:nodes, 2]
-    cube = quad.points.reshape(nodes, nodes, nodes, 3)
+    points = grid_points(quad)[0]
+    x = points[:nodes, 2]
+    assert np.array_equal(x, quad.x)
+    cube = points.reshape(nodes, nodes, nodes, 3)
     assert (cube[..., 0] == x[:, None, None]).all()
     assert (cube[..., 1] == x[None, :, None]).all()
     assert (cube[..., 2] == x[None, None, :]).all()
     omega = hl._tensor_omega(x, 1.3)
     assert np.allclose(omega, np.sqrt(1.3 ** 2 + np.einsum(
-        "ni,ni->n", quad.points, quad.points)), rtol=1e-15, atol=0)
+        "ni,ni->n", points, points)), rtol=1e-15, atol=0)
     recognized = [hl.TensorPlan(hl.laplace_fourier_transform(f, 1.3), x,
                                 omega).fill(0, nodes) for f in fs]
     # the engine hands its grid over: no pointwise path
     monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
                         _refuse)
     for f, want in zip(fs, recognized):
-        assert np.array_equal(quad.transform(f), want)
+        assert np.array_equal(engine_values(quad, f), want)
 
 
 def test_shifted_overlap_decreases():
@@ -347,7 +354,7 @@ def test_momentum_quadrature_matches_inner_product_and_gram():
     gram = hl.gram_matrix(quad, fs, KV.LEFT).matrix
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(gram - direct)) <= 1e-14 * scale
-    # cached transforms give the same pairing as a fresh engine
+    # a pairing alone on a fresh engine gives the same value
     fresh = hl.MomentumQuadrature(fs, 1.0, nodes=40)
     assert hl.inner_product(fresh, fs[0], fs[1], KV.LEFT) == direct[0, 1]
 

@@ -130,6 +130,40 @@ def test_onshell_kernel_grid_matches_euclidean_oracle():
                     assert rel < 1e-14, (v, two_s, m, p, rel)
 
 
+#: largest difference, in units of the point's largest entry, between a
+#: variant read from the RIGHT kernel and D^s at the reflected momentum:
+#: the D polynomial rounds differently once its entries are sums (2s >= 2);
+#: 2.7 ulp measured over 2s = 2-8 and |p| up to 100
+VARIANT_ULPS = 4
+
+
+@pytest.mark.parametrize("two_s", range(9))
+def test_variant_kernels_equal_reflected_momentum_builds(two_s):
+    """Each variant's kernel, read from the RIGHT one at the same momenta
+    through transposition (left) and the signed anti-diagonal (dual),
+    equals D^s(omega + p.sigma) / omega at the reflected momentum: left
+    flips p_y, dual flips p_x and p_z.  Bit for bit at 2s <= 1."""
+    rng = np.random.default_rng(60 + two_s)
+    points = np.vstack([np.zeros(3), 10.0 * np.eye(3)]
+                       + [rng.normal(size=(200, 3)) * scale
+                          for scale in (0.1, 1.0, 5.0, 20.0)])
+    m = 1.3
+    for v in KV:
+        got = kr.onshell_kernel_grid(v, m, two_s, points)
+        q = points * [(-1.0) ** v.dual, (-1.0) ** v.left, (-1.0) ** v.dual]
+        omega = np.sqrt(m * m + np.einsum("ni,ni->n", q, q))
+        x, y, z = q.T
+        want = spin.wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
+                                     (x + 1j * y) / m, (omega - z) / m)
+        want *= m ** two_s
+        want /= omega
+        if two_s <= 1:
+            assert np.array_equal(got, want), v
+        ulps = (np.max(np.abs(got - want), axis=(0, 1))
+                / np.max(np.abs(want), axis=(0, 1)) / np.finfo(float).eps)
+        assert np.max(ulps) <= VARIANT_ULPS, (v, np.max(ulps))
+
+
 def test_onshell_positive_hermitian_all_variants():
     rng = np.random.default_rng(1)
     for _ in range(100):

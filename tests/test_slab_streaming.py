@@ -1,6 +1,6 @@
 """Pairings streamed through grid slabs against whole-grid products.
 
-``MomentumQuadrature.contract``, ``gram_matrix``,
+``MomentumQuadrature.pairings``, ``gram_matrix``,
 ``generators.hermiticity_defects`` and ``IrrepState.inner`` and
 ``.distance`` sum over the grid one slab of first-axis planes at a time.
 Each is compared with the one-product oracle in ``oracles.py`` with the
@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import (contract_full_grid, gram_full_grid,
+from oracles import (contract_full_grid, engine_values, gram_full_grid,
                      hermiticity_rows_full_grid, irrep_distance_full_grid,
                      irrep_inner_full_grid)
 from rqmcheck import generators as gn
@@ -40,15 +40,20 @@ def test_streamed_gram_and_contract_match_full_grid(monkeypatch, two_s,
     monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
     fs = su.positivity_family(np.random.default_rng(40 + two_s), two_s, 4)
     quad = hl.MomentumQuadrature(fs, 1.2, NODES)
-    for variant in KV:
-        got = hl.gram_matrix(quad, fs, variant).matrix
+    variants = tuple(KV)
+    grams = hl.gram_matrix(quad, fs, variants)
+    # bras and kets that differ and overlap, in one pass
+    cross = quad.pairings(fs[:2], fs[1:], variants)
+    values = [engine_values(quad, f) for f in fs]
+    for variant, rep, pairs in zip(variants, grams, cross):
         want = gram_full_grid(quad, fs, variant)
         for i in range(len(fs)):
             for j in range(len(fs)):
-                assert_close(got[i, j], want[i, j])
-                ff, gg = quad.transform(fs[i]), quad.transform(fs[j])
-                assert_close(quad.contract(ff, gg, variant),
-                             contract_full_grid(quad, ff, gg, variant))
+                assert_close(rep.matrix[i, j], want[i, j])
+        for i in range(2):
+            for j in range(len(fs) - 1):
+                assert_close(pairs[i, j], contract_full_grid(
+                    quad, values[i], values[j + 1], variant))
 
 
 @SLABBINGS
@@ -66,7 +71,9 @@ def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
 
 def test_hermiticity_pair_memory_is_slab_bounded():
     # the whole-grid form held 14 transforms, kernel copies and kernel
-    # build scratch at once: a 478 MB peak for this pair
+    # build scratch at once: a 478 MB peak for this pair; with a kept
+    # RIGHT kernel and point array, 98 MB.  Slab-built kernel rows
+    # measure 27.5 MB; the pin leaves 7.5 MB for allocator variation
     pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
     tracemalloc.start()
     try:
@@ -75,7 +82,23 @@ def test_hermiticity_pair_memory_is_slab_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120e6, peak / 1e6
+    assert peak < 35e6, peak / 1e6
+
+
+def test_gram_pass_memory_is_slab_bounded():
+    # all four variants' Gram matrices of eight spin-1 functions on 40^3
+    # points in one pass: 28.3 MB measured, where kept whole-grid
+    # transforms and a kept RIGHT kernel peaked at 67 MB; the pin leaves
+    # 7.7 MB for allocator variation
+    fs = su.positivity_family(np.random.default_rng(0), 2, 8)
+    quad = hl.MomentumQuadrature(fs, 1.0, 40)
+    tracemalloc.start()
+    try:
+        hl.gram_matrix(quad, fs, tuple(KV))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6, peak / 1e6
 
 
 def _irrep_state(rng, two_s, nodes):

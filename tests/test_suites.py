@@ -24,26 +24,39 @@ SMALL = dict(two_spins=(0,), variants=(KV.RIGHT, KV.LEFT), seeds=(0, 1),
     ("semigroup", 5),    # f and its four nonzero time shifts
 ])
 def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
-    counts = Counter()
+    """Per family one grid of N points, each function's transform
+    evaluated once at each of them and the on-shell kernel built at N
+    points in all: every variant and pairing shares one walk of the grid."""
+    transform_points = Counter()
+    kernel_points, grids = [], []
+    evaluate = hl.MomentumWaveFunction.evaluate
+    build_kernel, build_grid = hl.onshell_kernel_grid, hl.tensor_grid
 
-    def counted(owner, name, key):
-        fn = getattr(owner, name)
+    def counted_evaluate(mwf, points, grid=None):
+        transform_points[mwf] += len(points)
+        return evaluate(mwf, points, grid=grid)
 
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
+    def counted_kernel(variant, m, two_s, points):
+        kernel_points.append(len(points))
+        return build_kernel(variant, m, two_s, points)
 
-    counted(hl.MomentumWaveFunction, "evaluate", "transforms")
-    counted(hl, "onshell_kernel_grid", "kernels")
-    counted(hl, "tensor_grid", "grids")
+    def counted_grid(box, nodes):
+        grids.append(nodes)
+        return build_grid(box, nodes)
+
+    monkeypatch.setattr(hl.MomentumWaveFunction, "evaluate",
+                        counted_evaluate)
+    monkeypatch.setattr(hl, "onshell_kernel_grid", counted_kernel)
+    monkeypatch.setattr(hl, "tensor_grid", counted_grid)
     cfg = su.RunConfig(suites=(suite,), **SMALL)
     reports = su.SUITES[suite][0](cfg)
     assert reports
     families = len(cfg.seeds) * len(cfg.masses) * len(cfg.two_spins)
-    assert counts == {"transforms": families * transforms_per_family,
-                      "kernels": families,
-                      "grids": families}
+    nodes = cfg.gram_nodes if suite == "positivity" else 48
+    assert grids == [nodes] * families
+    assert sum(kernel_points) == families * nodes ** 3
+    assert len(transform_points) == families * transforms_per_family
+    assert set(transform_points.values()) == {nodes ** 3}
 
 
 def test_gram_reports_carry_hermiticity_defect():
@@ -86,8 +99,8 @@ def test_worst_of_keeps_nan():
     (kr, "check_factorization", "kernels", ("onshell_factorization",), 0),
     (kr, "check_kernel_covariance", "kernels", ("kernel_covariance",), 0),
     (gn, "_commutator_residual", "generators", ("lie_algebra",), 0),
-    # one report per call: the first report holds the first call alone
-    (gn, "mass_casimir_check", "casimir", ("mass_casimir",), 1),
+    # one residual per report: the first report holds the first alone
+    (gn, "casimir_residual", "casimir", ("mass_casimir",), 1),
 ], ids=["wigner", "kernels-factorization", "kernels-covariance",
         "generators", "casimir"])
 def test_nan_measurement_inside_a_running_worst_fails(

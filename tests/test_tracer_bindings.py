@@ -52,3 +52,38 @@ def test_tracer_reaches_the_shared_lie_algebra_images(monkeypatch):
         bindings.restore()
     assert tracer.counts["generators.algebra.calls"] == 100 + 45
     assert traced == gn.lie_algebra_residuals(f)
+
+
+def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
+    """One small positivity + hermiticity + casimir call reads nonzero on
+    every tracer metric that ``perfbench/selftest.py`` requires of the
+    grid-quadrature workload (the ``suite_s`` times come from the
+    benchmark's suite timer, not the tracer): a refactor that stops
+    reaching ``inner_product``, ``gram_matrix``, ``tensor_grid``, the
+    on-shell kernel or ``run_hermiticity_matrix`` fails here, not only in
+    the minutes-long self-test."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+    from tracer import Bindings, Tracer, install
+
+    from rqmcheck import suites as su
+    from rqmcheck.spacetime import KernelVariant as KV
+
+    cfg = su.RunConfig(suites=("positivity", "hermiticity", "casimir"),
+                       two_spins=(0, 1), variants=(KV.RIGHT, KV.LEFT_DUAL),
+                       gram_size=3, gram_nodes=12, hermiticity_pairs=1)
+    tracer, bindings = Tracer(), Bindings()
+    install(tracer, bindings)
+    try:
+        reports, _ = tracer.root(su.run_suites)(cfg)
+    finally:
+        bindings.restore()
+    assert reports and all(r.passed for r in reports)
+    metrics = tracer.metrics()
+    required = [m for m in selftest.NONZERO["grid-quadrature"]
+                if not m.startswith("suite_s.")]
+    for name in ("hilbert.inner_product.self_s", "hilbert.gram_matrix.self_s",
+                 "hilbert.tensor_grid.calls", "kernels.onshell_grid.s",
+                 "suites.run_hermiticity_matrix.self_s"):
+        assert name in required
+    assert not [m for m in required if not metrics.get(m)], metrics

@@ -25,10 +25,10 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
-                      apply_kernel, inner_product, laplace_fourier_transform,
-                      position_inner_product_mc, root_norm, rotate_pointwise,
-                      tensor_grid, then)
+from .hilbert import (MomentumQuadrature, SlabScratch, Term, TestFunction,
+                      _merge, apply_kernel, inner_product,
+                      laplace_fourier_transform, position_inner_product_mc,
+                      root_norm, rotate_pointwise, tensor_grid, then)
 from .kernels import KernelVariant
 from .report import worst_of
 from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
@@ -242,18 +242,22 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
     are built over every pair function, and each is walked once (see
     :meth:`MomentumQuadrature.slabs`): a slab's kernel rows are built once
-    for all pairs, and each pair's f, g and orbital images are evaluated
-    on the slab, take their share of every sum below for every variant
-    and generator, and are freed before the next pair's.  Beyond the
-    engines' axis grids and ``omega`` cubes, memory is a few slab-sized
-    arrays and every pair's :class:`TensorPlan`.  Per slab and variant the
+    for all pairs.  Each pair has one :class:`TensorPlan` per engine that
+    stacks f, g and their orbital images, so one ``evaluate`` call per
+    slab fills them all into a value block, which then takes its share of
+    every sum below for every variant and generator.  Beyond the engines'
+    axis grids and ``omega`` cubes, memory is every pair's plan and a few
+    slab-sized buffers that the walk reuses for every pair and slab (one
+    :class:`hilbert.SlabScratch` per engine).  Per slab and variant the
     kernel is applied once to each side (:func:`hilbert.apply_kernel`;
     the bra side through the transposed rows):
     ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
     Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
     and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
     (conj(F[f]_v) . ket_u)``: two dot products per generator, plus the
-    small spin sums.  Rows are ``(pair index, name, variant, lhs, rhs,
+    small spin sums.  The sums against ``ket`` are taken as conjugates of
+    sums against ``conj(ket)``, so only the ket is conjugated, in place.
+    Rows are ``(pair index, name, variant, lhs, rhs,
     |lhs - rhs| / (|lhs| + |rhs|))``, in the order of ``pairs``,
     ``names`` and ``variants``.
     """
@@ -264,35 +268,43 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
              for n in set(grid_of.values())}
     two_s = functions[0].two_s
     found = {}
+    dim = two_s + 1
     for n_nodes, quad in quads.items():
         own = [name for name in names if grid_of[name] == n_nodes]
-        plans = [[quad.plan(h) for h in (f, g)]
-                 + [quad.plan(apply_generator_orbital(name, h))
-                    for h in (f, g) for name in own] for f, g in pairs]
+        scratch = SlabScratch()
+        # per pair: f, g, then the orbital images of f, then those of g
+        plans = [quad.plan([f, g] + [apply_generator_orbital(name, h)
+                                     for h in (f, g) for name in own],
+                           scratch) for f, g in pairs]
         # per pair and variant: the spin sums (bra_u . F[g]_v,
         # conj(F[f]_v) . ket_u) and each generator's two orbital products
-        spin = np.zeros((len(pairs), len(variants), 2, two_s + 1, two_s + 1),
+        spin = np.zeros((len(pairs), len(variants), 2, dim, dim),
                         dtype=complex)
         orbital = np.zeros((len(pairs), len(variants), 2, len(own)),
                            dtype=complex)
         for slab in quad.slabs(variants):
-            w = slab.weights
-            for idx, pair_plans in enumerate(plans):
-                ff, gg, *images = [quad.values(plan, slab)
-                                   for plan in pair_plans]
-                ffc = ff.conj()
-                a_fc = np.stack(images[:len(own)]).reshape(len(own), -1).conj()
-                a_g = np.stack(images[len(own):]).reshape(len(own), -1)
-                del images
-                bra_w, ket_w = (ffc * w)[None], (gg * w)[None]
+            w, size = slab.weights, len(slab.weights)
+            bra_w, ket_w, bra, ket = (scratch(name, 1, dim, size) for name in
+                                      ("bra_w", "ket_w", "bra", "ket"))
+            row = scratch("row", size)
+            for idx, plan in enumerate(plans):
+                vals = quad.values(plan, slab,
+                                   scratch("values", plan.dim, size))
+                vals = vals.reshape(-1, dim, size)
+                ff, gg = vals[0], vals[1]
+                a_f = vals[2:2 + len(own)].reshape(len(own), -1)
+                a_g = vals[2 + len(own):].reshape(len(own), -1)
+                np.multiply(np.conjugate(ff, out=bra_w[0]), w, out=bra_w[0])
+                np.multiply(gg, w, out=ket_w[0])
                 for i, kernel in enumerate(slab.kernels):
-                    bra = apply_kernel(kernel.swapaxes(0, 1), bra_w)[0]
-                    ket = apply_kernel(kernel, ket_w)[0]
-                    spin[idx, i, 0] += bra @ gg.T
-                    spin[idx, i, 1] += ket @ ffc.T
+                    apply_kernel(kernel.swapaxes(0, 1), bra_w, bra, row)
+                    apply_kernel(kernel, ket_w, ket, row)
+                    spin[idx, i, 0] += bra[0] @ gg.T
                     orbital[idx, i, 0] += a_g @ bra.ravel()
-                    orbital[idx, i, 1] += a_fc @ ket.ravel()
-                del ff, gg, ffc, a_fc, a_g   # before the next pair's
+                    np.conjugate(ket, out=ket)
+                    spin[idx, i, 1] += (ket[0] @ ff.T).conj()
+                    orbital[idx, i, 1] += (a_f @ ket.ravel()).conj()
+            del slab   # before the next slab forms its own
         for idx in range(len(pairs)):
             for i, variant in enumerate(variants):
                 for j, name in enumerate(own):
@@ -466,7 +478,9 @@ class IrrepState:
                              for a, b, w in self._slab_values(other)))
 
     def norm(self) -> float:
-        return math.sqrt(max(self.inner(self).real, 0.0))
+        """``sqrt`` of :meth:`inner` with itself; NaN where that is
+        negative or NaN (:func:`hilbert.root_norm`)."""
+        return root_norm(self.inner(self).real)
 
 
 def state_from_test_function(f: TestFunction, m: float,

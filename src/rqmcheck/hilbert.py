@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import (onshell_kernel_grid, scalar_position_kernel,
-                      variant_kernel)
+                      variant_kernels)
 from .spacetime import KernelVariant
 
 TWO_PI = 2.0 * np.pi
@@ -39,7 +39,7 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_NODES = 96
 
 #: points per slab of the tensor grid: whole planes of the first axis, so
-#: that a slab's radial factor, pole and group block (about 0.5 MB
+#: that a slab's radial factor, pole and group block (about 0.75 MB
 #: together) stay in cache while every term group adds into it, and every
 #: pairing's scratch is slab-sized
 SLAB_POINTS = 16384
@@ -360,7 +360,9 @@ def random_test_function(rng, two_s=0, terms_per_component=1, min_k=0,
 
 @dataclass(frozen=True)
 class MomentumWaveFunction:
-    """Exact transform of a TestFunction at mass m, evaluable anywhere."""
+    """Exact transform of a TestFunction at mass m, evaluable anywhere;
+    or of several functions of one spin at once, their components
+    concatenated in ``comps`` (see :meth:`MomentumQuadrature.plan`)."""
 
     m: float
     two_s: int
@@ -368,21 +370,23 @@ class MomentumWaveFunction:
 
     @property
     def dim(self) -> int:
-        return self.two_s + 1
+        """Rows of a value array: 2s+1 for one function's transform."""
+        return len(self.comps)
 
-    def evaluate(self, points, grid=None) -> np.ndarray:
-        """Values on 3-momenta, shape (2s+1, N) for (N, 3) input.
+    def evaluate(self, points, grid=None, out=None) -> np.ndarray:
+        """Values on 3-momenta, shape ``(dim, N)`` for (N, 3) input.
 
         Each term's image is a product of three axis factors (Gaussian
         moment times center phase) and the radial factor
         ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  ``grid``, when
-        given, is ``(plan, lo, hi)``: this function's :class:`TensorPlan`
-        on a tensor grid, as a :class:`MomentumQuadrature` keeps it, and
-        the range of first-axis planes to fill; the caller vouches that
-        ``points`` are those planes' points.  The plan sum-factorizes the
-        image: axis factors are evaluated on the n nodes of one axis, the
-        terms sharing ``(tau0, alpha, k)`` are summed as matrix products
-        of outer products, and the radial factor is applied once per such
+        given, is ``(plan, lo, hi)``: this transform's :class:`TensorPlan`
+        on a tensor grid, as :meth:`MomentumQuadrature.plan` builds it for
+        every function of a pass, and the range of first-axis planes to
+        fill, into ``out`` when given; the caller vouches that ``points``
+        are those planes' points.  The plan sum-factorizes the image: axis
+        factors are evaluated on the n nodes of one axis, the terms
+        sharing ``(tau0, alpha, k)`` are summed as matrix products of
+        outer products, and the radial factor is applied once per such
         group, slab by slab.  Without ``grid`` the points are evaluated
         one by one, whatever their layout; that loop is the reference the
         plan path is tested against.  Both paths evaluate the same
@@ -391,7 +395,7 @@ class MomentumWaveFunction:
         """
         if grid is not None:
             plan, lo, hi = grid
-            return plan.fill(lo, hi)
+            return plan.fill(lo, hi, out)
         return self._evaluate_pointwise(
             np.atleast_2d(np.asarray(points, dtype=float)))
 
@@ -437,27 +441,57 @@ class MomentumWaveFunction:
         return out
 
 
+def slab_plane_count(n: int) -> int:
+    """First-axis planes per slab of an n^3 tensor grid: about
+    :data:`SLAB_POINTS` points, at least one plane and at most n."""
+    return min(n, max(1, SLAB_POINTS // (n * n)))
+
+
 def slab_planes(n: int):
     """``(lo, hi)`` first-axis plane ranges of the slabs of an n^3 tensor
-    grid: about :data:`SLAB_POINTS` points each, at least one plane, and
-    the last slab partial when the planes do not divide n."""
-    planes = min(n, max(1, SLAB_POINTS // (n * n)))
+    grid, :func:`slab_plane_count` planes each; the last slab is partial
+    when the planes do not divide n, so the first is the largest."""
+    planes = slab_plane_count(n)
     return [(lo, min(lo + planes, n)) for lo in range(0, n, planes)]
 
 
-class TensorPlan:
-    """One transform's sum factorization on the tensor grid x^3.
+class SlabScratch:
+    """Flat buffers that one pass over a grid reuses slab after slab.
 
-    Built once per function and grid: the axis factors of every term,
-    stacked :data:`TERM_BLOCK` terms at a time, grouped by ``(tau0,
-    alpha)``, then ``k``, then component.  :meth:`fill` evaluates any
-    range of first-axis planes slab by slab (see :func:`slab_planes`),
-    so a slab's pole, radial factor and group block stay in cache while
-    every group adds into it.
+    ``scratch(name, *shape)`` is the start of buffer ``name`` as a
+    contiguous array of ``shape``; the buffer is allocated only when it is
+    missing or too small.  A grid's first slab is its largest (see
+    :func:`slab_planes`), so a pass allocates each buffer once.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, name: str, *shape, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+class TensorPlan:
+    """The sum factorization of a transform on the tensor grid x^3.
+
+    Built once per pass over the grid, for one transform that stacks every
+    function the pass needs (see :meth:`MomentumQuadrature.plan`): the
+    axis factors of every term, stacked :data:`TERM_BLOCK` terms at a
+    time, grouped by ``(tau0, alpha)``, then ``k``, then row, across all
+    the functions.  :meth:`fill` evaluates any range of first-axis planes
+    slab by slab (see :func:`slab_planes`), so a slab computes each pole
+    and radial factor once for every function, and they and the group
+    block stay in cache while every group adds into the rows.  The slab
+    scratch comes from ``scratch`` (a :class:`SlabScratch`, shared by the
+    plans of a pass), so it is allocated once.
     """
 
     def __init__(self, mwf: "MomentumWaveFunction", x: np.ndarray,
-                 omega: np.ndarray):
+                 omega: np.ndarray, scratch: SlabScratch | None = None):
         def axis(t, ax):
             return (_gaussian_moment(t.powers[ax], x, t.beta)
                     * np.exp(-1j * t.center[ax] * x))
@@ -471,7 +505,7 @@ class TensorPlan:
                     for part in (terms[j:j + TERM_BLOCK]
                                  for j in range(0, len(terms), TERM_BLOCK))]
 
-        # (tau0, alpha) -> k -> component -> terms, then their blocks
+        # (tau0, alpha) -> k -> row -> terms, then their blocks
         groups: dict = {}
         for i, terms in enumerate(mwf.comps):
             for t in terms:
@@ -481,46 +515,58 @@ class TensorPlan:
                                   for i, terms in by_k[k].items()])
                              for k in sorted(by_k)]
                        for key, by_k in groups.items()}
+        self.empty = [i for i, terms in enumerate(mwf.comps) if not terms]
         self.mwf, self.dim, self.n, self.omega = mwf, mwf.dim, x.size, omega
+        self.scratch = SlabScratch() if scratch is None else scratch
 
-    def fill(self, lo: int, hi: int) -> np.ndarray:
+    def fill(self, lo: int, hi: int, out: np.ndarray | None = None
+             ) -> np.ndarray:
         """Values on first-axis planes ``lo`` to ``hi``, shape
-        ``(2s+1, (hi - lo) n^2)``, filled one slab at a time."""
-        n = self.n
-        out = np.zeros((self.dim, (hi - lo) * n * n), dtype=complex)
-        for s_lo, s_hi in slab_planes(n):
-            s_lo, s_hi = max(s_lo, lo), min(s_hi, hi)
-            if s_lo >= s_hi:
-                continue
+        ``(dim, (hi - lo) n^2)``, into ``out`` when given (its rows
+        contiguous); filled one slab of :func:`slab_plane_count` planes at
+        a time."""
+        n, planes = self.n, slab_plane_count(self.n)
+        if out is None:
+            out = np.empty((self.dim, (hi - lo) * n * n), dtype=complex)
+        elif out.strides[-1] != out.itemsize:
+            raise ValueError("the rows of out must be contiguous")
+        out[self.empty] = 0.0
+        for s_lo in range(lo, hi, planes):
+            s_hi = min(s_lo + planes, hi)
             size = (s_hi - s_lo) * n * n
             rows = slice((s_lo - lo) * n * n, (s_hi - lo) * n * n)
             om = self.omega[s_lo * n * n:s_hi * n * n]
-            # slab scratch reused by every group: pole, radial factor, block
-            pl, rad = np.empty(size), np.empty(size)
-            blk = np.empty((size // n, n), dtype=complex)
+            # pole, radial factor (also cast to complex once per k), block
+            pl = self.scratch("plan.pole", size, dtype=float)
+            rad = self.scratch("plan.radial", size, dtype=float)
+            radc = self.scratch("plan.radial_complex", size)
+            blk = self.scratch("plan.block", size // n, n)
+            flat = blk.reshape(-1)
             started = set()
             for (tau0, alpha), by_k in self.groups.items():
                 np.reciprocal(np.add(om, alpha, out=pl), out=pl)
                 # exp(-omega tau0) / (alpha + omega)^power, raised along k
                 np.exp(np.multiply(om, -tau0, out=rad), out=rad)
                 power = 0
-                for k, by_comp in by_k:
+                for k, by_row in by_k:
                     while power <= k:
                         rad *= pl
                         power += 1
-                    for i, parts in by_comp:
+                    radc[:] = rad
+                    for i, parts in by_row:
                         dest = out[i, rows]
                         for a, b, c in parts:
                             # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
                             ab = (a[:, s_lo:s_hi, None]
                                   * b[:, None, :]).reshape(len(a), -1)
-                            np.matmul(ab.T, c, out=blk)
-                            flat = blk.reshape(-1)
                             if i in started:
-                                flat *= rad
+                                np.matmul(ab.T, c, out=blk)
+                                flat *= radc
                                 dest += flat
                             else:
-                                np.multiply(flat, rad, out=dest)
+                                # a row's first block goes straight into it
+                                np.matmul(ab.T, c, out=dest.reshape(-1, n))
+                                dest *= radc
                                 started.add(i)
         return out
 
@@ -595,16 +641,17 @@ class Slab(NamedTuple):
     kernels: list
 
 
-def apply_kernel(kernel: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``sum_v kernel[u, v] stack[j, v]`` at every point, shape of
-    ``stack`` ``(functions, 2s+1, N)``: (2s+1)^2 broadcast multiply-adds of
-    one kernel row into one component of every function."""
-    out = np.empty_like(stack)
-    scratch = np.empty_like(stack[:, 0])
-    for u, row in enumerate(kernel):
-        np.multiply(row[0], stack[:, 0], out=out[:, u])
-        for v in range(1, len(row)):
-            out[:, u] += np.multiply(row[v], stack[:, v], out=scratch)
+def apply_kernel(kernel: np.ndarray, stack: np.ndarray, out: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
+    """``sum_v kernel[u, v] stack[j, v]`` at every point into ``out``, the
+    shape of ``stack`` ``(functions, 2s+1, N)``: per function, (2s+1)^2
+    multiply-adds of one kernel row into one component, each product
+    formed in ``scratch``, shape ``(N,)``, so the scratch is one row."""
+    for values, applied in zip(stack, out):
+        for u, row in enumerate(kernel):
+            np.multiply(row[0], values[0], out=applied[u])
+            for v in range(1, len(row)):
+                applied[u] += np.multiply(row[v], values[v], out=scratch)
     return out
 
 
@@ -624,13 +671,14 @@ class MomentumQuadrature:
     :data:`SLAB_POINTS` points each).  The engine keeps only the axis
     nodes ``x``, the axis weights and the ``omega`` cube: a slab forms its
     points, weights and RIGHT on-shell kernel rows when it is reached, and
-    every variant reads those rows through :func:`kernels.variant_kernel`.
+    every variant reads those rows through :func:`kernels.variant_kernels`.
     :meth:`pairings` therefore walks the grid once for all the functions
     and variants a caller needs.  The engine hands its node vector and
-    ``omega`` to :meth:`MomentumWaveFunction.evaluate` through each
-    function's :class:`TensorPlan`.  Node-doubling convergence compares
-    two engines built over the same functions at ``nodes`` and
-    ``2 * nodes``.
+    ``omega`` to :meth:`MomentumWaveFunction.evaluate` through one
+    :class:`TensorPlan` per pass, which stacks every function the pass
+    evaluates, so each slab is filled by one ``evaluate`` call.
+    Node-doubling convergence compares two engines built over the same
+    functions at ``nodes`` and ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -667,51 +715,73 @@ class MomentumQuadrature:
         if variants:
             right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
                                         self.two_s, points)
-            kernels = [variant_kernel(right, v) for v in variants]
+            kernels = variant_kernels(right, variants)
         return Slab(lo, hi, points, weights, kernels)
 
-    def plan(self, f: TestFunction) -> TensorPlan:
-        """f's :class:`TensorPlan` on this grid, after checking that the
-        engine can pair f."""
-        if f.two_s != self.two_s:
-            raise ValueError("function spin differs from the engine's")
-        if any(t.beta > self.max_beta for ts in f.comps for t in ts):
-            raise ValueError("function decays slower in momentum than "
-                             "the engine's box allows")
-        return TensorPlan(laplace_fourier_transform(f, self.m), self.x,
-                          self.omega)
+    def plan(self, functions, scratch: SlabScratch | None = None
+             ) -> TensorPlan:
+        """One :class:`TensorPlan` for every function of a pass, after
+        checking that the engine can pair each: the transform of their
+        components concatenated, function j's at rows ``j (2s+1)`` to
+        ``(j + 1)(2s+1)``.  A single function is a stack of one.
+        ``scratch`` is the pass's :class:`SlabScratch`, which the plan
+        shares for its slab scratch."""
+        functions = list(functions)
+        for f in functions:
+            if f.two_s != self.two_s:
+                raise ValueError("function spin differs from the engine's")
+            if any(t.beta > self.max_beta for ts in f.comps for t in ts):
+                raise ValueError("function decays slower in momentum than "
+                                 "the engine's box allows")
+        comps = tuple(c for f in functions for c in f.comps)
+        return TensorPlan(MomentumWaveFunction(self.m, self.two_s, comps),
+                          self.x, self.omega, scratch)
 
-    def values(self, plan: TensorPlan, slab: Slab) -> np.ndarray:
-        """A planned transform on one slab, shape ``(2s+1, N)``."""
-        return plan.mwf.evaluate(slab.points, grid=(plan, slab.lo, slab.hi))
+    def values(self, plan: TensorPlan, slab: Slab,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """A planned transform on one slab, shape ``(plan.dim, N)``, into
+        ``out`` when given: one ``evaluate`` call for every function of
+        the plan."""
+        return plan.mwf.evaluate(slab.points, grid=(plan, slab.lo, slab.hi),
+                                 out=out)
 
     def pairings(self, bras, kets, variants) -> np.ndarray:
         """``<bra_i|ket_j>`` for every variant, shape ``(len(variants),
         len(bras), len(kets))``, in one pass over the grid.
 
-        Per slab, each distinct function among ``bras`` and ``kets`` is
-        evaluated once and the kernel rows are built once; per variant the
-        kernel is applied to the kets (:func:`apply_kernel`) and the cross
-        sums ``sum_n w_n conj(bra_u) (K ket)_u`` are one matrix product.
+        Per slab, the distinct functions among ``bras`` and ``kets`` are
+        evaluated by one fill of their stacked :class:`TensorPlan` and the
+        kernel rows are built once; per variant the kernel is applied to
+        the kets (:func:`apply_kernel`) and the cross sums
+        ``sum_n w_n conj(bra_u) (K ket)_u`` are one matrix product.  The
+        values, the weighted bras and the kernel products live in
+        slab-sized buffers that the pass reuses (:class:`SlabScratch`).
         """
         bras, kets, variants = list(bras), list(kets), tuple(variants)
         funcs = list(dict.fromkeys(bras + kets))
-        plans = [self.plan(f) for f in funcs]
+        scratch = SlabScratch()
+        plan = self.plan(funcs, scratch)
         at = {f: i for i, f in enumerate(funcs)}
         bra_at = [at[f] for f in bras]
         ket_at = [at[f] for f in kets]
-        out = np.zeros((len(variants), len(bras), len(kets)), dtype=complex)
+        nb, nk, dim = len(bras), len(kets), self.two_s + 1
+        out = np.zeros((len(variants), nb, nk), dtype=complex)
         for slab in self.slabs(variants):
-            vals = np.stack([self.values(plan, slab) for plan in plans])
-            bra = np.conjugate(vals[bra_at])
+            size = len(slab.weights)
+            vals = self.values(plan, slab, scratch("values", plan.dim, size)
+                               ).reshape(len(funcs), dim, size)
+            bra = np.take(vals, bra_at, axis=0, mode="clip",
+                          out=scratch("bra", nb, dim, size))
+            np.conjugate(bra, out=bra)
             bra *= slab.weights
-            bra = bra.reshape(len(bras), -1)
-            ket = vals if ket_at == list(range(len(funcs))) else vals[ket_at]
-            del vals
+            ket = vals if ket_at == list(range(len(funcs))) else np.take(
+                vals, ket_at, axis=0, mode="clip",
+                out=scratch("ket", nk, dim, size))
+            mixed = scratch("mixed", nk, dim, size)
             for i, kernel in enumerate(slab.kernels):
-                out[i] += bra @ apply_kernel(kernel, ket).reshape(
-                    len(kets), -1).T
-            del slab, bra, ket   # before the next slab forms its own
+                apply_kernel(kernel, ket, mixed, scratch("row", size))
+                out[i] += bra.reshape(nb, -1) @ mixed.reshape(nk, -1).T
+            del slab   # before the next slab forms its own
         return out
 
 

@@ -6,12 +6,12 @@ Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
 * on shell (after the energy contour integral): ``D^s(M_v(p)) / omega`` with
   ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``, built
   as the RIGHT kernel ``D^s(omega + p.sigma) / omega`` and read for the
-  other variants at the same momentum through :func:`variant_kernel`
+  other variants at the same momentum through :func:`variant_kernels`
 * position space (s <= 1): derivative polynomial acting on the scalar
   ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``; at s = 1 the polarized ``D^1``
   of its Hessian
 
-:func:`variant_kernel` and :func:`variant_pair_action` follow from the
+:func:`variant_kernels` and :func:`variant_pair_action` follow from the
 variant flags ``dual`` (sigma2-conjugation) and ``left`` (transposition).
 
 The scalar position kernel is the 4D inverse Fourier transform of
@@ -124,42 +124,62 @@ def momentum_kernel(variant: KernelVariant, m: float, two_s: int,
     return wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1]) / denom
 
 
-def variant_kernel(right: np.ndarray, variant: KernelVariant) -> np.ndarray:
-    """The variant's on-shell kernel from the RIGHT one at the same momenta,
-    by the variant's two defining involutions: ``left`` transposes (u, v),
-    and ``dual`` conjugates by the signed anti-diagonal ``D^s(i sigma2)``,
-    which reverses both indices with sign ``(-1)^(u + v)``.  Both are exact
-    (index moves and negations), so RIGHT and LEFT are views of ``right``
-    and a dual variant one signed copy."""
-    kernel = right
-    if variant.dual:
+def variant_kernels(right: np.ndarray, variants) -> list:
+    """Each of ``variants``' on-shell kernels from the RIGHT one at the same
+    momenta, by the variant's two defining involutions: ``left`` transposes
+    (u, v), and ``dual`` conjugates by the signed anti-diagonal
+    ``D^s(i sigma2)``, which reverses both indices with sign
+    ``(-1)^(u + v)``.  Both are exact (index moves and negations), so RIGHT
+    and LEFT are views of ``right``, and the dual variants share one signed
+    copy, LEFT_DUAL as its transposed view."""
+    dual = None
+    if any(v.dual for v in variants):
         sign = (-1.0) ** np.arange(len(right))
-        kernel = right[::-1, ::-1] * np.multiply.outer(sign, sign)[..., None]
-    return kernel.swapaxes(0, 1) if variant.left else kernel
+        dual = right[::-1, ::-1] * np.multiply.outer(sign, sign)[..., None]
+    kernels = [dual if v.dual else right for v in variants]
+    return [k.swapaxes(0, 1) if v.left else k
+            for k, v in zip(kernels, variants)]
+
+
+def _right_kernel_block(m: float, two_s: int, p: np.ndarray) -> np.ndarray:
+    """The RIGHT on-shell kernel at the (N, 3) momenta ``p``, one block."""
+    omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
+    x, y, z = p.T
+    # the off-diagonal entries (x -+ i y) / m built from their parts: the
+    # same values as the complex expressions, in fewer passes
+    upper = np.empty(len(p), dtype=complex)
+    upper.real, upper.imag = x, y
+    np.negative(upper.imag, out=upper.imag)
+    upper /= m
+    D = wigner_d_entries(two_s, (omega + z) / m, upper, upper.conj(),
+                         (omega - z) / m)
+    if m ** two_s != 1.0:
+        D *= m ** two_s
+    # omega cast once: the same complex division as casting per entry
+    D /= omega.astype(complex)
+    return D
 
 
 def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
                         points: np.ndarray) -> np.ndarray:
     """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
     ``(2s+1, 2s+1, N)``.  The RIGHT kernel ``D^s(omega + p.sigma) / omega``,
-    its entries mass-rescaled, is filled :data:`POINT_BLOCK` points at a
+    its entries mass-rescaled, is built :data:`POINT_BLOCK` points at a
     time, so the scratch of the D polynomial and its Kahan sums is
-    block-sized; the other variants are read from it at the same momenta
-    (:func:`variant_kernel`).  Those equal ``D^s`` of the RIGHT matrix at
+    block-sized, and up to one block is returned as built; the other
+    variants are read from it at the same momenta
+    (:func:`variant_kernels`).  Those equal ``D^s`` of the RIGHT matrix at
     the reflected momentum (``left`` flips p_y, ``dual`` p_x and p_z) up
     to the rounding of the D polynomial, none at ``2s <= 1``."""
     points = np.asarray(points, dtype=float)
-    out = np.empty((two_s + 1, two_s + 1, len(points)), dtype=complex)
-    for lo in range(0, len(points), POINT_BLOCK):
-        p = points[lo:lo + POINT_BLOCK]
-        omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
-        x, y, z = p.T
-        D = wigner_d_entries(two_s, (omega + z) / m, (x - 1j * y) / m,
-                             (x + 1j * y) / m, (omega - z) / m)
-        D *= m ** two_s
-        D /= omega
-        out[..., lo:lo + POINT_BLOCK] = D
-    return variant_kernel(out, variant)
+    if len(points) <= POINT_BLOCK:
+        out = _right_kernel_block(m, two_s, points)
+    else:
+        out = np.empty((two_s + 1, two_s + 1, len(points)), dtype=complex)
+        for lo in range(0, len(points), POINT_BLOCK):
+            out[..., lo:lo + POINT_BLOCK] = _right_kernel_block(
+                m, two_s, points[lo:lo + POINT_BLOCK])
+    return variant_kernels(out, (variant,))[0]
 
 
 def onshell_kernel(variant: KernelVariant, m: float, two_s: int,

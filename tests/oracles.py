@@ -196,7 +196,7 @@ def grid_points(quad):
 def engine_values(quad, f) -> np.ndarray:
     """f's transform on the engine's whole grid, shape ``(2s+1, N)``: its
     slab values joined."""
-    plan = quad.plan(f)
+    plan = quad.plan([f])
     return np.concatenate([quad.values(plan, slab)
                            for slab in quad.slabs(())], axis=-1)
 

@@ -492,6 +492,15 @@ def test_norm_of_negative_square_is_nan(monkeypatch):
                               KV.RIGHT))
 
 
+def test_irrep_norm_of_negative_square_is_nan(monkeypatch):
+    # norm still goes through inner (the tracer charges it there), and a
+    # negative squared norm reads NaN where a clamp at 0 read 0
+    monkeypatch.setattr(gn.IrrepState, "inner", lambda self, other: -1.0)
+    state = gn.state_from_test_function(hl.gaussian_packet(beta=0.5), 1.0,
+                                        nodes=6)
+    assert math.isnan(state.norm())
+
+
 def test_boost_wedge_check():
     w1 = hl.WedgeFunction(hl.gaussian_packet(alpha=1.0, beta=0.6, k=1),
                           (0.0, 0.0, 1.0), 0.5)

@@ -189,10 +189,10 @@ def test_momentum_quadrature_validation():
     quad = hl.MomentumQuadrature((f0,), 1.0, 8)
     assert quad.two_s == 0
     with pytest.raises(ValueError):
-        quad.plan(f1)
+        quad.plan([f1])
     # a larger beta decays slower in momentum than the box was sized for
     with pytest.raises(ValueError):
-        quad.plan(f0 + hl.gaussian_packet(beta=0.7))
+        quad.plan([f0 + hl.gaussian_packet(beta=0.7)])
     # derivatives and shifts keep every beta, so they stay pairable
     assert engine_values(quad, f0.d_x(0).shift_time(0.3)).shape == (1, 8 ** 3)
 
@@ -263,13 +263,47 @@ def test_term_blocks_split_large_groups(monkeypatch):
         for _ in range(2)))
     assert all(len(ts) == 12 for ts in f.comps)
     quad = hl.MomentumQuadrature([f], 1.3, 20)
-    whole = quad.plan(f).fill(0, 20)
+    whole = quad.plan([f]).fill(0, 20)
     monkeypatch.setattr(hl, "TERM_BLOCK", 5)
-    blocked = quad.plan(f).fill(0, 20)
+    blocked = quad.plan([f]).fill(0, 20)
     want = hl.laplace_fourier_transform(f, 1.3).evaluate(grid_points(quad)[0])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(blocked - want)) <= 1e-13 * scale
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("two_s", [0, 1, 2])
+def test_stacked_fill_equals_one_function_fills(monkeypatch, two_s):
+    # envelopes that differ between functions and within one, generator
+    # images, a function whose groups come in the opposite order to the
+    # stack's (so its rows add in another order), and a function without
+    # terms; slabs of three planes, the last one partial, each filled into
+    # a buffer of NaNs
+    monkeypatch.setattr(hl, "SLAB_POINTS", 3 * 20 ** 2)
+    rng = np.random.default_rng(30 + two_s)
+    kw = dict(two_s=two_s, terms_per_component=3, min_k=1, max_k=4,
+              max_power=4)
+    a, b = (hl.random_test_function(rng, tau0_max=t, **kw)
+            for t in (0.0, 0.8))
+    fs = [a + b] + _transform_cases(two_s) + [b + a, a - a]
+    quad = hl.MomentumQuadrature(fs, 1.3, 20)
+    plan = quad.plan(fs)
+    assert plan.dim == len(fs) * (two_s + 1)
+    slabs = list(quad.slabs(()))
+    assert len(slabs) == 7
+    stacked = np.concatenate([
+        quad.values(plan, slab, np.full((plan.dim, len(slab.weights)),
+                                        np.nan, dtype=complex))
+        for slab in slabs], axis=-1)
+    rows = stacked.reshape(len(fs), two_s + 1, -1)
+    for f, got in zip(fs, rows):
+        want = engine_values(quad, f)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a first block is multiplied into its row in place, so rows must be
+    # contiguous
+    strided = np.empty((plan.dim, 2 * 3 * 20 ** 2), dtype=complex)[:, ::2]
+    with pytest.raises(ValueError):
+        plan.fill(0, 3, strided)
 
 
 @pytest.mark.parametrize("nodes", [2, 7, 48])

@@ -9,6 +9,7 @@ and into single planes.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,11 +70,34 @@ def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
         assert_close(rhs, want_rhs)
 
 
+def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
+    # per pair and engine one stacked transform: f, g and their orbital
+    # images under J and K (six) at NODES, under H and P (four) at
+    # SMALL_NODES, filled by one evaluate call per slab
+    monkeypatch.setattr(hl, "SLAB_POINTS", 5 * NODES ** 2)
+    rows = Counter()
+    evaluate = hl.MomentumWaveFunction.evaluate
+
+    def counted(mwf, points, grid=None, out=None):
+        rows[len(mwf.comps)] += 1
+        return evaluate(mwf, points, grid=grid, out=out)
+
+    monkeypatch.setattr(hl.MomentumWaveFunction, "evaluate", counted)
+    pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
+    gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES,
+                           SMALL_NODES)
+    assert rows == {2 * (2 + 2 * 6): len(pairs) * len(hl.slab_planes(NODES)),
+                    2 * (2 + 2 * 4): (len(pairs)
+                                      * len(hl.slab_planes(SMALL_NODES)))}
+    assert len(hl.slab_planes(NODES)) == 5
+
+
 def test_hermiticity_pair_memory_is_slab_bounded():
     # the whole-grid form held 14 transforms, kernel copies and kernel
     # build scratch at once: a 478 MB peak for this pair; with a kept
-    # RIGHT kernel and point array, 98 MB.  Slab-built kernel rows
-    # measure 27.5 MB; the pin leaves 7.5 MB for allocator variation
+    # RIGHT kernel and point array, 98 MB; with slab-built kernel rows,
+    # 27.5 MB.  One stacked fill into reused slab buffers measures
+    # 26.2 MB; the pin leaves 7.8 MB for allocator variation
     pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
     tracemalloc.start()
     try:
@@ -82,14 +106,16 @@ def test_hermiticity_pair_memory_is_slab_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 35e6, peak / 1e6
+    assert peak < 34e6, peak / 1e6
 
 
 def test_gram_pass_memory_is_slab_bounded():
     # all four variants' Gram matrices of eight spin-1 functions on 40^3
-    # points in one pass: 28.3 MB measured, where kept whole-grid
-    # transforms and a kept RIGHT kernel peaked at 67 MB; the pin leaves
-    # 7.7 MB for allocator variation
+    # points in one pass: 28.2 MB measured, where kept whole-grid
+    # transforms and a kept RIGHT kernel peaked at 67 MB.  The pass's
+    # slab buffers stay allocated while the next slab builds its kernel
+    # rows, and apply_kernel's scratch is one row; the pin leaves 7.8 MB
+    # for allocator variation
     fs = su.positivity_family(np.random.default_rng(0), 2, 8)
     quad = hl.MomentumQuadrature(fs, 1.0, 40)
     tracemalloc.start()

@@ -25,16 +25,21 @@ SMALL = dict(two_spins=(0,), variants=(KV.RIGHT, KV.LEFT), seeds=(0, 1),
 ])
 def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     """Per family one grid of N points, each function's transform
-    evaluated once at each of them and the on-shell kernel built at N
-    points in all: every variant and pairing shares one walk of the grid."""
+    evaluated once at each of them, by one ``evaluate`` call per slab for
+    all the functions, and the on-shell kernel built at N points in all:
+    every variant and pairing shares one walk of the grid."""
     transform_points = Counter()
-    kernel_points, grids = [], []
+    kernel_points, grids, calls = [], [], []
     evaluate = hl.MomentumWaveFunction.evaluate
     build_kernel, build_grid = hl.onshell_kernel_grid, hl.tensor_grid
 
-    def counted_evaluate(mwf, points, grid=None):
-        transform_points[mwf] += len(points)
-        return evaluate(mwf, points, grid=grid)
+    def counted_evaluate(mwf, points, grid=None, out=None):
+        # a stacked transform holds its functions' 2s+1 components each
+        calls.append(mwf)
+        dim = mwf.two_s + 1
+        for j in range(0, len(mwf.comps), dim):
+            transform_points[mwf.comps[j:j + dim]] += len(points)
+        return evaluate(mwf, points, grid=grid, out=out)
 
     def counted_kernel(variant, m, two_s, points):
         kernel_points.append(len(points))
@@ -57,6 +62,9 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     assert sum(kernel_points) == families * nodes ** 3
     assert len(transform_points) == families * transforms_per_family
     assert set(transform_points.values()) == {nodes ** 3}
+    # one stacked transform per family, filled once per slab
+    assert len(calls) == families * len(hl.slab_planes(nodes))
+    assert len(set(map(id, calls))) == families
 
 
 def test_gram_reports_carry_hermiticity_defect():

@@ -61,14 +61,30 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
     benchmark's suite timer, not the tracer): a refactor that stops
     reaching ``inner_product``, ``gram_matrix``, ``tensor_grid``, the
     on-shell kernel or ``run_hermiticity_matrix`` fails here, not only in
-    the minutes-long self-test."""
+    the minutes-long self-test.
+
+    The transform counts stay truthful under stacked transforms: one
+    ``hilbert.transform`` call per slab of each pass, and ``.terms`` and
+    ``.term_points`` the sums over every function the pass stacks, as
+    recorded from each engine's ``plan`` calls."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import selftest
     from tracer import Bindings, Tracer, install
 
+    from rqmcheck import hilbert as hl
     from rqmcheck import suites as su
     from rqmcheck.spacetime import KernelVariant as KV
 
+    passes = []          # (nodes, terms of the functions) per plan
+    plan = hl.MomentumQuadrature.plan
+
+    def recorded_plan(quad, functions, scratch=None):
+        functions = list(functions)
+        passes.append((quad.nodes, sum(len(ts) for f in functions
+                                       for ts in f.comps)))
+        return plan(quad, functions, scratch)
+
+    monkeypatch.setattr(hl.MomentumQuadrature, "plan", recorded_plan)
     cfg = su.RunConfig(suites=("positivity", "hermiticity", "casimir"),
                        two_spins=(0, 1), variants=(KV.RIGHT, KV.LEFT_DUAL),
                        gram_size=3, gram_nodes=12, hermiticity_pairs=1)
@@ -87,3 +103,9 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
                  "suites.run_hermiticity_matrix.self_s"):
         assert name in required
     assert not [m for m in required if not metrics.get(m)], metrics
+    slabs = [len(hl.slab_planes(nodes)) for nodes, _ in passes]
+    assert metrics["hilbert.transform.calls"] == sum(slabs)
+    assert metrics["hilbert.transform.terms"] == sum(
+        n * terms for n, (_, terms) in zip(slabs, passes))
+    assert metrics["hilbert.transform.term_points"] == sum(
+        nodes ** 3 * terms for nodes, terms in passes)

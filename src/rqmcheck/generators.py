@@ -245,18 +245,22 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     for all pairs.  Each pair has one :class:`TensorPlan` per engine that
     stacks f, g and their orbital images, so one ``evaluate`` call per
     slab fills them all into a value block, which then takes its share of
-    every sum below for every variant and generator.  Beyond the engines'
-    axis grids and ``omega`` cubes, memory is every pair's plan and a few
-    slab-sized buffers that the walk reuses for every pair and slab (one
-    :class:`hilbert.SlabScratch` per engine).  Per slab and variant the
-    kernel is applied once to each side (:func:`hilbert.apply_kernel`;
-    the bra side through the transposed rows):
-    ``bra = w conj(F[f]) K`` and ``ket = K F[g] w``.
+    every sum below for every variant and generator.  Each engine's
+    slabs are sized for the largest plan's rows
+    (:func:`hilbert.slab_planes`), so beyond the engines' axis grids,
+    memory is every pair's plan and a few slab-sized buffers that the
+    walk reuses for every pair and slab (one :class:`hilbert.SlabScratch`
+    per engine).  Per slab and variant the kernel rows, which carry the
+    quadrature weights, are applied once to each side
+    (:func:`hilbert.apply_kernel`; the bra side through the transposed
+    rows): ``bra = conj(F[f]) w K`` and ``ket = w K F[g]``.
     Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
     and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
     (conj(F[f]_v) . ket_u)``: two dot products per generator, plus the
-    small spin sums.  The sums against ``ket`` are taken as conjugates of
-    sums against ``conj(ket)``, so only the ket is conjugated, in place.
+    small spin sums, taken for every variant at once: one matrix product
+    per side, pair and slab over the variants' bras or kets.  The sums
+    against ``ket`` are taken as conjugates of sums against
+    ``conj(ket)``, so only the kets are conjugated, in place.
     Rows are ``(pair index, name, variant, lhs, rhs,
     |lhs - rhs| / (|lhs| + |rhs|))``, in the order of ``pairs``,
     ``names`` and ``variants``.
@@ -282,10 +286,11 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
                         dtype=complex)
         orbital = np.zeros((len(pairs), len(variants), 2, len(own)),
                            dtype=complex)
-        for slab in quad.slabs(variants):
-            w, size = slab.weights, len(slab.weights)
-            bra_w, ket_w, bra, ket = (scratch(name, 1, dim, size) for name in
-                                      ("bra_w", "ket_w", "bra", "ket"))
+        for slab in quad.slabs(variants, max(plan.dim for plan in plans)):
+            size = len(slab.weights)
+            bra, ket = (scratch(name, len(variants), dim, size)
+                        for name in ("bra", "ket"))
+            conj_f = scratch("conj_f", 1, dim, size)
             row = scratch("row", size)
             for idx, plan in enumerate(plans):
                 vals = quad.values(plan, slab,
@@ -294,16 +299,18 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
                 ff, gg = vals[0], vals[1]
                 a_f = vals[2:2 + len(own)].reshape(len(own), -1)
                 a_g = vals[2 + len(own):].reshape(len(own), -1)
-                np.multiply(np.conjugate(ff, out=bra_w[0]), w, out=bra_w[0])
-                np.multiply(gg, w, out=ket_w[0])
+                np.conjugate(ff, out=conj_f[0])
                 for i, kernel in enumerate(slab.kernels):
-                    apply_kernel(kernel.swapaxes(0, 1), bra_w, bra, row)
-                    apply_kernel(kernel, ket_w, ket, row)
-                    spin[idx, i, 0] += bra[0] @ gg.T
-                    orbital[idx, i, 0] += a_g @ bra.ravel()
-                    np.conjugate(ket, out=ket)
-                    spin[idx, i, 1] += (ket[0] @ ff.T).conj()
-                    orbital[idx, i, 1] += (a_f @ ket.ravel()).conj()
+                    apply_kernel(kernel.swapaxes(0, 1), conj_f,
+                                 bra[i:i + 1], row)
+                    apply_kernel(kernel, vals[1:2], ket[i:i + 1], row)
+                # every variant at once: one product per side
+                spin[idx, :, 0] += bra @ gg.T
+                orbital[idx, :, 0] += bra.reshape(len(variants), -1) @ a_g.T
+                np.conjugate(ket, out=ket)
+                spin[idx, :, 1] += (ket @ ff.T).conj()
+                orbital[idx, :, 1] += (ket.reshape(len(variants), -1)
+                                       @ a_f.T).conj()
             del slab   # before the next slab forms its own
         for idx in range(len(pairs)):
             for i, variant in enumerate(variants):

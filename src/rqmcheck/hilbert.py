@@ -38,11 +38,16 @@ TWO_PI = 2.0 * np.pi
 #: inner products by well under 1e-8
 DEFAULT_NODES = 96
 
-#: points per slab of the tensor grid: whole planes of the first axis, so
-#: that a slab's radial factor, pole and group block (about 0.75 MB
-#: together) stay in cache while every term group adds into it, and every
-#: pairing's scratch is slab-sized
+#: most points per slab of the tensor grid: whole planes of the first
+#: axis, so that a slab's radial factor, pole and group block (about
+#: 0.75 MB together) stay in cache while every term group adds into it
 SLAB_POINTS = 16384
+
+#: most complex values per slab across the rows a pass fills (2 MB): a
+#: pass of up to eight rows gets :data:`SLAB_POINTS` points a slab, and a
+#: pass of more rows proportionally fewer, so its value block, and the
+#: kernel products and kernel rows that scale with the slab, stay bounded
+SLAB_VALUES = 8 * SLAB_POINTS
 
 #: terms of one (tau0, alpha, k, component) group summed per matrix
 #: product; bounds the tensor path's scratch for groups with many terms
@@ -379,11 +384,12 @@ class MomentumWaveFunction:
         Each term's image is a product of three axis factors (Gaussian
         moment times center phase) and the radial factor
         ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  ``grid``, when
-        given, is ``(plan, lo, hi)``: this transform's :class:`TensorPlan`
+        given, is ``(plan, slab)``: this transform's :class:`TensorPlan`
         on a tensor grid, as :meth:`MomentumQuadrature.plan` builds it for
-        every function of a pass, and the range of first-axis planes to
-        fill, into ``out`` when given; the caller vouches that ``points``
-        are those planes' points.  The plan sum-factorizes the image: axis
+        every function of a pass, and the :class:`Slab` to fill, into
+        ``out`` when given; the caller vouches that ``points`` are the
+        slab's points, and the plan reads the slab's omega.  The plan
+        sum-factorizes the image: axis
         factors are evaluated on the n nodes of one axis, the terms
         sharing ``(tau0, alpha, k)`` are summed as matrix products of
         outer products, and the radial factor is applied once per such
@@ -394,8 +400,8 @@ class MomentumWaveFunction:
         floating-point products and sums.
         """
         if grid is not None:
-            plan, lo, hi = grid
-            return plan.fill(lo, hi, out)
+            plan, slab = grid
+            return plan.fill(slab.lo, slab.hi, slab.omega, out)
         return self._evaluate_pointwise(
             np.atleast_2d(np.asarray(points, dtype=float)))
 
@@ -441,18 +447,26 @@ class MomentumWaveFunction:
         return out
 
 
-def slab_plane_count(n: int) -> int:
-    """First-axis planes per slab of an n^3 tensor grid: about
-    :data:`SLAB_POINTS` points, at least one plane and at most n."""
-    return min(n, max(1, SLAB_POINTS // (n * n)))
-
-
-def slab_planes(n: int):
+def slab_planes(n: int, rows: int = 1):
     """``(lo, hi)`` first-axis plane ranges of the slabs of an n^3 tensor
-    grid, :func:`slab_plane_count` planes each; the last slab is partial
-    when the planes do not divide n, so the first is the largest."""
-    planes = slab_plane_count(n)
+    grid for a pass that fills ``rows`` value rows: at most
+    :data:`SLAB_POINTS` points and at most :data:`SLAB_VALUES` values
+    across the rows a slab, but at least one plane.  The last slab is
+    partial when the planes do not divide n, so the first is the
+    largest."""
+    points = min(SLAB_POINTS, SLAB_VALUES // max(rows, 1))
+    planes = max(1, points // (n * n))
     return [(lo, min(lo + planes, n)) for lo in range(0, n, planes)]
+
+
+def plane_omega(x: np.ndarray, m: float, lo: int, hi: int) -> np.ndarray:
+    """``sqrt(m^2 + |p|^2)`` on first-axis planes ``lo`` to ``hi`` of the
+    tensor grid x^3, flattened in :func:`tensor_grid`'s layout, with
+    ``|p|^2`` summed as ``(x_i^2 + x_j^2) + x_k^2``."""
+    sq = x * x
+    omega = (sq[lo:hi, None, None] + sq[None, :, None]) + sq[None, None, :]
+    np.add(m ** 2, omega, out=omega)
+    return np.sqrt(omega, out=omega).reshape(-1)
 
 
 class SlabScratch:
@@ -482,16 +496,16 @@ class TensorPlan:
     function the pass needs (see :meth:`MomentumQuadrature.plan`): the
     axis factors of every term, stacked :data:`TERM_BLOCK` terms at a
     time, grouped by ``(tau0, alpha)``, then ``k``, then row, across all
-    the functions.  :meth:`fill` evaluates any range of first-axis planes
-    slab by slab (see :func:`slab_planes`), so a slab computes each pole
-    and radial factor once for every function, and they and the group
-    block stay in cache while every group adds into the rows.  The slab
-    scratch comes from ``scratch`` (a :class:`SlabScratch`, shared by the
-    plans of a pass), so it is allocated once.
+    the functions.  :meth:`fill` evaluates one slab of first-axis planes
+    (see :func:`slab_planes`) from the slab's omega, so a slab computes
+    each pole and radial factor once for every function, and they and the
+    group block stay in cache while every group adds into the rows.  The
+    slab scratch comes from ``scratch`` (a :class:`SlabScratch`, shared by
+    the plans of a pass), so it is allocated once.
     """
 
     def __init__(self, mwf: "MomentumWaveFunction", x: np.ndarray,
-                 omega: np.ndarray, scratch: SlabScratch | None = None):
+                 scratch: SlabScratch | None = None):
         def axis(t, ax):
             return (_gaussian_moment(t.powers[ax], x, t.beta)
                     * np.exp(-1j * t.center[ax] * x))
@@ -516,67 +530,54 @@ class TensorPlan:
                              for k in sorted(by_k)]
                        for key, by_k in groups.items()}
         self.empty = [i for i, terms in enumerate(mwf.comps) if not terms]
-        self.mwf, self.dim, self.n, self.omega = mwf, mwf.dim, x.size, omega
+        self.mwf, self.dim, self.n = mwf, mwf.dim, x.size
         self.scratch = SlabScratch() if scratch is None else scratch
 
-    def fill(self, lo: int, hi: int, out: np.ndarray | None = None
-             ) -> np.ndarray:
-        """Values on first-axis planes ``lo`` to ``hi``, shape
-        ``(dim, (hi - lo) n^2)``, into ``out`` when given (its rows
-        contiguous); filled one slab of :func:`slab_plane_count` planes at
-        a time."""
-        n, planes = self.n, slab_plane_count(self.n)
+    def fill(self, lo: int, hi: int, omega: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Values on first-axis planes ``lo`` to ``hi``, one slab (see
+        :func:`slab_planes`), shape ``(dim, (hi - lo) n^2)``, from
+        ``omega`` on those planes, into ``out`` when given (its rows
+        contiguous)."""
+        n, size = self.n, (hi - lo) * self.n * self.n
         if out is None:
-            out = np.empty((self.dim, (hi - lo) * n * n), dtype=complex)
+            out = np.empty((self.dim, size), dtype=complex)
         elif out.strides[-1] != out.itemsize:
             raise ValueError("the rows of out must be contiguous")
         out[self.empty] = 0.0
-        for s_lo in range(lo, hi, planes):
-            s_hi = min(s_lo + planes, hi)
-            size = (s_hi - s_lo) * n * n
-            rows = slice((s_lo - lo) * n * n, (s_hi - lo) * n * n)
-            om = self.omega[s_lo * n * n:s_hi * n * n]
-            # pole, radial factor (also cast to complex once per k), block
-            pl = self.scratch("plan.pole", size, dtype=float)
-            rad = self.scratch("plan.radial", size, dtype=float)
-            radc = self.scratch("plan.radial_complex", size)
-            blk = self.scratch("plan.block", size // n, n)
-            flat = blk.reshape(-1)
-            started = set()
-            for (tau0, alpha), by_k in self.groups.items():
-                np.reciprocal(np.add(om, alpha, out=pl), out=pl)
-                # exp(-omega tau0) / (alpha + omega)^power, raised along k
-                np.exp(np.multiply(om, -tau0, out=rad), out=rad)
-                power = 0
-                for k, by_row in by_k:
-                    while power <= k:
-                        rad *= pl
-                        power += 1
-                    radc[:] = rad
-                    for i, parts in by_row:
-                        dest = out[i, rows]
-                        for a, b, c in parts:
-                            # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
-                            ab = (a[:, s_lo:s_hi, None]
-                                  * b[:, None, :]).reshape(len(a), -1)
-                            if i in started:
-                                np.matmul(ab.T, c, out=blk)
-                                flat *= radc
-                                dest += flat
-                            else:
-                                # a row's first block goes straight into it
-                                np.matmul(ab.T, c, out=dest.reshape(-1, n))
-                                dest *= radc
-                                started.add(i)
+        # pole, radial factor (also cast to complex once per k), block
+        pl = self.scratch("plan.pole", size, dtype=float)
+        rad = self.scratch("plan.radial", size, dtype=float)
+        radc = self.scratch("plan.radial_complex", size)
+        blk = self.scratch("plan.block", size // n, n)
+        flat = blk.reshape(-1)
+        started = set()
+        for (tau0, alpha), by_k in self.groups.items():
+            np.reciprocal(np.add(omega, alpha, out=pl), out=pl)
+            # exp(-omega tau0) / (alpha + omega)^power, raised along k
+            np.exp(np.multiply(omega, -tau0, out=rad), out=rad)
+            power = 0
+            for k, by_row in by_k:
+                while power <= k:
+                    rad *= pl
+                    power += 1
+                radc[:] = rad
+                for i, parts in by_row:
+                    dest = out[i]
+                    for a, b, c in parts:
+                        # sum_r a[r, p] b[r, q] c[r, s] at p n^2 + q n + s
+                        ab = (a[:, lo:hi, None]
+                              * b[:, None, :]).reshape(len(a), -1)
+                        if i in started:
+                            np.matmul(ab.T, c, out=blk)
+                            flat *= radc
+                            dest += flat
+                        else:
+                            # a row's first block goes straight into it
+                            np.matmul(ab.T, c, out=dest.reshape(-1, n))
+                            dest *= radc
+                            started.add(i)
         return out
-
-
-def _tensor_omega(x: np.ndarray, m: float) -> np.ndarray:
-    """``sqrt(m^2 + |p|^2)`` on the tensor grid x^3, flattened in
-    :func:`tensor_grid`'s layout."""
-    sq = x * x
-    return np.sqrt(m ** 2 + (sq[:, None, None] + sq[None, :, None]
-                             + sq[None, None, :])).reshape(-1)
 
 
 def _gaussian_moment(n: int, p: np.ndarray, beta: float) -> np.ndarray:
@@ -631,13 +632,15 @@ def tensor_grid(box: float, nodes: int):
 class Slab(NamedTuple):
     """First-axis planes ``lo`` to ``hi`` of a tensor grid: their points,
     shape ``(N, 3)`` with point ``i n^2 + j n + k`` at ``(x_i, x_j, x_k)``,
-    their weights, and per requested variant the on-shell kernel rows,
-    shape ``(2s+1, 2s+1, N)``."""
+    their weights, omega there (:func:`plane_omega`), and per requested
+    variant the on-shell kernel rows times the weights, shape
+    ``(2s+1, 2s+1, N)``."""
 
     lo: int
     hi: int
     points: np.ndarray
     weights: np.ndarray
+    omega: np.ndarray
     kernels: list
 
 
@@ -667,16 +670,17 @@ class MomentumQuadrature:
 
     Every sum over the grid, a kernel pairing here or an irrep state's
     ``inner`` and ``distance``, runs slab by slab over :meth:`slabs`, the
-    slabs of whole first-axis planes that transforms fill (about
-    :data:`SLAB_POINTS` points each).  The engine keeps only the axis
-    nodes ``x``, the axis weights and the ``omega`` cube: a slab forms its
-    points, weights and RIGHT on-shell kernel rows when it is reached, and
-    every variant reads those rows through :func:`kernels.variant_kernels`.
-    :meth:`pairings` therefore walks the grid once for all the functions
-    and variants a caller needs.  The engine hands its node vector and
-    ``omega`` to :meth:`MomentumWaveFunction.evaluate` through one
-    :class:`TensorPlan` per pass, which stacks every function the pass
-    evaluates, so each slab is filled by one ``evaluate`` call.
+    slabs of whole first-axis planes that transforms fill, sized by the
+    rows a pass fills (:func:`slab_planes`).  The engine keeps only the
+    axis nodes ``x`` and the axis weights, no array over the whole grid:
+    a slab forms its points, weights, omega and weighted RIGHT on-shell
+    kernel rows when it is reached, and every variant reads those rows
+    through :func:`kernels.variant_kernels`.  :meth:`pairings` therefore
+    walks the grid once for all the functions and variants a caller
+    needs.  The engine hands its node vector to
+    :meth:`MomentumWaveFunction.evaluate` through one :class:`TensorPlan`
+    per pass, which stacks every function the pass evaluates, so each
+    slab is filled by one ``evaluate`` call that reads the slab's omega.
     Node-doubling convergence compares two engines built over the same
     functions at ``nodes`` and ``2 * nodes``.
     """
@@ -693,16 +697,18 @@ class MomentumQuadrature:
         self.nodes = nodes
         self.box = momentum_box(functions, m)
         self.x, self.axis_weights = tensor_grid(self.box, nodes)
-        self.omega = _tensor_omega(self.x, self.m)
 
-    def slabs(self, variants):
-        """The grid's :class:`Slab` s in order.  Each slab's points and
-        weights are formed once, and with any variant requested its RIGHT
-        kernel rows are built once from its points; each variant in
-        ``variants`` reads them through :func:`kernels.variant_kernel`."""
+    def slabs(self, variants, rows: int = 1):
+        """The grid's :class:`Slab` s in order, sized for a pass that
+        fills ``rows`` value rows (:func:`slab_planes`).  Each slab's
+        points, weights and omega are formed once, and with any variant
+        requested its RIGHT kernel rows are built once from its points and
+        omega and multiplied by its weights; each variant in ``variants``
+        reads them through :func:`kernels.variant_kernels`, so every
+        variant's rows carry the weights."""
         # formed by _slab, so this generator holds none of a handed-on
         # slab's arrays while it forms the next one
-        for lo, hi in slab_planes(self.nodes):
+        for lo, hi in slab_planes(self.nodes, rows):
             yield self._slab(lo, hi, variants)
 
     def _slab(self, lo: int, hi: int, variants) -> Slab:
@@ -711,12 +717,14 @@ class MomentumQuadrature:
                           axis=-1).reshape(-1, 3)
         weights = (w[lo:hi, None, None] * w[None, :, None]
                    * w[None, None, :]).reshape(-1)
+        omega = plane_omega(x, self.m, lo, hi)
         kernels = []
         if variants:
             right = onshell_kernel_grid(KernelVariant.RIGHT, self.m,
-                                        self.two_s, points)
+                                        self.two_s, points, omega=omega)
+            right *= weights
             kernels = variant_kernels(right, variants)
-        return Slab(lo, hi, points, weights, kernels)
+        return Slab(lo, hi, points, weights, omega, kernels)
 
     def plan(self, functions, scratch: SlabScratch | None = None
              ) -> TensorPlan:
@@ -735,28 +743,34 @@ class MomentumQuadrature:
                                  "the engine's box allows")
         comps = tuple(c for f in functions for c in f.comps)
         return TensorPlan(MomentumWaveFunction(self.m, self.two_s, comps),
-                          self.x, self.omega, scratch)
+                          self.x, scratch)
 
     def values(self, plan: TensorPlan, slab: Slab,
                out: np.ndarray | None = None) -> np.ndarray:
         """A planned transform on one slab, shape ``(plan.dim, N)``, into
         ``out`` when given: one ``evaluate`` call for every function of
         the plan."""
-        return plan.mwf.evaluate(slab.points, grid=(plan, slab.lo, slab.hi),
-                                 out=out)
+        return plan.mwf.evaluate(slab.points, grid=(plan, slab), out=out)
 
     def pairings(self, bras, kets, variants) -> np.ndarray:
         """``<bra_i|ket_j>`` for every variant, shape ``(len(variants),
         len(bras), len(kets))``, in one pass over the grid.
 
-        Per slab, the distinct functions among ``bras`` and ``kets`` are
-        evaluated by one fill of their stacked :class:`TensorPlan` and the
-        kernel rows are built once; per variant the kernel is applied to
-        the kets (:func:`apply_kernel`) and the cross sums
-        ``sum_n w_n conj(bra_u) (K ket)_u`` are one matrix product.  The
-        values, the weighted bras and the kernel products live in
-        slab-sized buffers that the pass reuses (:class:`SlabScratch`).
+        Per slab, sized for the pass's rows, the distinct functions among
+        ``bras`` and ``kets`` are evaluated by one fill of their stacked
+        :class:`TensorPlan` into one value block, and the weighted kernel
+        rows are built once.  The bras and kets are views of that block
+        (taken into a buffer only when their functions are not adjacent
+        in it).  Per variant the kernel is applied to the kets
+        (:func:`apply_kernel`), and the cross sums
+        ``sum_n conj(bra_u) (w K ket)_u`` are one BLAS product that
+        conjugates the bras as it reads them, so no value is copied,
+        conjugated or weighted.  The value block and the kernel products
+        live in slab-sized buffers that the pass reuses
+        (:class:`SlabScratch`).
         """
+        from scipy.linalg.blas import zgemm
+
         bras, kets, variants = list(bras), list(kets), tuple(variants)
         funcs = list(dict.fromkeys(bras + kets))
         scratch = SlabScratch()
@@ -766,23 +780,32 @@ class MomentumQuadrature:
         ket_at = [at[f] for f in kets]
         nb, nk, dim = len(bras), len(kets), self.two_s + 1
         out = np.zeros((len(variants), nb, nk), dtype=complex)
-        for slab in self.slabs(variants):
+        for slab in self.slabs(variants, plan.dim):
             size = len(slab.weights)
             vals = self.values(plan, slab, scratch("values", plan.dim, size)
-                               ).reshape(len(funcs), dim, size)
-            bra = np.take(vals, bra_at, axis=0, mode="clip",
-                          out=scratch("bra", nb, dim, size))
-            np.conjugate(bra, out=bra)
-            bra *= slab.weights
-            ket = vals if ket_at == list(range(len(funcs))) else np.take(
-                vals, ket_at, axis=0, mode="clip",
-                out=scratch("ket", nk, dim, size))
+                               ).reshape(len(funcs), dim * size)
+            bra = _rows(vals, bra_at, scratch, "bra")
+            ket = _rows(vals, ket_at, scratch, "ket").reshape(nk, dim, size)
             mixed = scratch("mixed", nk, dim, size)
             for i, kernel in enumerate(slab.kernels):
                 apply_kernel(kernel, ket, mixed, scratch("row", size))
-                out[i] += bra.reshape(nb, -1) @ mixed.reshape(nk, -1).T
+                # conj(bra) @ mixed.T: the transposes of C-ordered rows are
+                # the Fortran arrays BLAS reads, so neither is copied
+                out[i] += zgemm(1.0, bra.T, mixed.reshape(nk, -1).T,
+                                trans_a=2)
             del slab   # before the next slab forms its own
         return out
+
+
+def _rows(block: np.ndarray, at: list, scratch: SlabScratch,
+          name: str) -> np.ndarray:
+    """Rows ``at`` of ``block``: a view when they are adjacent and in
+    order, else taken into ``scratch`` buffer ``name``."""
+    lo = at[0] if at else 0
+    if at == list(range(lo, lo + len(at))):
+        return block[lo:lo + len(at)]
+    return np.take(block, at, axis=0,
+                   out=scratch(name, len(at), block.shape[1]))
 
 
 def inner_product(quad: MomentumQuadrature, f: TestFunction, g,

@@ -141,9 +141,12 @@ def variant_kernels(right: np.ndarray, variants) -> list:
             for k, v in zip(kernels, variants)]
 
 
-def _right_kernel_block(m: float, two_s: int, p: np.ndarray) -> np.ndarray:
-    """The RIGHT on-shell kernel at the (N, 3) momenta ``p``, one block."""
-    omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
+def _right_kernel_block(m: float, two_s: int, p: np.ndarray,
+                        omega: np.ndarray | None) -> np.ndarray:
+    """The RIGHT on-shell kernel at the (N, 3) momenta ``p``, one block,
+    with ``omega`` at them formed here when not given."""
+    if omega is None:
+        omega = np.sqrt(m * m + np.einsum("ni,ni->n", p, p))
     x, y, z = p.T
     # the off-diagonal entries (x -+ i y) / m built from their parts: the
     # same values as the complex expressions, in fewer passes
@@ -161,7 +164,8 @@ def _right_kernel_block(m: float, two_s: int, p: np.ndarray) -> np.ndarray:
 
 
 def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
-                        points: np.ndarray) -> np.ndarray:
+                        points: np.ndarray, *,
+                        omega: np.ndarray | None = None) -> np.ndarray:
     """On-shell kernel ``D^s(M_v(p)) / omega`` at (N, 3) momenta, shape
     ``(2s+1, 2s+1, N)``.  The RIGHT kernel ``D^s(omega + p.sigma) / omega``,
     its entries mass-rescaled, is built :data:`POINT_BLOCK` points at a
@@ -170,15 +174,20 @@ def onshell_kernel_grid(variant: KernelVariant, m: float, two_s: int,
     variants are read from it at the same momenta
     (:func:`variant_kernels`).  Those equal ``D^s`` of the RIGHT matrix at
     the reflected momentum (``left`` flips p_y, ``dual`` p_x and p_z) up
-    to the rounding of the D polynomial, none at ``2s <= 1``."""
+    to the rounding of the D polynomial, none at ``2s <= 1``.  ``omega``,
+    when given, is ``sqrt(m^2 + |p|^2)`` at the points, as a caller that
+    holds it already has it (a grid slab, :func:`hilbert.plane_omega`);
+    else it is formed here."""
     points = np.asarray(points, dtype=float)
     if len(points) <= POINT_BLOCK:
-        out = _right_kernel_block(m, two_s, points)
+        out = _right_kernel_block(m, two_s, points, omega)
     else:
         out = np.empty((two_s + 1, two_s + 1, len(points)), dtype=complex)
         for lo in range(0, len(points), POINT_BLOCK):
-            out[..., lo:lo + POINT_BLOCK] = _right_kernel_block(
-                m, two_s, points[lo:lo + POINT_BLOCK])
+            block = slice(lo, lo + POINT_BLOCK)
+            out[..., block] = _right_kernel_block(
+                m, two_s, points[block],
+                None if omega is None else omega[block])
     return variant_kernels(out, (variant,))[0]
 
 

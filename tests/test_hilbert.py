@@ -158,9 +158,17 @@ def test_inner_product_spin_mismatch():
         hl.inner_product(quad, f, hl.random_test_function(rng, 1), KV.RIGHT)
 
 
+def omega_at(points, m):
+    """``sqrt(m^2 + |p|^2)`` at (N, 3) momenta, ``|p|^2`` summed in axis
+    order."""
+    px, py, pz = points.T
+    return np.sqrt(m * m + ((px * px + py * py) + pz * pz))
+
+
 @pytest.mark.parametrize("nodes", [7, 12])
 def test_engine_kernels_equal_direct_builds(monkeypatch, nodes):
-    # slabs of two planes; at 7 nodes the last slab is one plane
+    # slabs of two planes; at 7 nodes the last slab is one plane.  A
+    # slab's rows carry its weights, the dual copy included
     monkeypatch.setattr(hl, "SLAB_POINTS", 2 * nodes ** 2)
     m = 1.3
     for two_s in range(5):
@@ -168,11 +176,12 @@ def test_engine_kernels_equal_direct_builds(monkeypatch, nodes):
         quad = hl.MomentumQuadrature([f], m, nodes)
         slabs = list(quad.slabs(tuple(KV)))
         assert len(slabs) == (nodes + 1) // 2
-        points = grid_points(quad)[0]
+        points, weights = grid_points(quad)
         assert np.array_equal(np.concatenate([s.points for s in slabs]),
                               points)
         for i, v in enumerate(KV):
-            direct = onshell_kernel_grid(v, m, two_s, points)
+            direct = weights * onshell_kernel_grid(
+                v, m, two_s, points, omega=omega_at(points, m))
             rows = np.concatenate([slab.kernels[i] for slab in slabs],
                                   axis=-1)
             assert np.array_equal(rows, direct), (two_s, v)
@@ -263,9 +272,10 @@ def test_term_blocks_split_large_groups(monkeypatch):
         for _ in range(2)))
     assert all(len(ts) == 12 for ts in f.comps)
     quad = hl.MomentumQuadrature([f], 1.3, 20)
-    whole = quad.plan([f]).fill(0, 20)
+    omega = hl.plane_omega(quad.x, 1.3, 0, 20)
+    whole = quad.plan([f]).fill(0, 20, omega)
     monkeypatch.setattr(hl, "TERM_BLOCK", 5)
-    blocked = quad.plan([f]).fill(0, 20)
+    blocked = quad.plan([f]).fill(0, 20, omega)
     want = hl.laplace_fourier_transform(f, 1.3).evaluate(grid_points(quad)[0])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(blocked - want)) <= 1e-13 * scale
@@ -303,7 +313,7 @@ def test_stacked_fill_equals_one_function_fills(monkeypatch, two_s):
     # contiguous
     strided = np.empty((plan.dim, 2 * 3 * 20 ** 2), dtype=complex)[:, ::2]
     with pytest.raises(ValueError):
-        plan.fill(0, 3, strided)
+        plan.fill(0, 3, hl.plane_omega(quad.x, 1.3, 0, 3), strided)
 
 
 @pytest.mark.parametrize("nodes", [2, 7, 48])
@@ -311,7 +321,7 @@ def test_engine_grid_equals_recognized_grid(monkeypatch, nodes):
     fs = _transform_cases(2)[:3]
     quad = hl.MomentumQuadrature(fs, 1.3, nodes)
     # the grid read off the points: point i n^2 + j n + k is
-    # (x_i, x_j, x_k), and omega is sqrt(m^2 + |p|^2) there
+    # (x_i, x_j, x_k), and each slab's omega is sqrt(m^2 + |p|^2) there
     points = grid_points(quad)[0]
     x = points[:nodes, 2]
     assert np.array_equal(x, quad.x)
@@ -319,11 +329,14 @@ def test_engine_grid_equals_recognized_grid(monkeypatch, nodes):
     assert (cube[..., 0] == x[:, None, None]).all()
     assert (cube[..., 1] == x[None, :, None]).all()
     assert (cube[..., 2] == x[None, None, :]).all()
-    omega = hl._tensor_omega(x, 1.3)
-    assert np.allclose(omega, np.sqrt(1.3 ** 2 + np.einsum(
-        "ni,ni->n", points, points)), rtol=1e-15, atol=0)
-    recognized = [hl.TensorPlan(hl.laplace_fourier_transform(f, 1.3), x,
-                                omega).fill(0, nodes) for f in fs]
+    omega = omega_at(points, 1.3).reshape(nodes, -1)
+    for slab in quad.slabs(()):
+        assert np.array_equal(slab.omega, omega_at(slab.points, 1.3))
+    # filled over the engine's slab planes, from omega at the points
+    recognized = [np.concatenate([
+        hl.TensorPlan(hl.laplace_fourier_transform(f, 1.3), x).fill(
+            lo, hi, omega[lo:hi].reshape(-1))
+        for lo, hi in hl.slab_planes(nodes, f.dim)], axis=-1) for f in fs]
     # the engine hands its grid over: no pointwise path
     monkeypatch.setattr(hl.MomentumWaveFunction, "_evaluate_pointwise",
                         _refuse)

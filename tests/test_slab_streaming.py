@@ -5,7 +5,8 @@
 ``.distance`` sum over the grid one slab of first-axis planes at a time.
 Each is compared with the one-product oracle in ``oracles.py`` with the
 grid cut into one slab, into slabs of five planes (the last one partial)
-and into single planes.
+and into single planes.  The memory pins measure tracemalloc's peak over
+one pass at the default slab sizes.
 """
 
 import tracemalloc
@@ -24,42 +25,85 @@ from rqmcheck.spacetime import KernelVariant as KV
 NODES, SMALL_NODES = 24, 16
 
 # SLAB_POINTS -> planes per slab at 24 nodes: 24 (one slab), 5 (slabs of
-# 5, 5, 5, 5, 4; at 16 nodes 11 and 5) and 1
+# 5, 5, 5, 5, 4; at 16 nodes 11 and 5) and 1, whatever a pass's rows
 SLABBINGS = pytest.mark.parametrize("slab_points", [
     NODES ** 3, 5 * NODES ** 2, 1], ids=["one-slab", "five-planes",
                                          "one-plane"])
+
+
+def set_slab_points(monkeypatch, slab_points):
+    """Slabs of ``slab_points`` points for a pass of up to 64 rows."""
+    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    monkeypatch.setattr(hl, "SLAB_VALUES", 64 * slab_points)
+
+
+def peak_mb(fn) -> float:
+    """tracemalloc's peak over one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def assert_close(got, want):
     assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
+def test_slab_planes_shrink_with_rows():
+    # up to eight rows keep the planes of SLAB_POINTS points a slab; more
+    # rows give fewer planes, down to one, and the slabs tile the grid
+    for n in (2, 7, 24, 40, 48, 88, 112, 200):
+        points_only = min(n, max(1, hl.SLAB_POINTS // (n * n)))
+        widths = []
+        for rows in (1, 2, 8, 9, 12, 24, 28, 100, 10 ** 6):
+            planes = hl.slab_planes(n, rows)
+            width = planes[0][1] - planes[0][0]
+            assert planes == [(lo, min(lo + width, n))
+                              for lo in range(0, n, width)]
+            # a slab passes a bound only when it is one plane
+            size = width * n * n
+            assert width == 1 or (size <= hl.SLAB_POINTS
+                                  and size * rows <= hl.SLAB_VALUES)
+            widths.append(width)
+        assert widths[:3] == [points_only] * 3
+        assert all(a >= b >= 1 for a, b in zip(widths, widths[1:]))
+        assert widths[-1] == 1
+    assert len(hl.slab_planes(40, 24)) > len(hl.slab_planes(40, 8)) == 4
+
+
 @SLABBINGS
 @pytest.mark.parametrize("two_s", [1, 2])
 def test_streamed_gram_and_contract_match_full_grid(monkeypatch, two_s,
                                                     slab_points):
-    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    set_slab_points(monkeypatch, slab_points)
     fs = su.positivity_family(np.random.default_rng(40 + two_s), two_s, 4)
     quad = hl.MomentumQuadrature(fs, 1.2, NODES)
     variants = tuple(KV)
     grams = hl.gram_matrix(quad, fs, variants)
-    # bras and kets that differ and overlap, in one pass
-    cross = quad.pairings(fs[:2], fs[1:], variants)
     values = [engine_values(quad, f) for f in fs]
-    for variant, rep, pairs in zip(variants, grams, cross):
+    # bras and kets that differ and overlap, in one pass: views of the
+    # value block; then bras with a repeat and kets out of order, which
+    # are taken from it
+    for bra_at, ket_at in (([0, 1], [1, 2, 3]), ([1, 0, 1], [3, 0])):
+        cross = quad.pairings([fs[i] for i in bra_at],
+                              [fs[j] for j in ket_at], variants)
+        for variant, pairs in zip(variants, cross):
+            for a, i in enumerate(bra_at):
+                for b, j in enumerate(ket_at):
+                    assert_close(pairs[a, b], contract_full_grid(
+                        quad, values[i], values[j], variant))
+    for variant, rep in zip(variants, grams):
         want = gram_full_grid(quad, fs, variant)
         for i in range(len(fs)):
             for j in range(len(fs)):
                 assert_close(rep.matrix[i, j], want[i, j])
-        for i in range(2):
-            for j in range(len(fs) - 1):
-                assert_close(pairs[i, j], contract_full_grid(
-                    quad, values[i], values[j + 1], variant))
 
 
 @SLABBINGS
 def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
-    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    set_slab_points(monkeypatch, slab_points)
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
     args = (pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES, SMALL_NODES)
     rows = gn.hermiticity_defects(*args)
@@ -73,7 +117,8 @@ def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
 def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
     # per pair and engine one stacked transform: f, g and their orbital
     # images under J and K (six) at NODES, under H and P (four) at
-    # SMALL_NODES, filled by one evaluate call per slab
+    # SMALL_NODES, filled by one evaluate call per slab of a size for
+    # those rows
     monkeypatch.setattr(hl, "SLAB_POINTS", 5 * NODES ** 2)
     rows = Counter()
     evaluate = hl.MomentumWaveFunction.evaluate
@@ -86,45 +131,66 @@ def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
     gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES,
                            SMALL_NODES)
-    assert rows == {2 * (2 + 2 * 6): len(pairs) * len(hl.slab_planes(NODES)),
-                    2 * (2 + 2 * 4): (len(pairs)
-                                      * len(hl.slab_planes(SMALL_NODES)))}
-    assert len(hl.slab_planes(NODES)) == 5
+    jk, hp = 2 * (2 + 2 * 6), 2 * (2 + 2 * 4)
+    assert rows == {jk: len(pairs) * len(hl.slab_planes(NODES, jk)),
+                    hp: len(pairs) * len(hl.slab_planes(SMALL_NODES, hp))}
+    assert len(hl.slab_planes(NODES, jk)) == 5
+
+
+def _hermiticity_pass(count):
+    pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, count)
+    return lambda: gn.hermiticity_defects(pairs, 1.0, tuple(KV),
+                                          gn.GENERATOR_NAMES, 88, 32)
 
 
 def test_hermiticity_pair_memory_is_slab_bounded():
     # the whole-grid form held 14 transforms, kernel copies and kernel
     # build scratch at once: a 478 MB peak for this pair; with a kept
     # RIGHT kernel and point array, 98 MB; with slab-built kernel rows,
-    # 27.5 MB.  One stacked fill into reused slab buffers measures
-    # 26.2 MB; the pin leaves 7.8 MB for allocator variation
-    pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
-    tracemalloc.start()
-    try:
-        gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES,
-                               88, 32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 34e6, peak / 1e6
+    # 27.5 MB; one stacked fill into reused slab buffers, 26.2 MB.  Slabs
+    # sized by the pair's 28 rows (one plane of 88^2 points), omega per
+    # slab, weighted kernel rows and every variant's bras and kets kept
+    # per slab measure 10.7 MB; the pin leaves 2.8 MB
+    assert peak_mb(_hermiticity_pass(1)) < 13.5
+
+
+def test_ten_hermiticity_pairs_memory_is_slab_bounded():
+    # the suite's ten pairs: every pair's plan is kept for the whole walk,
+    # about 0.9 MB a pair, on top of one pair's slab buffers; 19.3 MB
+    # measured (34.1 MB with fixed 16k-point slabs and an omega cube per
+    # engine); the pin leaves 2.7 MB
+    assert peak_mb(_hermiticity_pass(10)) < 22.0
 
 
 def test_gram_pass_memory_is_slab_bounded():
     # all four variants' Gram matrices of eight spin-1 functions on 40^3
-    # points in one pass: 28.2 MB measured, where kept whole-grid
-    # transforms and a kept RIGHT kernel peaked at 67 MB.  The pass's
-    # slab buffers stay allocated while the next slab builds its kernel
-    # rows, and apply_kernel's scratch is one row; the pin leaves 7.8 MB
-    # for allocator variation
+    # points in one pass: 24 value rows, so slabs of three planes, with
+    # bras and kets read from the value block and the weights in the
+    # kernel rows.  6.7 MB measured, where fixed 16k-point slabs with a
+    # weighted bra copy peaked at 28.2 MB and kept whole-grid transforms
+    # and a kept RIGHT kernel at 67 MB; the pin leaves 2.8 MB
     fs = su.positivity_family(np.random.default_rng(0), 2, 8)
     quad = hl.MomentumQuadrature(fs, 1.0, 40)
-    tracemalloc.start()
-    try:
-        hl.gram_matrix(quad, fs, tuple(KV))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 36e6, peak / 1e6
+    assert peak_mb(lambda: hl.gram_matrix(quad, fs, tuple(KV))) < 9.5
+
+
+def test_casimir_pass_memory_is_slab_bounded():
+    # the casimir suite's spin-1 pass: f against (H^2 - P^2) g and g, nine
+    # value rows on 48^3 points, every variant; 11.7 MB measured (16.0 MB
+    # with an omega cube and a weighted bra copy); the pin leaves 2.8 MB
+    rng = np.random.default_rng(0)
+    f, g = (hl.random_test_function(rng, two_s=2, terms_per_component=1,
+                                    min_k=2, max_k=3, center_scale=0.3,
+                                    beta_range=(0.3, 0.6)) for _ in range(2))
+    quad = hl.MomentumQuadrature((f, g), 1.0, 48)
+    assert peak_mb(lambda: gn.casimir_pairings(quad, f, g, tuple(KV))) < 14.5
+
+
+def test_engine_holds_no_grid_array():
+    # an engine keeps its axis nodes and weights only: the omega cube it
+    # held was 5.4 MB at 88 nodes, built through two more n^3 temporaries
+    f = hl.gaussian_packet(two_s=1, beta=0.4)
+    assert peak_mb(lambda: hl.MomentumQuadrature([f], 1.0, 88)) < 1.0
 
 
 def _irrep_state(rng, two_s, nodes):
@@ -138,7 +204,7 @@ def _irrep_state(rng, two_s, nodes):
 @pytest.mark.parametrize("two_s", [0, 1, 2])
 def test_streamed_irrep_inner_and_distance_match_full_grid(
         monkeypatch, two_s, slab_points):
-    monkeypatch.setattr(hl, "SLAB_POINTS", slab_points)
+    set_slab_points(monkeypatch, slab_points)
     rng = np.random.default_rng(50 + two_s)
     state = _irrep_state(rng, two_s, NODES)
     moved = gn.apply_poincare_irrep(state, su._random_poincare(rng))
@@ -157,13 +223,7 @@ def test_moved_irrep_norm_memory_is_slab_bounded():
     rng = np.random.default_rng(0)
     state = _irrep_state(rng, 2, 72)
     moved = gn.apply_poincare_irrep(state, su._random_poincare(rng))
-    tracemalloc.start()
-    try:
-        moved.norm()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6, peak / 1e6
+    assert peak_mb(moved.norm) < 40.0
 
 
 def test_off_center_spin_projection_norm_holds_one_phase():
@@ -173,10 +233,4 @@ def test_off_center_spin_projection_norm_holds_one_phase():
     state = gn.state_from_test_function(f, 1.0, nodes=20)
     projected = gn.spin_project(state, 1, euler_nodes=(8, 8, 8))
     assert len({t.center for c in projected.source.comps for t in c}) == 512
-    tracemalloc.start()
-    try:
-        projected.norm()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6, peak / 1e6
+    assert peak_mb(projected.norm) < 10.0

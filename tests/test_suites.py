@@ -41,9 +41,9 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
             transform_points[mwf.comps[j:j + dim]] += len(points)
         return evaluate(mwf, points, grid=grid, out=out)
 
-    def counted_kernel(variant, m, two_s, points):
+    def counted_kernel(variant, m, two_s, points, **kw):
         kernel_points.append(len(points))
-        return build_kernel(variant, m, two_s, points)
+        return build_kernel(variant, m, two_s, points, **kw)
 
     def counted_grid(box, nodes):
         grids.append(nodes)
@@ -62,9 +62,12 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     assert sum(kernel_points) == families * nodes ** 3
     assert len(transform_points) == families * transforms_per_family
     assert set(transform_points.values()) == {nodes ** 3}
-    # one stacked transform per family, filled once per slab
-    assert len(calls) == families * len(hl.slab_planes(nodes))
-    assert len(set(map(id, calls))) == families
+    # one stacked transform per family, filled once per slab of a size
+    # for its rows
+    plans = {id(mwf): mwf for mwf in calls}
+    assert len(plans) == families
+    assert len(calls) == sum(len(hl.slab_planes(nodes, mwf.dim))
+                             for mwf in plans.values())
 
 
 def test_gram_reports_carry_hermiticity_defect():
@@ -144,3 +147,30 @@ def test_kernel_covariance_covers_every_kept_spin(monkeypatch):
                        variants=(KV.RIGHT,))
     su.suite_kernels(cfg)
     assert spins == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("variant", [KV.RIGHT, KV.LEFT_DUAL])
+def test_onshell_positivity_sees_a_non_hermitian_kernel(monkeypatch,
+                                                        variant):
+    # eigvalsh reads the lower triangle only, so an upper-triangle entry
+    # moved by 1e-6 of the kernel leaves every eigenvalue as it was; the
+    # check must still fail on it
+    build = kr.onshell_kernel_grid
+
+    def skewed(variant, m, two_s, points, **kw):
+        kernel = build(variant, m, two_s, points, **kw)
+        if two_s:
+            kernel = kernel.copy()
+            kernel[0, -1] += 1e-6 * abs(kernel).max(axis=(0, 1))
+        return kernel
+
+    monkeypatch.setattr(kr, "onshell_kernel_grid", skewed)
+    cfg = su.RunConfig(suites=("kernels",), two_spins=(0, 1),
+                       variants=(variant,))
+    reports = [r for r in su.suite_kernels(cfg)
+               if r.name == "onshell_positivity"]
+    assert reports and all(not r.passed and r.measured > 1e-7
+                           for r in reports), reports
+    monkeypatch.setattr(kr, "onshell_kernel_grid", build)
+    assert all(r.passed for r in su.suite_kernels(cfg)
+               if r.name == "onshell_positivity")

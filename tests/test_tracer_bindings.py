@@ -75,13 +75,13 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
     from rqmcheck import suites as su
     from rqmcheck.spacetime import KernelVariant as KV
 
-    passes = []          # (nodes, terms of the functions) per plan
+    passes = []          # (nodes, rows, terms of the functions) per plan
     plan = hl.MomentumQuadrature.plan
 
     def recorded_plan(quad, functions, scratch=None):
         functions = list(functions)
-        passes.append((quad.nodes, sum(len(ts) for f in functions
-                                       for ts in f.comps)))
+        passes.append((quad.nodes, sum(f.dim for f in functions),
+                       sum(len(ts) for f in functions for ts in f.comps)))
         return plan(quad, functions, scratch)
 
     monkeypatch.setattr(hl.MomentumQuadrature, "plan", recorded_plan)
@@ -103,9 +103,10 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
                  "suites.run_hermiticity_matrix.self_s"):
         assert name in required
     assert not [m for m in required if not metrics.get(m)], metrics
-    slabs = [len(hl.slab_planes(nodes)) for nodes, _ in passes]
+    # one pair: each hermiticity engine's slabs are sized by its one plan
+    slabs = [len(hl.slab_planes(nodes, rows)) for nodes, rows, _ in passes]
     assert metrics["hilbert.transform.calls"] == sum(slabs)
     assert metrics["hilbert.transform.terms"] == sum(
-        n * terms for n, (_, terms) in zip(slabs, passes))
+        n * terms for n, (*_, terms) in zip(slabs, passes))
     assert metrics["hilbert.transform.term_points"] == sum(
-        nodes ** 3 * terms for nodes, terms in passes)
+        nodes ** 3 * terms for nodes, _, terms in passes)

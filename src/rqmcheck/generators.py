@@ -25,10 +25,10 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (MomentumQuadrature, SlabScratch, Term, TestFunction,
-                      _merge, apply_kernel, inner_product,
-                      laplace_fourier_transform, position_inner_product_mc,
-                      root_norm, rotate_pointwise, tensor_grid, then)
+from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
+                      inner_product, laplace_fourier_transform,
+                      position_inner_product_mc, root_norm, rotate_pointwise,
+                      tensor_grid, then)
 from .kernels import KernelVariant
 from .report import worst_of
 from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
@@ -240,87 +240,42 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
     every variant.  H and P multiply by functions of p and use the
     ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
-    are built over every pair function, and each is walked once (see
-    :meth:`MomentumQuadrature.slabs`): a slab's kernel rows are built once
-    for all pairs.  Each pair has one :class:`TensorPlan` per engine that
-    stacks f, g and their orbital images, so one ``evaluate`` call per
-    slab fills them all into a value block, which then takes its share of
-    every sum below for every variant and generator.  Each engine's
-    slabs are sized for the largest plan's rows
-    (:func:`hilbert.slab_planes`), so beyond the engines' axis grids,
-    memory is every pair's plan and a few slab-sized buffers that the
-    walk reuses for every pair and slab (one :class:`hilbert.SlabScratch`
-    per engine).  Per slab and variant the kernel rows, which carry the
-    quadrature weights, are applied once to each side
-    (:func:`hilbert.apply_kernel`; the bra side through the transposed
-    rows): ``bra = conj(F[f]) w K`` and ``ket = w K F[g]``.
-    Then ``<f|A g> = bra . F[orbital g] + sum_uv S_uv (bra_u . F[g]_v)``
-    and ``<A f|g> = conj(F[orbital f]) . ket + sum_uv conj(S_uv)
-    (conj(F[f]_v) . ket_u)``: two dot products per generator, plus the
-    small spin sums, taken for every variant at once: one matrix product
-    per side, pair and slab over the variants' bras or kets.  The sums
-    against ``ket`` are taken as conjugates of sums against
-    ``conj(ket)``, so only the kets are conjugated, in place.
+    are built over every pair function, and each pairs every pair in one
+    :meth:`MomentumQuadrature.pairings` call, one block per pair: bras f,
+    g and their orbital images, kets f and g.  From the block's component
+    sums ``C[a, b]_uw`` (see :meth:`MomentumQuadrature.pairings`),
+    ``<A f|g> = tr C[orbital f, g] + sum_uv conj(S_uv) C[f, g]_vu`` and,
+    since every variant's kernel rows are Hermitian at each point
+    (``onshell_positivity`` certifies it), ``<f|A g> = conj(<A g|f>)``,
+    the same sum over ``C[orbital g, f]`` and ``C[g, f]``.
     Rows are ``(pair index, name, variant, lhs, rhs,
-    |lhs - rhs| / (|lhs| + |rhs|))``, in the order of ``pairs``,
-    ``names`` and ``variants``.
+    |lhs - rhs| / (|lhs| + |rhs|))`` with ``lhs = <f|A g>`` and
+    ``rhs = <A f|g>``, in the order of ``pairs``, ``names`` and
+    ``variants``.
     """
     functions = [h for pair in pairs for h in pair]
     grid_of = {name: small_nodes if name[0] in ("H", "P") else nodes
                for name in names}
-    quads = {n: MomentumQuadrature(functions, m, n)
-             for n in set(grid_of.values())}
     two_s = functions[0].two_s
     found = {}
-    dim = two_s + 1
-    for n_nodes, quad in quads.items():
+    for n_nodes in set(grid_of.values()):
+        quad = MomentumQuadrature(functions, m, n_nodes)
         own = [name for name in names if grid_of[name] == n_nodes]
-        scratch = SlabScratch()
-        # per pair: f, g, then the orbital images of f, then those of g
-        plans = [quad.plan([f, g] + [apply_generator_orbital(name, h)
-                                     for h in (f, g) for name in own],
-                           scratch) for f, g in pairs]
-        # per pair and variant: the spin sums (bra_u . F[g]_v,
-        # conj(F[f]_v) . ket_u) and each generator's two orbital products
-        spin = np.zeros((len(pairs), len(variants), 2, dim, dim),
-                        dtype=complex)
-        orbital = np.zeros((len(pairs), len(variants), 2, len(own)),
-                           dtype=complex)
-        for slab in quad.slabs(variants, max(plan.dim for plan in plans)):
-            size = len(slab.weights)
-            bra, ket = (scratch(name, len(variants), dim, size)
-                        for name in ("bra", "ket"))
-            conj_f = scratch("conj_f", 1, dim, size)
-            row = scratch("row", size)
-            for idx, plan in enumerate(plans):
-                vals = quad.values(plan, slab,
-                                   scratch("values", plan.dim, size))
-                vals = vals.reshape(-1, dim, size)
-                ff, gg = vals[0], vals[1]
-                a_f = vals[2:2 + len(own)].reshape(len(own), -1)
-                a_g = vals[2 + len(own):].reshape(len(own), -1)
-                np.conjugate(ff, out=conj_f[0])
-                for i, kernel in enumerate(slab.kernels):
-                    apply_kernel(kernel.swapaxes(0, 1), conj_f,
-                                 bra[i:i + 1], row)
-                    apply_kernel(kernel, vals[1:2], ket[i:i + 1], row)
-                # every variant at once: one product per side
-                spin[idx, :, 0] += bra @ gg.T
-                orbital[idx, :, 0] += bra.reshape(len(variants), -1) @ a_g.T
-                np.conjugate(ket, out=ket)
-                spin[idx, :, 1] += (ket @ ff.T).conj()
-                orbital[idx, :, 1] += (ket.reshape(len(variants), -1)
-                                       @ a_f.T).conj()
-            del slab   # before the next slab forms its own
-        for idx in range(len(pairs)):
-            for i, variant in enumerate(variants):
+        # bras: f, g, then the orbital images of f, then those of g
+        blocks = [([f, g] + [apply_generator_orbital(name, h)
+                             for h in (f, g) for name in own], [f, g])
+                  for f, g in pairs]
+        for idx, sums in enumerate(quad.pairings(blocks, variants)):
+            for c, variant in zip(sums, variants):
                 for j, name in enumerate(own):
-                    S = generator_spin_matrix(name, two_s, variant)
-                    found[idx, name, variant] = (
-                        complex(orbital[idx, i, 0, j]
-                                + np.sum(S * spin[idx, i, 0])),
-                        complex(orbital[idx, i, 1, j]
-                                + np.sum(S.conj() * spin[idx, i, 1])))
+                    S = generator_spin_matrix(name, two_s, variant).conj()
+                    # <A h|k> from bra A h (its image's row) and bra h
+                    # against ket k: first <A g|f>, then <A f|g>
+                    ag_f, af_g = (np.trace(c[image, k]) + np.sum(S * c[h, k].T)
+                                  for image, h, k in ((2 + len(own) + j, 1, 0),
+                                                      (2 + j, 0, 1)))
+                    found[idx, name, variant] = (complex(ag_f).conjugate(),
+                                                 complex(af_g))
     rows = []
     for idx in range(len(pairs)):
         for name in names:
@@ -362,7 +317,8 @@ def semigroup_contraction_check(quad: MomentumQuadrature, f: TestFunction,
         ref = max(np.max(np.abs(once.evaluate(pts))), 1e-300)
         law = dev / ref - 1e-12
     out = []
-    for gram in quad.pairings(shifted, shifted, variants):
+    (sums,) = quad.pairings([(shifted, shifted)], variants)
+    for gram in np.trace(sums, axis1=-2, axis2=-1):
         base, *norms, gap = [root_norm(v.real) for v in np.diagonal(gram)]
         ratios = [n / base for n in norms]
         pos = [r for d, r in zip(dtaus, ratios) if d > 0]

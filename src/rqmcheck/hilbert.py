@@ -43,10 +43,11 @@ DEFAULT_NODES = 96
 #: 0.75 MB together) stay in cache while every term group adds into it
 SLAB_POINTS = 16384
 
-#: most complex values per slab across the rows a pass fills (2 MB): a
-#: pass of up to eight rows gets :data:`SLAB_POINTS` points a slab, and a
-#: pass of more rows proportionally fewer, so its value block, and the
-#: kernel products and kernel rows that scale with the slab, stay bounded
+#: most complex values per slab across the rows a pass fills, kernel
+#: products included (2 MB): a pass of up to eight rows gets
+#: :data:`SLAB_POINTS` points a slab, and a pass of more rows
+#: proportionally fewer, so its value block, its kernel products and the
+#: kernel rows that scale with the slab stay bounded
 SLAB_VALUES = 8 * SLAB_POINTS
 
 #: terms of one (tau0, alpha, k, component) group summed per matrix
@@ -386,7 +387,7 @@ class MomentumWaveFunction:
         ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  ``grid``, when
         given, is ``(plan, slab)``: this transform's :class:`TensorPlan`
         on a tensor grid, as :meth:`MomentumQuadrature.plan` builds it for
-        every function of a pass, and the :class:`Slab` to fill, into
+        every function of a block, and the :class:`Slab` to fill, into
         ``out`` when given; the caller vouches that ``points`` are the
         slab's points, and the plan reads the slab's omega.  The plan
         sum-factorizes the image: axis
@@ -492,8 +493,9 @@ class SlabScratch:
 class TensorPlan:
     """The sum factorization of a transform on the tensor grid x^3.
 
-    Built once per pass over the grid, for one transform that stacks every
-    function the pass needs (see :meth:`MomentumQuadrature.plan`): the
+    Built once per block of a pass over the grid, for one transform that
+    stacks every function the block needs (see
+    :meth:`MomentumQuadrature.plan`): the
     axis factors of every term, stacked :data:`TERM_BLOCK` terms at a
     time, grouped by ``(tau0, alpha)``, then ``k``, then row, across all
     the functions.  :meth:`fill` evaluates one slab of first-axis planes
@@ -676,13 +678,15 @@ class MomentumQuadrature:
     a slab forms its points, weights, omega and weighted RIGHT on-shell
     kernel rows when it is reached, and every variant reads those rows
     through :func:`kernels.variant_kernels`.  :meth:`pairings` therefore
-    walks the grid once for all the functions and variants a caller
-    needs.  The engine hands its node vector to
+    walks the grid once for all the blocks of functions and the variants a
+    caller needs.  The engine hands its node vector to
     :meth:`MomentumWaveFunction.evaluate` through one :class:`TensorPlan`
-    per pass, which stacks every function the pass evaluates, so each
-    slab is filled by one ``evaluate`` call that reads the slab's omega.
-    Node-doubling convergence compares two engines built over the same
-    functions at ``nodes`` and ``2 * nodes``.
+    per block, which stacks every function the block evaluates, so each
+    slab fills a block by one ``evaluate`` call that reads the slab's
+    omega.  No verdict measures how far ``nodes`` is from convergence:
+    only the test ``test_quadrature_convergence_under_doubling`` compares
+    two engines built over the same functions at ``nodes`` and
+    ``2 * nodes``.
     """
 
     def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
@@ -728,7 +732,7 @@ class MomentumQuadrature:
 
     def plan(self, functions, scratch: SlabScratch | None = None
              ) -> TensorPlan:
-        """One :class:`TensorPlan` for every function of a pass, after
+        """One :class:`TensorPlan` for every function of a block, after
         checking that the engine can pair each: the transform of their
         components concatenated, function j's at rows ``j (2s+1)`` to
         ``(j + 1)(2s+1)``.  A single function is a stack of one.
@@ -752,47 +756,60 @@ class MomentumQuadrature:
         the plan."""
         return plan.mwf.evaluate(slab.points, grid=(plan, slab), out=out)
 
-    def pairings(self, bras, kets, variants) -> np.ndarray:
-        """``<bra_i|ket_j>`` for every variant, shape ``(len(variants),
-        len(bras), len(kets))``, in one pass over the grid.
+    def pairings(self, blocks, variants) -> list:
+        """Component sums of each ``(bras, kets)`` block, in one pass over
+        the grid: per block an array of shape ``(len(variants),
+        len(bras), len(kets), 2s+1, 2s+1)``, ``C[v, i, j, u, w] = sum_n
+        conj(bra_i)_u (w K_v ket_j)_w``, whose trace over the last two
+        axes is ``<bra_i|ket_j>`` at variant v.
 
-        Per slab, sized for the pass's rows, the distinct functions among
-        ``bras`` and ``kets`` are evaluated by one fill of their stacked
-        :class:`TensorPlan` into one value block, and the weighted kernel
-        rows are built once.  The bras and kets are views of that block
-        (taken into a buffer only when their functions are not adjacent
-        in it).  Per variant the kernel is applied to the kets
-        (:func:`apply_kernel`), and the cross sums
-        ``sum_n conj(bra_u) (w K ket)_u`` are one BLAS product that
-        conjugates the bras as it reads them, so no value is copied,
-        conjugated or weighted.  The value block and the kernel products
-        live in slab-sized buffers that the pass reuses
-        (:class:`SlabScratch`).
+        Slabs are sized for the widest block's value rows plus its kets'
+        kernel products at every variant (:func:`slab_planes`).  Per slab
+        the weighted kernel rows are built once, and each block's distinct
+        functions are evaluated by one fill of its stacked
+        :class:`TensorPlan` into one value block, of which its bras and
+        kets are views (taken into a buffer only when their functions are
+        not adjacent in it).  Every variant's kernel is applied to the
+        kets (:func:`apply_kernel`), and the block's sums for all variants
+        are one BLAS product that conjugates the bras as it reads them, so
+        the bras are read once and no value is copied, conjugated or
+        weighted.  Values and kernel products live in slab-sized buffers
+        that the pass reuses (:class:`SlabScratch`).
         """
         from scipy.linalg.blas import zgemm
 
-        bras, kets, variants = list(bras), list(kets), tuple(variants)
-        funcs = list(dict.fromkeys(bras + kets))
+        variants, dim = tuple(variants), self.two_s + 1
         scratch = SlabScratch()
-        plan = self.plan(funcs, scratch)
-        at = {f: i for i, f in enumerate(funcs)}
-        bra_at = [at[f] for f in bras]
-        ket_at = [at[f] for f in kets]
-        nb, nk, dim = len(bras), len(kets), self.two_s + 1
-        out = np.zeros((len(variants), nb, nk), dtype=complex)
-        for slab in self.slabs(variants, plan.dim):
+        passes, out = [], []
+        for bras, kets in blocks:
+            funcs = list(dict.fromkeys([*bras, *kets]))
+            at = {f: i for i, f in enumerate(funcs)}
+            passes.append((self.plan(funcs, scratch), [at[f] for f in bras],
+                           [at[f] for f in kets]))
+            out.append(np.zeros((len(variants), len(bras), len(kets), dim,
+                                 dim), dtype=complex))
+        rows = max(plan.dim + len(variants) * len(ket_at) * dim
+                   for plan, _, ket_at in passes)
+        for slab in self.slabs(variants, rows):
             size = len(slab.weights)
-            vals = self.values(plan, slab, scratch("values", plan.dim, size)
-                               ).reshape(len(funcs), dim * size)
-            bra = _rows(vals, bra_at, scratch, "bra")
-            ket = _rows(vals, ket_at, scratch, "ket").reshape(nk, dim, size)
-            mixed = scratch("mixed", nk, dim, size)
-            for i, kernel in enumerate(slab.kernels):
-                apply_kernel(kernel, ket, mixed, scratch("row", size))
-                # conj(bra) @ mixed.T: the transposes of C-ordered rows are
-                # the Fortran arrays BLAS reads, so neither is copied
-                out[i] += zgemm(1.0, bra.T, mixed.reshape(nk, -1).T,
-                                trans_a=2)
+            for (plan, bra_at, ket_at), sums in zip(passes, out):
+                vals = self.values(plan, slab,
+                                   scratch("values", plan.dim, size)
+                                   ).reshape(-1, dim, size)
+                bra = _rows(vals, bra_at, scratch, "bra").reshape(-1, size)
+                ket = _rows(vals, ket_at, scratch, "ket")
+                mixed = scratch("mixed", len(variants), len(ket_at), dim,
+                                size)
+                for kernel, applied in zip(slab.kernels, mixed):
+                    apply_kernel(kernel, ket, applied, scratch("row", size))
+                # conj(bra) @ mixed.T over (function, component) rows: the
+                # transposes of C-ordered rows are the Fortran arrays BLAS
+                # reads, so neither is copied
+                cross = zgemm(1.0, bra.T, mixed.reshape(-1, size).T,
+                              trans_a=2)
+                sums += cross.reshape(len(bra_at), dim, len(variants),
+                                      len(ket_at), dim
+                                      ).transpose(2, 0, 3, 1, 4)
             del slab   # before the next slab forms its own
         return out
 
@@ -805,7 +822,7 @@ def _rows(block: np.ndarray, at: list, scratch: SlabScratch,
     if at == list(range(lo, lo + len(at))):
         return block[lo:lo + len(at)]
     return np.take(block, at, axis=0,
-                   out=scratch(name, len(at), block.shape[1]))
+                   out=scratch(name, len(at), *block.shape[1:]))
 
 
 def inner_product(quad: MomentumQuadrature, f: TestFunction, g,
@@ -818,9 +835,11 @@ def inner_product(quad: MomentumQuadrature, f: TestFunction, g,
     ``<f|g_j>``, variants along the first axis and kets along the second,
     all taken in one pass over the grid (:meth:`MomentumQuadrature.pairings`).
     """
-    if isinstance(variant, KernelVariant):
-        return complex(quad.pairings([f], [g], (variant,))[0, 0, 0])
-    return quad.pairings([f], g, variant)[:, 0]
+    single = isinstance(variant, KernelVariant)
+    (sums,) = quad.pairings([([f], [g] if single else g)],
+                            (variant,) if single else variant)
+    values = np.trace(sums[:, 0], axis1=-2, axis2=-1)
+    return complex(values[0, 0]) if single else values
 
 
 def root_norm(squared: float) -> float:
@@ -855,7 +874,8 @@ def gram_matrix(quad: MomentumQuadrature, fs, variant):
     """
     fs = list(fs)
     single = isinstance(variant, KernelVariant)
-    grams = quad.pairings(fs, fs, (variant,) if single else variant)
+    (sums,) = quad.pairings([(fs, fs)], (variant,) if single else variant)
+    grams = np.trace(sums, axis1=-2, axis2=-1)
     reports = []
     for gram in grams:
         herm = float(np.max(np.abs(gram - gram.conj().T)))

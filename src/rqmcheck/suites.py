@@ -481,7 +481,10 @@ def hermiticity_pairs(rng, two_s, count):
 def run_hermiticity_matrix(pairs, m, variants, tol_fn):
     """All-generator hermiticity reports over function pairs on the
     88-node grid, H and P on the 32-node one (see
-    :func:`generators.hermiticity_defects`)."""
+    :func:`generators.hermiticity_defects`).  The two node counts are
+    fixed, not chosen from convergence evidence: at 88 nodes J and K are
+    not resolved for every seed (seed 27's pair 1 reads 2.0e-6 against
+    the 1e-7 tolerance, where 112 nodes read 6.9e-10)."""
     two_s = pairs[0][0].two_s
     return [tol_fn("generator_hermiticity", "hermiticity", measured,
                    {"generator": name, "variant": variant.value,

@@ -219,6 +219,14 @@ def contract_full_grid(quad, ff, gg, variant) -> complex:
                              grid_points(quad)[1]))
 
 
+def component_sums_full_grid(quad, ff, gg, variant) -> np.ndarray:
+    """``sum_n w_n conj(ff_u) K_wv gg_v`` for every ``(u, w)``, shape
+    ``(2s+1, 2s+1)``, in one einsum."""
+    return np.einsum("un,wvn,vn,n->uw", ff.conj(),
+                     full_grid_kernel(quad, variant), gg,
+                     grid_points(quad)[1])
+
+
 def gram_full_grid(quad, fs, variant) -> np.ndarray:
     """Gram matrix ``<f_i|f_j>`` from one stacked product of whole-grid
     transforms."""

@@ -321,6 +321,21 @@ def hermiticity_defect(name, variant, f, g, nodes):
     return defect
 
 
+@pytest.mark.xfail(strict=True, reason="88 J/K nodes do not resolve seed "
+                   "27's pairs: pair 1 reads 2.0e-6 at K3 (ROADMAP item 1)")
+def test_hermiticity_suite_pairs_at_seed_27():
+    """The hermiticity suite's pairs at seed 27 on its grids: every K3
+    defect within the suite's 1e-7 tolerance.  All ten pairs are paired,
+    because together they size the engine's box."""
+    from rqmcheck import suites as su
+
+    pairs = su.hermiticity_pairs(su._rng(27 * 31337), 1, 10)
+    rows = gn.hermiticity_defects(pairs, 1.0, su.ALL_VARIANTS, ("K3",), 88,
+                                  32)
+    worst = max(rows, key=lambda row: row[-1])
+    assert worst[-1] <= 1e-7, worst
+
+
 def test_hermiticity_small():
     rng = np.random.default_rng(4)
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
@@ -466,12 +481,13 @@ def test_negative_shifted_norm_fails_semigroup(monkeypatch, rank):
     def start(h):
         return min(t.tau0 for ts in h.comps for t in ts)
 
-    def negated(self, bras, kets, variants):
-        out = pairings(self, bras, kets, variants)
-        target = sorted({start(h) for h in bras})[-rank]
-        for i, h in enumerate(bras):
-            if start(h) == target:
-                out[:, i, i] = -out[:, i, i]
+    def negated(self, blocks, variants):
+        out = pairings(self, blocks, variants)
+        for (bras, _), sums in zip(blocks, out):
+            target = sorted({start(h) for h in bras})[-rank]
+            for i, h in enumerate(bras):
+                if start(h) == target:
+                    sums[:, i, i] = -sums[:, i, i]
         return out
 
     monkeypatch.setattr(hl.MomentumQuadrature, "pairings", negated)
@@ -486,7 +502,7 @@ def test_negative_shifted_norm_fails_semigroup(monkeypatch, rank):
 def test_norm_of_negative_square_is_nan(monkeypatch):
     pairings = hl.MomentumQuadrature.pairings
     monkeypatch.setattr(hl.MomentumQuadrature, "pairings",
-                        lambda *args: -pairings(*args))
+                        lambda *args: [-c for c in pairings(*args)])
     f = hl.gaussian_packet(beta=0.5)
     assert math.isnan(hl.norm(hl.MomentumQuadrature([f], 1.0, 8), f,
                               KV.RIGHT))

@@ -14,7 +14,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import (contract_full_grid, engine_values, gram_full_grid,
+from oracles import (component_sums_full_grid, contract_full_grid,
+                     engine_values, gram_full_grid,
                      hermiticity_rows_full_grid, irrep_distance_full_grid,
                      irrep_inner_full_grid)
 from rqmcheck import generators as gn
@@ -83,16 +84,24 @@ def test_streamed_gram_and_contract_match_full_grid(monkeypatch, two_s,
     variants = tuple(KV)
     grams = hl.gram_matrix(quad, fs, variants)
     values = [engine_values(quad, f) for f in fs]
-    # bras and kets that differ and overlap, in one pass: views of the
-    # value block; then bras with a repeat and kets out of order, which
-    # are taken from it
-    for bra_at, ket_at in (([0, 1], [1, 2, 3]), ([1, 0, 1], [3, 0])):
-        cross = quad.pairings([fs[i] for i in bra_at],
-                              [fs[j] for j in ket_at], variants)
-        for variant, pairs in zip(variants, cross):
+    # one pass, two blocks that share functions: bras and kets that differ
+    # and overlap, views of the block's values; then bras with a repeat
+    # and kets out of order, which are taken from them.  Every component
+    # sum, off-diagonal ones included, and its trace, the pairing
+    blocks = (([0, 1], [1, 2, 3]), ([1, 0, 1], [3, 0]))
+    sums = quad.pairings([([fs[i] for i in bra_at], [fs[j] for j in ket_at])
+                          for bra_at, ket_at in blocks], variants)
+    for (bra_at, ket_at), block in zip(blocks, sums):
+        assert block.shape == (len(variants), len(bra_at), len(ket_at),
+                               two_s + 1, two_s + 1)
+        for variant, comps in zip(variants, block):
             for a, i in enumerate(bra_at):
                 for b, j in enumerate(ket_at):
-                    assert_close(pairs[a, b], contract_full_grid(
+                    want = component_sums_full_grid(quad, values[i],
+                                                    values[j], variant)
+                    for u, w in np.ndindex(want.shape):
+                        assert_close(comps[a, b, u, w], want[u, w])
+                    assert_close(np.trace(comps[a, b]), contract_full_grid(
                         quad, values[i], values[j], variant))
     for variant, rep in zip(variants, grams):
         want = gram_full_grid(quad, fs, variant)
@@ -118,7 +127,8 @@ def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
     # per pair and engine one stacked transform: f, g and their orbital
     # images under J and K (six) at NODES, under H and P (four) at
     # SMALL_NODES, filled by one evaluate call per slab of a size for
-    # those rows
+    # those rows and the kernel products of the kets f and g at every
+    # variant
     monkeypatch.setattr(hl, "SLAB_POINTS", 5 * NODES ** 2)
     rows = Counter()
     evaluate = hl.MomentumWaveFunction.evaluate
@@ -131,10 +141,11 @@ def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
     gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES,
                            SMALL_NODES)
-    jk, hp = 2 * (2 + 2 * 6), 2 * (2 + 2 * 4)
-    assert rows == {jk: len(pairs) * len(hl.slab_planes(NODES, jk)),
-                    hp: len(pairs) * len(hl.slab_planes(SMALL_NODES, hp))}
-    assert len(hl.slab_planes(NODES, jk)) == 5
+    jk, hp, kets = 2 * (2 + 2 * 6), 2 * (2 + 2 * 4), len(KV) * 2 * 2
+    assert rows == {
+        jk: len(pairs) * len(hl.slab_planes(NODES, jk + kets)),
+        hp: len(pairs) * len(hl.slab_planes(SMALL_NODES, hp + kets))}
+    assert len(hl.slab_planes(NODES, jk + kets)) == 5
 
 
 def _hermiticity_pass(count):
@@ -150,40 +161,45 @@ def test_hermiticity_pair_memory_is_slab_bounded():
     # 27.5 MB; one stacked fill into reused slab buffers, 26.2 MB.  Slabs
     # sized by the pair's 28 rows (one plane of 88^2 points), omega per
     # slab, weighted kernel rows and every variant's bras and kets kept
-    # per slab measure 10.7 MB; the pin leaves 2.8 MB
-    assert peak_mb(_hermiticity_pass(1)) < 13.5
+    # per slab measured 10.7 MB; its block's component sums from
+    # MomentumQuadrature.pairings, 9.0 MB; the pin leaves 2.8 MB
+    assert peak_mb(_hermiticity_pass(1)) < 11.8
 
 
 def test_ten_hermiticity_pairs_memory_is_slab_bounded():
     # the suite's ten pairs: every pair's plan is kept for the whole walk,
-    # about 0.9 MB a pair, on top of one pair's slab buffers; 19.3 MB
-    # measured (34.1 MB with fixed 16k-point slabs and an omega cube per
-    # engine); the pin leaves 2.7 MB
-    assert peak_mb(_hermiticity_pass(10)) < 22.0
+    # about 0.9 MB a pair, on top of one pair's slab buffers; 17.7 MB
+    # measured (19.3 MB with a private slab loop, 34.1 MB with fixed
+    # 16k-point slabs and an omega cube per engine); the pin leaves 2.8 MB
+    assert peak_mb(_hermiticity_pass(10)) < 20.5
 
 
 def test_gram_pass_memory_is_slab_bounded():
     # all four variants' Gram matrices of eight spin-1 functions on 40^3
-    # points in one pass: 24 value rows, so slabs of three planes, with
-    # bras and kets read from the value block and the weights in the
-    # kernel rows.  6.7 MB measured, where fixed 16k-point slabs with a
-    # weighted bra copy peaked at 28.2 MB and kept whole-grid transforms
-    # and a kept RIGHT kernel at 67 MB; the pin leaves 2.8 MB
+    # points in one pass: 24 value rows and 96 rows of kernel products,
+    # so slabs of one plane, with bras and kets read from the value block
+    # and the weights in the kernel rows.  4.4 MB measured (6.7 MB with
+    # slabs sized by the value rows only), where fixed 16k-point slabs
+    # with a weighted bra copy peaked at 28.2 MB and kept whole-grid
+    # transforms and a kept RIGHT kernel at 67 MB; the pin leaves 2.8 MB
     fs = su.positivity_family(np.random.default_rng(0), 2, 8)
     quad = hl.MomentumQuadrature(fs, 1.0, 40)
-    assert peak_mb(lambda: hl.gram_matrix(quad, fs, tuple(KV))) < 9.5
+    assert peak_mb(lambda: hl.gram_matrix(quad, fs, tuple(KV))) < 7.2
 
 
 def test_casimir_pass_memory_is_slab_bounded():
     # the casimir suite's spin-1 pass: f against (H^2 - P^2) g and g, nine
-    # value rows on 48^3 points, every variant; 11.7 MB measured (16.0 MB
-    # with an omega cube and a weighted bra copy); the pin leaves 2.8 MB
+    # value rows and 24 rows of kernel products on 48^3 points, every
+    # variant, so slabs of one plane; 2.8 MB measured (11.7 MB with slabs
+    # of six planes sized by the value rows only, where the spin-1 kernel
+    # build set the peak; 16.0 MB with an omega cube and a weighted bra
+    # copy); the pin leaves 2.8 MB
     rng = np.random.default_rng(0)
     f, g = (hl.random_test_function(rng, two_s=2, terms_per_component=1,
                                     min_k=2, max_k=3, center_scale=0.3,
                                     beta_range=(0.3, 0.6)) for _ in range(2))
     quad = hl.MomentumQuadrature((f, g), 1.0, 48)
-    assert peak_mb(lambda: gn.casimir_pairings(quad, f, g, tuple(KV))) < 14.5
+    assert peak_mb(lambda: gn.casimir_pairings(quad, f, g, tuple(KV))) < 5.6
 
 
 def test_engine_holds_no_grid_array():

@@ -63,11 +63,15 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     assert len(transform_points) == families * transforms_per_family
     assert set(transform_points.values()) == {nodes ** 3}
     # one stacked transform per family, filled once per slab of a size
-    # for its rows
+    # for its rows and the kets' kernel products at every variant; casimir
+    # has two kets, g and the wave operator, the others pair every function
+    kets = 2 if suite == "casimir" else transforms_per_family
     plans = {id(mwf): mwf for mwf in calls}
     assert len(plans) == families
-    assert len(calls) == sum(len(hl.slab_planes(nodes, mwf.dim))
-                             for mwf in plans.values())
+    assert len(calls) == sum(
+        len(hl.slab_planes(nodes, mwf.dim + len(cfg.variants) * kets
+                           * (mwf.two_s + 1)))
+        for mwf in plans.values())
 
 
 def test_gram_reports_carry_hermiticity_defect():

@@ -75,16 +75,23 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
     from rqmcheck import suites as su
     from rqmcheck.spacetime import KernelVariant as KV
 
-    passes = []          # (nodes, rows, terms of the functions) per plan
-    plan = hl.MomentumQuadrature.plan
+    passes = []          # (nodes, terms of the functions) per plan
+    walks = []           # slabs per walk of a grid
+    plan, slab_planes = hl.MomentumQuadrature.plan, hl.slab_planes
 
     def recorded_plan(quad, functions, scratch=None):
         functions = list(functions)
-        passes.append((quad.nodes, sum(f.dim for f in functions),
+        passes.append((quad.nodes,
                        sum(len(ts) for f in functions for ts in f.comps)))
         return plan(quad, functions, scratch)
 
+    def recorded_slab_planes(n, rows=1):
+        planes = slab_planes(n, rows)
+        walks.append(len(planes))
+        return planes
+
     monkeypatch.setattr(hl.MomentumQuadrature, "plan", recorded_plan)
+    monkeypatch.setattr(hl, "slab_planes", recorded_slab_planes)
     cfg = su.RunConfig(suites=("positivity", "hermiticity", "casimir"),
                        two_spins=(0, 1), variants=(KV.RIGHT, KV.LEFT_DUAL),
                        gram_size=3, gram_nodes=12, hermiticity_pairs=1)
@@ -103,10 +110,11 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
                  "suites.run_hermiticity_matrix.self_s"):
         assert name in required
     assert not [m for m in required if not metrics.get(m)], metrics
-    # one pair: each hermiticity engine's slabs are sized by its one plan
-    slabs = [len(hl.slab_planes(nodes, rows)) for nodes, rows, _ in passes]
-    assert metrics["hilbert.transform.calls"] == sum(slabs)
+    # every walk here pairs one block (one pair for hermiticity), so each
+    # walk fills one plan once per slab
+    assert len(walks) == len(passes)
+    assert metrics["hilbert.transform.calls"] == sum(walks)
     assert metrics["hilbert.transform.terms"] == sum(
-        n * terms for n, (*_, terms) in zip(slabs, passes))
+        n * terms for n, (_, terms) in zip(walks, passes))
     assert metrics["hilbert.transform.term_points"] == sum(
-        nodes ** 3 * terms for nodes, _, terms in passes)
+        nodes ** 3 * terms for nodes, terms in passes)

@@ -12,7 +12,12 @@ with ``R = S^t`` if exactly one is set and ``R = S`` otherwise, rotations
 get ``-R`` if exactly one is set and ``+R`` otherwise, boosts ``-iR`` if
 ``dual`` and ``+iR`` otherwise.  Commutators are therefore checkable in
 the coefficient algebra (no quadrature), while hermiticity and spectral
-statements use the momentum-space inner products.
+statements use the momentum-space inner products.  The commutator check
+runs on :class:`GeneratorMatrices`: on a basis of term keys each
+generator's orbital part is one sparse matrix, built once per function
+from the same term rules as :func:`apply_generator`, and its spin term a
+constant matrix per variant, so nested images are matrix products and
+every variant shares the orbital work.
 """
 
 from __future__ import annotations
@@ -166,70 +171,162 @@ def commutator_rhs(a: str, b: str):
     return [(-c, g) for c, g in rhs]
 
 
-def _coef_scale(f: TestFunction) -> float:
-    coefs = [abs(t.coef) for ts in f.comps for t in ts]
-    return max(coefs) if coefs else 0.0
+class GeneratorMatrices:
+    """The generators on the span of one function's images, as matrices.
 
-
-def _commutator_residual(name_a: str, name_b: str, f: TestFunction,
-                         single: dict, nested: dict) -> float:
-    """Residual of ``[A, B] f - (rhs) f`` from prebuilt images: ``single[X]``
-    is ``X f`` and ``nested[A, B]`` is ``A(B f)``.
-
-    Per component, ``A(B f) - B(A f) - sum c C f`` is merged term by term
-    (:func:`hilbert._merge`) without building a function; the value is its
-    largest coefficient relative to the largest of ``A(B f)``, ``B(A f)``
-    and ``f``, and NaN if any is NaN.  A merged sum or a modulus beyond
-    the float range raises ``ValueError``.
+    The basis is the keys (:meth:`Term.key`) of f's terms and of their
+    orbital images to depth two, in first-seen order: f's keys, then the
+    new keys of its single images (together the first :attr:`domain`
+    keys), then those of the images of those.  A function of the span is
+    its coefficient array, keys by spin components.  Each generator's
+    orbital part is one sparse matrix from the domain to the basis: its
+    column for a key is :func:`_orbital_rule` applied once to a unit term
+    with that key.  At a variant, generator X acts on a coefficient array
+    F as ``O_X F + F S_X^T``, with ``S_X`` from
+    :func:`generator_spin_matrix`, so one set of matrices serves every
+    variant; arrays carry the variants on their middle axis, shape
+    ``(keys, variants, 2s+1)``.  H and K are built only when every term of
+    f vanishes at its support edge (see :func:`_orbital_rule`).
     """
-    ab, ba = nested[name_a, name_b], nested[name_b, name_a]
-    minus = [(-1.0, ba)] + [(-coef, single[gname]) for coef, gname
-                            in commutator_rhs(name_a, name_b)]
-    diff = [_merge(ab.comps[i] + tuple(t.scaled(c) for c, g in minus
-                                       for t in g.comps[i]))
-            for i in range(f.dim)]
-    try:
-        size = worst_of(0.0, *(abs(t.coef) for ts in diff for t in ts))
-        scale = max(_coef_scale(ab), _coef_scale(ba), _coef_scale(f), 1e-300)
-    except OverflowError:        # abs() of finite parts can overflow
-        raise ValueError(f"coefficient modulus overflows in "
-                         f"[{name_a}, {name_b}]") from None
+
+    def __init__(self, f: TestFunction):
+        from scipy.sparse import csr_array
+
+        self.two_s = f.two_s
+        rules = {name: _orbital_rule(name, f) for name in GENERATOR_NAMES
+                 if name[0] in ("P", "J") or f.min_tau_degree() >= 1}
+        self.keys = keys = list(dict.fromkeys(t[1:] for ts in f.comps
+                                              for t in ts))
+        index = {key: i for i, key in enumerate(keys)}
+        entries = {name: ([], [], []) for name in rules}
+
+        def add_columns(lo, hi):
+            for col in range(lo, hi):
+                unit = Term(1.0, *keys[col])
+                for name, rule in rules.items():
+                    rows, cols, vals = entries[name]
+                    for t in _merge(rule(unit)):
+                        key = t[1:]
+                        if key not in index:
+                            index[key] = len(keys)
+                            keys.append(key)
+                        rows.append(index[key])
+                        cols.append(col)
+                        vals.append(t.coef)
+
+        own = len(keys)
+        add_columns(0, own)                 # f's keys
+        self.domain = len(keys)
+        add_columns(own, self.domain)       # the new keys of its images
+        self.orbital = {
+            name: csr_array((np.asarray(vals, dtype=complex),
+                             (np.asarray(rows, dtype=np.intp),
+                              np.asarray(cols, dtype=np.intp))),
+                            shape=(len(keys), self.domain))
+            for name, (rows, cols, vals) in entries.items()}
+        self.coefs = np.zeros((self.domain, f.dim), dtype=complex)
+        for u, ts in enumerate(f.comps):
+            for t in ts:
+                self.coefs[index[t[1:]], u] = t.coef
+
+    def spin_matrices(self, variants) -> dict:
+        """``{name: S}`` for every generator built, S of shape
+        ``(variants, 2s+1, 2s+1)`` from :func:`generator_spin_matrix`."""
+        return {name: np.stack([generator_spin_matrix(name, self.two_s, v)
+                                for v in variants])
+                for name in self.orbital}
+
+    def apply(self, name: str, image: np.ndarray,
+              spin: np.ndarray) -> np.ndarray:
+        """Generator ``name`` on ``image``, an array over the domain keys,
+        at the variants of ``spin`` (its :meth:`spin_matrices` entry); the
+        result is an array over the whole basis."""
+        k, nv, dim = image.shape
+        out = self.orbital[name] @ image.reshape(k, nv * dim)
+        out = out.reshape(-1, nv, dim)
+        out[:k] += np.einsum("kvu,vwu->kvw", image, spin)
+        return out
+
+    def images(self, spins: dict) -> dict:
+        """``{name: X f}`` for every entry of ``spins``
+        (:meth:`spin_matrices`), over the domain keys."""
+        nv = len(next(iter(spins.values())))
+        f = np.broadcast_to(self.coefs[:, None, :],
+                            (self.domain, nv, self.two_s + 1))
+        return {name: self.apply(name, f, spin)[:self.domain]
+                for name, spin in spins.items()}
+
+
+def _pair_residuals(ops: GeneratorMatrices, name_a: str, name_b: str,
+                    images: dict, spins: dict) -> np.ndarray:
+    """Residual of ``[A, B] f - (rhs) f`` at each variant of ``spins``.
+
+    ``A(B f) - B(A f) - sum c C f`` is formed from the single images
+    (:meth:`GeneratorMatrices.images`); the value is its largest
+    coefficient modulus relative to the largest of ``A(B f)``, ``B(A f)``
+    and ``f``.  A coefficient or a modulus beyond the float range, in any
+    of these arrays, raises ``ValueError``.
+    """
+    def peak(a):
+        return np.abs(a).max(axis=0, initial=0.0).max(axis=1)
+
+    ab = ops.apply(name_a, images[name_b], spins[name_a])
+    ba = ops.apply(name_b, images[name_a], spins[name_b])
+    diff = ab - ba
+    for coef, name in commutator_rhs(name_a, name_b):
+        diff[:ops.domain] -= coef * images[name]
+    size = peak(diff)
+    scale = np.maximum(np.maximum(peak(ab), peak(ba)),
+                       np.abs(ops.coefs).max(initial=1e-300))
+    if not (np.isfinite(size).all() and np.isfinite(scale).all()):
+        raise ValueError(f"coefficient overflows in [{name_a}, {name_b}]")
     return size / scale
+
+
+def _algebra_residuals(f: TestFunction, pairs, variants) -> list:
+    """Residuals of ``pairs`` at ``variants``, one list per variant, from
+    one :class:`GeneratorMatrices` of f and its ten single images.  An
+    overflow is a ValueError of the pair it reaches (see
+    :func:`_pair_residuals`), not a warning."""
+    ops = GeneratorMatrices(f)
+    spins = ops.spin_matrices(variants)
+    out = np.empty((len(variants), len(pairs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = ops.images(spins)
+        for j, (a, b) in enumerate(pairs):
+            out[:, j] = _pair_residuals(ops, a, b, images, spins)
+    return out.tolist()
 
 
 def check_commutator(name_a: str, name_b: str, f: TestFunction,
                      variant: KernelVariant = KernelVariant.RIGHT) -> float:
     """Coefficient-exact residual of ``[A, B] f - (rhs) f``.
 
-    Works entirely in the family's coefficient algebra; the value is the
-    largest coefficient of the difference, merged term by term, relative
-    to the largest coefficient appearing on either side.  Builds only the
-    images this pair needs; :func:`lie_algebra_residuals` shares them
-    over all 45 pairs and gives the same values.
+    Works entirely in the family's coefficient algebra, on the
+    :class:`GeneratorMatrices` of f; the value is the largest coefficient
+    of the difference relative to the largest coefficient of ``A(B f)``,
+    ``B(A f)`` and ``f``.  :func:`lie_algebra_residuals` uses the same
+    matrices and gives the same values.
     """
     needs_tau = sum(1 for n in (name_a, name_b) if n[0] in ("H", "K"))
     _require_tau_degree(f, needs_tau, f"[{name_a}, {name_b}]")
-    names = {name_a, name_b} | {g for _, g in commutator_rhs(name_a, name_b)}
-    single = {n: apply_generator(GeneratorTag(n, variant), f) for n in names}
-    nested = {(a, b): apply_generator(GeneratorTag(a, variant), single[b])
-              for a, b in ((name_a, name_b), (name_b, name_a))}
-    return _commutator_residual(name_a, name_b, f, single, nested)
+    ((residual,),) = _algebra_residuals(f, [(name_a, name_b)], (variant,))
+    return residual
 
 
-def lie_algebra_residuals(f: TestFunction,
-                          variant: KernelVariant = KernelVariant.RIGHT):
+def lie_algebra_residuals(f: TestFunction, variant=KernelVariant.RIGHT):
     """:func:`check_commutator` for the 45 pairs of :data:`GENERATOR_NAMES`
-    in order (``(H, P1), (H, P2), ...``), with each of the ten images
-    ``X f`` and the 90 nested images ``A(B f)`` built once: 100
-    constructions in all.  ``f`` must vanish to order 2 at its support
-    edge."""
+    in order (``(H, P1), (H, P2), ...``): a list of 45 values at one
+    variant, or one such list per variant for a sequence of variants.
+    The generator matrices and the ten single images ``X f`` are built
+    once per call, and each pair's nested images ``A(B f)`` and
+    ``B(A f)`` are formed from them one pair at a time.  ``f`` must vanish
+    to order 2 at its support edge."""
     _require_tau_degree(f, 2, "the Lie algebra")
-    names = GENERATOR_NAMES
-    single = {n: apply_generator(GeneratorTag(n, variant), f) for n in names}
-    nested = {(a, b): apply_generator(GeneratorTag(a, variant), single[b])
-              for a in names for b in names if a != b}
-    return [_commutator_residual(a, b, f, single, nested)
-            for a, b in itertools.combinations(names, 2)]
+    single = isinstance(variant, KernelVariant)
+    rows = _algebra_residuals(f, list(itertools.combinations(
+        GENERATOR_NAMES, 2)), (variant,) if single else tuple(variant))
+    return rows[0] if single else rows
 
 
 def hermiticity_defects(pairs, m: float, variants, names, nodes: int,

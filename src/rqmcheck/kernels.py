@@ -38,6 +38,11 @@ _K_TAIL = 40.0
 #: momenta per block of an on-shell kernel build
 POINT_BLOCK = 16384
 
+#: intervals per block of the residue trapezoids: the energy grid and its
+#: integrands are formed one block at a time, so the scratch stays under
+#: 1 MB whatever the node count
+RESIDUE_BLOCK = 4096
+
 
 def _bessel_k01(x):
     """K0 and K1 at x > 0 by the trapezoid rule in t on
@@ -311,15 +316,24 @@ def check_residue_consistency(variant: KernelVariant, m: float, two_s: int,
     c0, c1 = (np.sum(shrink[r::2] * coeffs[r::2], axis=0).reshape(n, n)
               for r in (0, 1))
     # two trapezoids, of 1 and of p0 over p0^2 + omega^2, then serve every
-    # entry, each with its 1/p0 and 1/p0^2 tail corrections
-    grid = np.linspace(-window, window, nodes)
-    weight = np.exp(-1j * grid * tau) / (grid * grid + omega2)
+    # entry, each with its 1/p0 and 1/p0^2 tail corrections; both run over
+    # the nodes of np.linspace(-window, window, nodes), block by block,
+    # each block's rule ending on the node where the next one starts
+    step = 2.0 * window / (nodes - 1)
+    integral = np.zeros(2, dtype=complex)
+    for lo in range(0, nodes - 1, RESIDUE_BLOCK):
+        hi = min(lo + RESIDUE_BLOCK, nodes - 1)
+        grid = np.arange(lo, hi + 1) * step - window
+        if hi == nodes - 1:
+            grid[-1] = window
+        weight = np.exp(-1j * grid * tau) / (grid * grid + omega2)
+        integral += np.trapezoid([weight, grid * weight], grid)
     si_val, _ = sici(window * tau)
     tail_lin = -2j * (0.5 * np.pi - si_val)
     tail_const = (2.0 * np.cos(window * tau) / window
                   - 2.0 * tau * (0.5 * np.pi - si_val))
-    result = (c0 * (np.trapezoid(weight, grid) + tail_const)
-              + c1 * (np.trapezoid(grid * weight, grid) + tail_lin)) / np.pi
+    result = (c0 * (integral[0] + tail_const)
+              + c1 * (integral[1] + tail_lin)) / np.pi
     target = onshell_kernel(variant, m, two_s, p) * np.exp(-omega * tau)
     scale = np.max(np.abs(target))
     return float(np.max(np.abs(result - target)) / scale)

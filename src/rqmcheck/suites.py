@@ -457,8 +457,8 @@ def suite_generators(cfg: RunConfig):
             rng = _rng(seed * 104729 + ts)
             f = hl.random_test_function(rng, two_s=ts, terms_per_component=1,
                                         min_k=2, max_k=3)
-            for variant in cfg.variants:
-                residuals = gn.lie_algebra_residuals(f, variant)
+            for variant, residuals in zip(
+                    cfg.variants, gn.lie_algebra_residuals(f, cfg.variants)):
                 out.append(cfg.report(
                     "lie_algebra", "commutator", worst_of(0.0, *residuals),
                     {"seed": seed, "two_s": ts, "variant": variant.value,

@@ -163,37 +163,94 @@ def test_spin_terms_are_built_once_and_read_only(monkeypatch):
     assert sorted(builds) == [1] * len(KV) + [2] * len(KV)
 
 
+def _coefficients_by_key(ops, image, variant_index):
+    """``{key: coefficient}`` per spin component of one variant's column
+    of a :class:`GeneratorMatrices` array, zeros left out."""
+    return [{ops.keys[r]: c for r, c in enumerate(image[:, variant_index, u])
+             if c != 0.0} for u in range(image.shape[2])]
+
+
+@pytest.mark.parametrize("two_s", range(5))
+def test_generator_matrices_match_apply_generator(two_s):
+    """Single images X f and nested images A(X f) from the matrices equal
+    the coefficients of apply_generator key by key, to a few ulp of the
+    image's largest coefficient: the commutator check and hermiticity
+    (which uses apply_generator_orbital) check the same generators."""
+    f = _edge_case_function(two_s)
+    ops = gn.GeneratorMatrices(f)
+    spins = ops.spin_matrices(tuple(KV))
+    images = ops.images(spins)
+    ulps = 4.0 * np.finfo(float).eps
+
+    def assert_equal(got, want, what):
+        scale = max(abs(t.coef) for ts in want.comps for t in ts)
+        for g, w in zip(got, _normal_form(want)):
+            assert all(abs(g.get(key, 0.0) - w.get(key, 0.0)) <= ulps * scale
+                       for key in g.keys() | w.keys()), what
+
+    for idx, v in enumerate(KV):
+        for x in gn.GENERATOR_NAMES:
+            xf = gn.apply_generator(gn.GeneratorTag(x, v), f)
+            assert_equal(_coefficients_by_key(ops, images[x], idx), xf, (x, v))
+            for a in gn.GENERATOR_NAMES:
+                nested = ops.apply(a, images[x], spins[a])
+                assert_equal(_coefficients_by_key(ops, nested, idx),
+                             gn.apply_generator(gn.GeneratorTag(a, v), xf),
+                             (a, x, v))
+
+
 @pytest.mark.parametrize("two_s", range(5))
 def test_lie_algebra_residuals_match_per_pair_checks(two_s):
-    """The shared images give every pair's residual bit for bit: the same
-    as check_commutator and as the residual of a construction per pair."""
+    """Every pair's residual bit for bit the same as check_commutator,
+    at one variant or all four in one call, and within rounding of the
+    residual of a term-by-term construction per pair.  Both residuals are
+    largest coefficients of a difference of roundings, relative to the
+    largest coefficient, so they differ by at most a few eps; 2 eps is
+    the bound."""
     f = _edge_case_function(two_s)
+    assert gn.lie_algebra_residuals(f, tuple(KV)) == [
+        gn.lie_algebra_residuals(f, v) for v in KV]
     for v in KV:
         residuals = gn.lie_algebra_residuals(f, v)
         assert len(residuals) == 45 and any(residuals), v
         assert residuals == [gn.check_commutator(a, b, f, v)
                              for a, b in PAIRS], v
-        assert residuals == [commutator_residual_by_construction(a, b, f, v)
-                             for a, b in PAIRS], v
+        built = [commutator_residual_by_construction(a, b, f, v)
+                 for a, b in PAIRS]
+        assert all(abs(r - b) <= 2.0 * np.finfo(float).eps
+                   for r, b in zip(residuals, built)), v
         assert worst_of(*residuals) < 1e-13, v
 
 
-def test_lie_algebra_residuals_are_one_hundred_constructions(monkeypatch):
-    """Ten single images X f and 90 nested images A(B f), nothing else."""
-    built = []
-    post_init = hl.TestFunction.__post_init__
+def test_lie_algebra_residuals_build_no_functions(monkeypatch):
+    """No TestFunction is constructed, and each generator's rule runs once
+    per domain key (f's keys and those of its single orbital images):
+    keys x 10 rule calls per function, for any number of variants."""
+    built, calls = [], []
+    post_init, orbital_rule = hl.TestFunction.__post_init__, gn._orbital_rule
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(hl.TestFunction, "__post_init__", counting)
+    def counted_rule(name, f):
+        rule = orbital_rule(name, f)
+        return lambda t: calls.append(name) or rule(t)
+
     for two_s in (0, 1, 2):
         f = _edge_case_function(two_s)
-        for v in KV:
-            built.clear()
-            gn.lie_algebra_residuals(f, v)
-            assert len(built) == 100, (two_s, v)
+        domain = {t.key() for g in [f] + [gn.apply_generator_orbital(x, f)
+                                          for x in gn.GENERATOR_NAMES]
+                  for ts in g.comps for t in ts}
+        with monkeypatch.context() as patch:
+            patch.setattr(hl.TestFunction, "__post_init__", counting)
+            patch.setattr(gn, "_orbital_rule", counted_rule)
+            for variants in [KV.LEFT, (KV.RIGHT,), tuple(KV)]:
+                built.clear()
+                calls.clear()
+                gn.lie_algebra_residuals(f, variants)
+                assert not built, (two_s, variants)
+                assert len(calls) == 10 * len(domain), (two_s, variants)
     with pytest.raises(ValueError):       # every pair's images need k >= 2
         gn.lie_algebra_residuals(hl.gaussian_packet(k=1, tau0=0.2))
 
@@ -229,13 +286,16 @@ def test_overflowing_coefficients_fail_closed(monkeypatch, largest):
     assert all(not math.isfinite(r.measured) for r in reports), reports
 
 
-def test_residual_merge_overflow_raises():
-    """The residual merges A(B f) and -B(A f) without building a function;
-    a sum of two finite coefficients beyond the range still raises."""
-    h = hl.gaussian_packet(k=2, coef=1e308)
-    nested = {("P1", "P2"): h, ("P2", "P1"): h.scale(-1.0)}
+def test_residual_merge_overflow_raises(monkeypatch):
+    """Finite images whose merged difference overflows raise ValueError:
+    P1 f is finite at 1e308, and a right-hand side that subtracts it
+    twice sums past the float range."""
+    f = hl.gaussian_packet(k=2, coef=1e308, beta=0.5)
+    assert gn.check_commutator("P1", "P2", f) == 0.0
+    monkeypatch.setattr(gn, "commutator_rhs",
+                        lambda a, b: [(-1.0, "P1"), (-1.0, "P1")])
     with pytest.raises(ValueError, match="overflows"):
-        gn._commutator_residual("P1", "P2", h, {}, nested)
+        gn.check_commutator("P1", "P2", f)
 
 
 def _flipped_left_spin_terms(names, spin_matrix=gn.generator_spin_matrix):

@@ -6,7 +6,8 @@
 Each is compared with the one-product oracle in ``oracles.py`` with the
 grid cut into one slab, into slabs of five planes (the last one partial)
 and into single planes.  The memory pins measure tracemalloc's peak over
-one pass at the default slab sizes.
+one pass at the default slab sizes, and over one residue check, whose
+energy trapezoids stream in blocks the same way.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ from oracles import (component_sums_full_grid, contract_full_grid,
                      irrep_inner_full_grid)
 from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
+from rqmcheck import kernels as kr
 from rqmcheck import suites as su
 from rqmcheck.spacetime import KernelVariant as KV
 
@@ -207,6 +209,14 @@ def test_engine_holds_no_grid_array():
     # held was 5.4 MB at 88 nodes, built through two more n^3 temporaries
     f = hl.gaussian_packet(two_s=1, beta=0.4)
     assert peak_mb(lambda: hl.MomentumQuadrature([f], 1.0, 88)) < 1.0
+
+
+def test_residue_trapezoids_stream_in_blocks():
+    # the whole 200,000-node energy grid and its integrands gave a
+    # 12.9 MB peak; blocks of RESIDUE_BLOCK intervals measure 0.73 MB
+    for two_s in (0, 4):
+        assert peak_mb(lambda: kr.check_residue_consistency(
+            KV.LEFT, 1.3, two_s, [0.3, -0.2, 0.5], 1.0)) < 1.0
 
 
 def _irrep_state(rng, two_s, nodes):

@@ -113,7 +113,7 @@ def test_worst_of_keeps_nan():
      0),
     (kr, "check_factorization", "kernels", ("onshell_factorization",), 0),
     (kr, "check_kernel_covariance", "kernels", ("kernel_covariance",), 0),
-    (gn, "_commutator_residual", "generators", ("lie_algebra",), 0),
+    (gn, "_pair_residuals", "generators", ("lie_algebra",), 0),
     # one residual per report: the first report holds the first alone
     (gn, "casimir_residual", "casimir", ("mass_casimir",), 1),
 ], ids=["wigner", "kernels-factorization", "kernels-covariance",

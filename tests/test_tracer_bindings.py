@@ -33,14 +33,15 @@ def test_tracer_charges_lazy_irrep_states(monkeypatch, capsys):
 
 def test_tracer_reaches_the_shared_lie_algebra_images(monkeypatch):
     """``lie_algebra_residuals`` looks its generator calls up at call time,
-    so the tracer's ``generators.algebra`` layer sees every image it builds
-    (10 + 90 ``apply_generator`` calls) and each pair's ``commutator_rhs``
-    (45); at spin 0 no spin matrix is built."""
+    so the tracer's ``generators.algebra`` layer sees the ten spin-matrix
+    lookups of each variant and each pair's ``commutator_rhs`` (45, shared
+    by the variants)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Bindings, Tracer, install
 
     from rqmcheck import generators as gn
     from rqmcheck import hilbert as hl
+    from rqmcheck.spacetime import KernelVariant as KV
 
     f = hl.random_test_function(np.random.default_rng(5), two_s=0, min_k=2,
                                 max_k=3)
@@ -48,9 +49,12 @@ def test_tracer_reaches_the_shared_lie_algebra_images(monkeypatch):
     install(tracer, bindings)
     try:
         traced = gn.lie_algebra_residuals(f)
+        one_call = dict(tracer.counts)
+        gn.lie_algebra_residuals(f, tuple(KV))
     finally:
         bindings.restore()
-    assert tracer.counts["generators.algebra.calls"] == 100 + 45
+    assert one_call["generators.algebra.calls"] == 10 + 45
+    assert tracer.counts["generators.algebra.calls"] == (10 + 45) + (40 + 45)
     assert traced == gn.lie_algebra_residuals(f)
 
 

@@ -8,10 +8,10 @@ from .hilbert import (GramReport, MomentumQuadrature, MomentumWaveFunction,
                       rotate_pointwise, wedge_multiplier)
 from .generators import (GeneratorTag, IrrepState, apply_generator,
                          apply_poincare_irrep, boost_wedge_check,
-                         check_commutator, mass_casimir_check,
-                         momentum_project, semigroup_contraction_check,
-                         spin_project, state_from_test_function)
-from .kernels import (bessel_k0, bessel_k1, bessel_k2, check_factorization,
+                         check_commutator, momentum_project,
+                         semigroup_contraction_check, spin_project,
+                         state_from_test_function)
+from .kernels import (bessel_k0, bessel_k1, check_factorization,
                       check_kernel_covariance, check_residue_consistency,
                       momentum_kernel, onshell_kernel, position_kernel,
                       scalar_position_kernel)

@@ -597,16 +597,6 @@ def casimir_residual(pairing, test_mass: float) -> float:
     return abs(val - test_mass ** 2 * overlap) / max(abs(overlap), 1e-300)
 
 
-def mass_casimir_check(quad: MomentumQuadrature, f: TestFunction,
-                       g: TestFunction, variant: KernelVariant,
-                       test_mass: float | None = None) -> float:
-    """Residual of ``<f|(H^2 - P^2 - m^2)|g> / <f|g>`` on the family at
-    one variant (:func:`casimir_residual`), ``m`` the kernel mass
-    ``quad.m`` unless ``test_mass`` is given."""
-    return casimir_residual(casimir_pairings(quad, f, g, (variant,))[0],
-                            quad.m if test_mass is None else test_mass)
-
-
 def momentum_project(f: TestFunction, m: float, p0, width: float,
                      nodes: int = 48) -> IrrepState:
     """Gaussian momentum window around p0 applied to the exact transform."""

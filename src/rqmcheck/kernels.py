@@ -7,9 +7,10 @@ Four kernels, one per :class:`~rqmcheck.spacetime.KernelVariant`:
   ``M_v(p)`` the positive Hermitian matrix at ``p_e^0 -> -i omega``, built
   as the RIGHT kernel ``D^s(omega + p.sigma) / omega`` and read for the
   other variants at the same momentum through :func:`variant_kernels`
-* position space (s <= 1): derivative polynomial acting on the scalar
-  ``(2 m^2 / (2 pi)^2) K1(m|z|) / (m|z|)``; at s = 1 the polarized ``D^1``
-  of its Hessian
+* position space, every spin: ``kappa (i m^2)^{2s} K_{2s+1}(u) / u^{2s+1}
+  D^s(z . sigma_v)`` with ``kappa = 2 m^2 / (2 pi)^2`` and ``u = m |z|``,
+  the degree-2s derivative polynomial ``D^s(-i d . sigma_v)`` acting on
+  the scalar ``kappa K1(u) / u``
 
 :func:`variant_kernels` and :func:`variant_pair_action` follow from the
 variant flags ``dual`` (sigma2-conjugation) and ``left`` (transposition).
@@ -22,11 +23,12 @@ acceptance suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .spacetime import (EUCL_SIGMA, KernelVariant, canonical_boost,
-                        eucl_to_matrix, euclidean_square, mink_to_matrix,
-                        orth_from_pair)
+from .spacetime import (KernelVariant, canonical_boost, eucl_to_matrix,
+                        euclidean_square, mink_to_matrix, orth_from_pair)
 from .spin import dim, wigner_d, wigner_d_entries
 
 #: tail of the K0/K1 trapezoid rule (see _bessel_k01): a point's terms
@@ -85,10 +87,15 @@ def _bessel_k01(x):
 
 
 def _bessel_at(x, order: int):
-    """K of order 0, 1 or 2 at x: a float for a scalar x, else an array."""
+    """K of any order n >= 0 at x > 0: a float for a scalar x, else an
+    array.  Orders above 1 come from the upward recurrence
+    ``K_{j+1} = K_{j-1} + (2 j / x) K_j``, which is stable for K."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    k0, k1 = _bessel_k01(xa)
-    k = k0 if order == 0 else k1 if order == 1 else k0 + 2.0 * k1 / xa
+    k_prev, k = _bessel_k01(xa)
+    if order == 0:
+        k = k_prev
+    for j in range(1, order):
+        k_prev, k = k, k_prev + (2.0 * j / xa) * k
     return float(k[0]) if np.ndim(x) == 0 else k
 
 
@@ -104,11 +111,6 @@ def bessel_k1(x):
     error at most 2e-15 against ``scipy.special.k1`` on [1e-6, 600].
     """
     return _bessel_at(x, 1)
-
-
-def bessel_k2(x):
-    """Order 2 via the upward recurrence ``K2 = K0 + 2 K1 / x``."""
-    return _bessel_at(x, 2)
 
 
 def scalar_position_kernel(m: float, r):
@@ -205,37 +207,34 @@ def onshell_kernel(variant: KernelVariant, m: float, two_s: int,
 
 def position_kernel(variant: KernelVariant, m: float, two_s: int,
                     z) -> np.ndarray:
-    """Position-space kernel for s in {0, 1/2, 1}.
+    """Position-space kernel at the Euclidean point z, every spin:
+    ``kappa (i m^2)^{2s} K_{2s+1}(u) / u^{2s+1} D^s(z . sigma_v)``.
 
-    The spin structure is applied analytically: entries of the degree-2s
-    derivative polynomial act on the radial scalar through the chain rule,
-    so no numerical differentiation is involved.
+    It is ``D^s(-i d . sigma_v)`` acting on the scalar ``kappa K1(u) / u``.
+    The entries of ``D^s(z . sigma_v)`` are harmonic polynomials of degree
+    2s in z, so by Hobson's theorem the derivative polynomial acts as the
+    same polynomial in z times ``(r^-1 d/dr)^{2s}`` of the radial scalar,
+    which is ``(-m^2)^{2s} K_{2s+1}(u) / u^{2s+1}`` (DLMF 10.29.4).  The
+    polynomial is taken at ``m z / r``, its degree absorbing ``u^{2s}``, so
+    the radial factor is ``kappa i^{2s} K_{2s+1}(u) / u`` and overflows
+    only where the kernel does.  A kernel entry that is not finite raises
+    ``ValueError``: at r = 0, and at any r so small that
+    ``K_{2s+1}(u) / u`` passes the float range.
     """
     z = np.asarray(z, dtype=float)
-    r = np.sqrt(euclidean_square(z))
-    if r <= 0.0:
-        raise ValueError("position kernel is singular at the origin")
-    if two_s > 2:
-        raise ValueError("position kernel supports two_s <= 2; use the "
-                         "momentum representation for higher spin")
-    kappa = 2.0 * m * m / (2.0 * np.pi) ** 2
+    r = math.hypot(*z)
     u = m * r
-    g = kappa * bessel_k1(u) / u
-    if two_s == 0:
-        return np.array([[g]], dtype=complex)
-    gp = -kappa * m * bessel_k2(u) / u                     # dg/dr
-    if two_s == 1:
-        # D^(1/2)(-i grad . sigma_v) g = -i (g'/r) * (z . sigma_v)
-        return -1j * (gp / r) * eucl_to_matrix(z, variant)
-    gpp = kappa * m * m * (bessel_k1(u) / u + 3.0 * bessel_k2(u) / u ** 2)
-    # (-i d_mu)(-i d_nu) g = -[(g''-g'/r)/r^2 z_mu z_nu + (g'/r) delta_mu_nu],
-    # polarized into D^1: the z z part is D^1(z.sigma_v), the delta part
-    # the sum of D^1(sigma_v^mu) over the four basis matrices
-    aniso = (gpp - gp / r) / (r * r)
-    iso = gp / r
-    zz = wigner_d_entries(2, *eucl_to_matrix(z, variant).ravel())
-    delta = wigner_d_entries(2, *EUCL_SIGMA[variant].reshape(4, 4).T)
-    return -(aniso * zz + iso * delta.sum(axis=-1))
+    out = None
+    if u > 0.0:
+        kappa = 2.0 * m * m / (2.0 * np.pi) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = wigner_d_entries(
+                two_s, *eucl_to_matrix(z * (m / r), variant).ravel())
+            out = (1j ** two_s * kappa * _bessel_at(u, two_s + 1) / u) * D
+    if out is None or not np.all(np.isfinite(out)):
+        raise ValueError(f"position kernel is not finite at r = {r!r}, "
+                         f"2s = {two_s}")
+    return out
 
 
 def check_factorization(m: float, two_s: int, p) -> float:

@@ -643,8 +643,9 @@ def test_mass_casimir_and_negative_control():
                                     min_k=2, max_k=3, center_scale=0.3,
                                     beta_range=(0.3, 0.6))
         quad = hl.MomentumQuadrature((f, g), 1.0, 48)
-        assert gn.mass_casimir_check(quad, f, g, variant) < 1e-7
-        neg = gn.mass_casimir_check(quad, f, g, variant, test_mass=2.0)
+        (row,) = gn.casimir_pairings(quad, f, g, (variant,))
+        assert gn.casimir_residual(row, 1.0) < 1e-7
+        neg = gn.casimir_residual(row, 2.0)
         assert 1e3 * 1e-7 < neg < math.inf
 
 

@@ -40,17 +40,20 @@ for x in map(float, sys.argv[1:]):
 
 
 def test_bessel_k1_range_accuracy():
-    """K0, K1 and K2 against scipy on [1e-6, 600] (worst 1.3e-15
-    measured), each point's value the same alone and in a batch, and
-    boundary arguments that return or raise."""
-    from scipy.special import k0, k1, kn
+    """K0 and K1 against scipy on [1e-6, 600] (worst 1.3e-15 measured),
+    each point's value the same alone and in a batch, the order-n helper
+    for n = 0, ..., 21 against scipy's kv on the same points (worst
+    6.4e-15, at n = 21), and boundary arguments that return or raise."""
+    from scipy.special import k0, k1, kv
     xs = np.concatenate([np.geomspace(1e-6, 2.0, 300),
                          np.linspace(2.0, 600.0, 300)])
-    for ours, ref in ((kr.bessel_k0, k0(xs)), (kr.bessel_k1, k1(xs)),
-                      (kr.bessel_k2, kn(2, xs))):
+    for ours, ref in ((kr.bessel_k0, k0(xs)), (kr.bessel_k1, k1(xs))):
         batch = ours(xs)
         assert np.max(np.abs(batch - ref) / ref) < 4e-15
         assert [ours(x) for x in xs[::4]] == list(batch[::4])
+    for n in range(22):
+        ref = kv(n, xs)
+        assert np.max(np.abs(kr._bessel_at(xs, n) - ref) / ref) < 1e-14, n
     edges = ["nan", "inf", "0", "-1", "5e-324", "1e-300", "1e308"]
     src = os.path.dirname(os.path.dirname(kr.__file__))
     proc = subprocess.run(
@@ -304,10 +307,78 @@ def test_position_kernel_spin_one_matches_finite_differences():
 
 
 def test_position_kernel_guards():
-    with pytest.raises(ValueError):
+    """The kernel is finite above 2s = 2; a kernel entry that is not
+    finite raises, at r = 0 and where K_{2s+1}(u) / u overflows (below
+    r = 2e-13 at 2s = 20 and m = 1)."""
+    assert np.all(np.isfinite(kr.position_kernel(KV.RIGHT, 1.0, 3,
+                                                 [1.0, 0, 0, 0])))
+    with pytest.raises(ValueError, match="r = 0.0, 2s = 0"):
         kr.position_kernel(KV.RIGHT, 1.0, 0, [0.0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        kr.position_kernel(KV.RIGHT, 1.0, 3, [1.0, 0, 0, 0])
+    top = spin.MAX_TWO_S
+    assert np.all(np.isfinite(kr.position_kernel(KV.RIGHT, 1.0, top,
+                                                 [1e-12, 0, 0, 0])))
+    with pytest.raises(ValueError, match=f"r = 1e-14, 2s = {top}"):
+        kr.position_kernel(KV.RIGHT, 1.0, top, [1e-14, 0, 0, 0])
+
+
+def test_position_kernel_covariance_at_every_spin():
+    """``D^s(left) G_s(z) D^s(right) = G_s(O(A, B) z)`` for every variant
+    and 2s <= MAX_TWO_S; the measured worst over 20 seeds, relative to the
+    largest entry, is 4.0e-15 (2s + 1)."""
+    rng = np.random.default_rng(11)
+    for two_s in range(spin.MAX_TWO_S + 1):
+        for v in KV:
+            z = rng.normal(size=4)
+            A = st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 2.0))
+            B = st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 2.0))
+            left, right = kr.variant_pair_action(v, A, B)
+            lhs = (spin.wigner_d(two_s, left)
+                   @ kr.position_kernel(v, 1.3, two_s, z)
+                   @ spin.wigner_d(two_s, right))
+            rhs = kr.position_kernel(v, 1.3, two_s,
+                                     st.orth_from_pair(A, B) @ z)
+            rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
+            assert rel < 1e-14 * (two_s + 1), (two_s, v, rel)
+
+
+def _onshell_fourier(v, m, two_s, tau, x):
+    """``int d^3p / (2 pi)^3 e^{i p.x} e^{-omega tau}`` times the on-shell
+    kernel, on a spherical product rule: Gauss-Laguerre in |p| scaled by
+    1 / tau, Gauss-Legendre in cos(theta) and the trapezoid rule in phi
+    (60 nodes, enough to resolve e^{i p.x} for x with a transverse part)."""
+    t, wt = np.polynomial.laguerre.laggauss(80)
+    c, wc = np.polynomial.legendre.leggauss(60)
+    phi = 2.0 * np.pi * np.arange(60) / 60
+    p = t / tau
+    sin = np.sqrt(1.0 - c * c)
+    pts = np.stack(np.broadcast_arrays(
+        p[:, None, None] * sin[:, None] * np.cos(phi),
+        p[:, None, None] * sin[:, None] * np.sin(phi),
+        p[:, None, None] * c[:, None]), axis=-1).reshape(-1, 3)
+    omega = np.sqrt(m * m + p * p)
+    # e^{-omega tau} = e^{-t} e^{-(omega - p) tau}, the e^{-t} in the rule
+    radial = wt * p * p / tau * np.exp(-m * m / (omega + p) * tau)
+    w = (radial[:, None, None] * wc[:, None] * (2.0 * np.pi / 60)
+         * np.ones_like(phi)).ravel()
+    phase = np.exp(1j * (pts @ x)) / (2.0 * np.pi) ** 3
+    return kr.onshell_kernel_grid(v, m, two_s, pts) @ (w * phase)
+
+
+@pytest.mark.parametrize("two_s", (1, 3, 6))
+def test_position_kernel_is_the_fourier_transform_of_the_onshell_kernel(
+        two_s):
+    """``G_s(-tau, x)`` equals the 3-D Fourier transform of ``e^{-omega
+    tau}`` times the on-shell kernel, with no fitted constant (worst
+    2.9e-13 relative measured at 2s = 1, 3, 6); the unreflected point
+    ``(tau, x)`` does not."""
+    m, tau, x = 1.3, 0.9, np.array([0.3, -0.4, 0.5])
+    for v in KV:
+        got = _onshell_fourier(v, m, two_s, tau, x)
+        want = kr.position_kernel(v, m, two_s, [-tau, *x])
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale, v
+        wrong = kr.position_kernel(v, m, two_s, [tau, *x])
+        assert np.max(np.abs(got - wrong)) > 1e-2 * scale, v
 
 
 def test_residue_consistency():

@@ -30,8 +30,8 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
-                      inner_product, laplace_fourier_transform,
+from .hilbert import (DEFAULT_NODES, MomentumQuadrature, Term, TestFunction,
+                      _merge, inner_product, laplace_fourier_transform,
                       position_inner_product_mc, root_norm, rotate_pointwise,
                       tensor_grid, then)
 from .kernels import KernelVariant
@@ -329,15 +329,13 @@ def lie_algebra_residuals(f: TestFunction, variant=KernelVariant.RIGHT):
     return rows[0] if single else rows
 
 
-def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
-                        small_nodes: int):
+def hermiticity_defects(pairs, m: float, variants, names, nodes: int):
     """<f|A g> and <A f|g> for every pair (f, g), generator A and variant.
 
     A acts as its variant-free orbital part plus a constant spin matrix S,
     so ``F[A f] = F[orbital f] + S F[f]`` and one set of transforms serves
-    every variant.  H and P multiply by functions of p and use the
-    ``small_nodes`` grid; J and K use the ``nodes`` grid.  Both engines
-    are built over every pair function, and each pairs every pair in one
+    every variant.  One engine of ``nodes`` nodes per axis is built over
+    every pair function, and it pairs every pair in one
     :meth:`MomentumQuadrature.pairings` call, one block per pair: bras f,
     g and their orbital images, kets f and g.  From the block's component
     sums ``C[a, b]_uw`` (see :meth:`MomentumQuadrature.pairings`),
@@ -351,33 +349,23 @@ def hermiticity_defects(pairs, m: float, variants, names, nodes: int,
     ``variants``.
     """
     functions = [h for pair in pairs for h in pair]
-    grid_of = {name: small_nodes if name[0] in ("H", "P") else nodes
-               for name in names}
     two_s = functions[0].two_s
-    found = {}
-    for n_nodes in set(grid_of.values()):
-        quad = MomentumQuadrature(functions, m, n_nodes)
-        own = [name for name in names if grid_of[name] == n_nodes]
-        # bras: f, g, then the orbital images of f, then those of g
-        blocks = [([f, g] + [apply_generator_orbital(name, h)
-                             for h in (f, g) for name in own], [f, g])
-                  for f, g in pairs]
-        for idx, sums in enumerate(quad.pairings(blocks, variants)):
-            for c, variant in zip(sums, variants):
-                for j, name in enumerate(own):
-                    S = generator_spin_matrix(name, two_s, variant).conj()
-                    # <A h|k> from bra A h (its image's row) and bra h
-                    # against ket k: first <A g|f>, then <A f|g>
-                    ag_f, af_g = (np.trace(c[image, k]) + np.sum(S * c[h, k].T)
-                                  for image, h, k in ((2 + len(own) + j, 1, 0),
-                                                      (2 + j, 0, 1)))
-                    found[idx, name, variant] = (complex(ag_f).conjugate(),
-                                                 complex(af_g))
+    quad = MomentumQuadrature(functions, m, nodes)
+    # bras: f, g, then the orbital images of f, then those of g
+    blocks = [([f, g] + [apply_generator_orbital(name, h)
+                         for h in (f, g) for name in names], [f, g])
+              for f, g in pairs]
     rows = []
-    for idx in range(len(pairs)):
-        for name in names:
-            for variant in variants:
-                lhs, rhs = found[idx, name, variant]
+    for idx, sums in enumerate(quad.pairings(blocks, variants)):
+        for j, name in enumerate(names):
+            for c, variant in zip(sums, variants):
+                S = generator_spin_matrix(name, two_s, variant).conj()
+                # <A h|k> from bra A h (its image's row) and bra h against
+                # ket k: first <A g|f>, then <A f|g>
+                ag_f, af_g = (np.trace(c[image, k]) + np.sum(S * c[h, k].T)
+                              for image, h, k in ((2 + len(names) + j, 1, 0),
+                                                  (2 + j, 0, 1)))
+                lhs, rhs = complex(ag_f).conjugate(), complex(af_g)
                 rows.append((idx, name, variant, lhs, rhs,
                              abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)))
     return rows
@@ -544,7 +532,7 @@ class IrrepState:
 
 
 def state_from_test_function(f: TestFunction, m: float,
-                             nodes: int = 72) -> IrrepState:
+                             nodes: int = DEFAULT_NODES) -> IrrepState:
     return IrrepState(m, f.two_s, laplace_fourier_transform(f, m).evaluate,
                       MomentumQuadrature([f], m, nodes), f)
 

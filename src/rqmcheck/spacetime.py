@@ -18,6 +18,7 @@ Both maps send the invariant square to ``det`` (up to sign).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,11 @@ def minkowski_square(x) -> float:
 
 
 def euclidean_square(x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(np.dot(x, x))
+    """``|x|^2`` from the scaled norm ``math.hypot``, so no intermediate
+    square overflows or underflows: the result is inf or 0 only where
+    ``|x|^2`` itself leaves the float range, and no warning is raised."""
+    r = math.hypot(*np.asarray(x, dtype=float))
+    return r * r
 
 
 def theta_reflect(x) -> np.ndarray:

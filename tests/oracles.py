@@ -182,10 +182,9 @@ def reflection(variant) -> np.ndarray:
 
 def grid_points(quad):
     """The engine's whole grid, ``(N, 3)`` points and ``(N,)`` weights,
-    formed here from ``tensor_grid`` (the engine keeps only its axes)."""
-    from rqmcheck.hilbert import tensor_grid
-
-    x, w = tensor_grid(quad.box, quad.nodes)
+    formed here from its axis nodes and weights (the engine keeps only its
+    axes)."""
+    x, w = quad.x, quad.axis_weights
     points = np.stack(np.meshgrid(x, x, x, indexing="ij"),
                       axis=-1).reshape(-1, 3)
     weights = (w[:, None, None] * w[None, :, None]
@@ -236,8 +235,7 @@ def gram_full_grid(quad, fs, variant) -> np.ndarray:
     return weighted.reshape(len(fs), -1) @ mixed.reshape(len(fs), -1).T
 
 
-def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
-                               small_nodes):
+def hermiticity_rows_full_grid(pairs, m, variants, names, nodes):
     """``(pair, name, variant, lhs, rhs)`` as
     ``generators.hermiticity_defects`` orders them, from whole-grid
     transforms of f, g and their orbital images and whole-grid kernels."""
@@ -245,16 +243,12 @@ def hermiticity_rows_full_grid(pairs, m, variants, names, nodes,
     from rqmcheck import hilbert as hl
 
     functions = [h for pair in pairs for h in pair]
-    grid_of = {name: small_nodes if name[0] in ("H", "P") else nodes
-               for name in names}
-    quads = {n: hl.MomentumQuadrature(functions, m, n)
-             for n in set(grid_of.values())}
+    quad = hl.MomentumQuadrature(functions, m, nodes)
+    weights = grid_points(quad)[1]
     two_s = functions[0].two_s
     rows = []
     for idx, (f, g) in enumerate(pairs):
         for name in names:
-            quad = quads[grid_of[name]]
-            weights = grid_points(quad)[1]
             ff, gg = engine_values(quad, f), engine_values(quad, g)
             a_f = engine_values(quad, gn.apply_generator_orbital(name, f))
             a_g = engine_values(quad, gn.apply_generator_orbital(name, g))

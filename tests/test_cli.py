@@ -97,17 +97,18 @@ def test_malformed_config_values_are_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"masses": ["x"]}, {"spins": ["1"]}, {"tolerances": [1, 2]},
                 {"spins": [1.5]}, {"masses": [True]}, {"mc_scrambles": 1},
-                {"mc_points_log2": 1}):
+                {"mc_points_log2": 1}, {"gram_nodes": 1}):
         cfg.write_text(json.dumps({"suites": ["algebra"], **bad}))
         code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 2, bad
         assert err.startswith("rqmcheck: "), bad
     for bad in ({"two_spins": (22,)}, {"seeds": ()}, {"jobs": 0},
                 {"gram_size": 8.0}, {"suites": ("nonsense",)},
-                {"mc_scrambles": 1}, {"mc_points_log2": 1}):
+                {"mc_scrambles": 1}, {"mc_points_log2": 1},
+                {"gram_nodes": 1}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    RunConfig(mc_scrambles=2, mc_points_log2=2)
+    RunConfig(mc_scrambles=2, mc_points_log2=2, gram_nodes=2)
 
 
 def test_non_finite_measurement_never_passes():

@@ -341,7 +341,7 @@ def test_single_boost_sign_flip_breaks_the_algebra(monkeypatch):
 def test_all_boost_sign_flips_break_hermiticity(monkeypatch):
     """Negative control for the flip the algebra cannot see: every LEFT
     boost's spin term with the wrong sign keeps the commutators exact, so
-    hermiticity must catch it.  The pair and grids are the hermiticity
+    hermiticity must catch it.  The pair and grid are the hermiticity
     suite's at seed 0."""
     from rqmcheck import suites as su
 
@@ -350,7 +350,7 @@ def test_all_boost_sign_flips_break_hermiticity(monkeypatch):
 
     def defects():
         return [row[-1] for row in gn.hermiticity_defects(
-            pairs, 1.0, (KV.LEFT,), boosts, 88, 32)]
+            pairs, 1.0, (KV.LEFT,), boosts, su.HERMITICITY_NODES)]
 
     unflipped = defects()
     monkeypatch.setattr(gn, "generator_spin_matrix",
@@ -377,21 +377,20 @@ def test_commutator_rhs_antisymmetry():
 def hermiticity_defect(name, variant, f, g, nodes):
     """Relative defect |<f|A g> - <A f|g>| / (|.| + |.|) on one grid."""
     ((*_, defect),) = gn.hermiticity_defects([(f, g)], 1.0, (variant,),
-                                             (name,), nodes, nodes)
+                                             (name,), nodes)
     return defect
 
 
-@pytest.mark.xfail(strict=True, reason="88 J/K nodes do not resolve seed "
-                   "27's pairs: pair 1 reads 2.0e-6 at K3 (ROADMAP item 1)")
 def test_hermiticity_suite_pairs_at_seed_27():
-    """The hermiticity suite's pairs at seed 27 on its grids: every K3
-    defect within the suite's 1e-7 tolerance.  All ten pairs are paired,
-    because together they size the engine's box."""
+    """The hermiticity suite's pairs at seed 27 on its grid: every defect
+    within the suite's 1e-7 tolerance.  All ten pairs are paired, because
+    together they size the engine's box.  88 Gauss-Legendre nodes read
+    2.0e-6 at K3 here."""
     from rqmcheck import suites as su
 
     pairs = su.hermiticity_pairs(su._rng(27 * 31337), 1, 10)
-    rows = gn.hermiticity_defects(pairs, 1.0, su.ALL_VARIANTS, ("K3",), 88,
-                                  32)
+    rows = gn.hermiticity_defects(pairs, 1.0, su.ALL_VARIANTS,
+                                  gn.GENERATOR_NAMES, su.HERMITICITY_NODES)
     worst = max(rows, key=lambda row: row[-1])
     assert worst[-1] <= 1e-7, worst
 
@@ -410,7 +409,7 @@ def test_hermiticity_small():
     assert hermiticity_defect("P2", KV.LEFT, f, g, 32) < 1e-12
     for v in (KV.RIGHT, KV.LEFT_DUAL):
         for name in ("J3", "K1"):
-            defect = hermiticity_defect(name, v, f, g, 88)
+            defect = hermiticity_defect(name, v, f, g, 48)
             assert defect < 1e-7, (name, v, defect)
 
 
@@ -436,14 +435,12 @@ def test_hermiticity_rows_match_inner_products_of_full_images():
 
     pairs = su.hermiticity_pairs(np.random.default_rng(13), 1, 2)
     names, variants = ("K1", "H", "J2"), (KV.RIGHT, KV.LEFT)
-    rows = gn.hermiticity_defects(pairs, 1.0, variants, names, 24, 16)
+    rows = gn.hermiticity_defects(pairs, 1.0, variants, names, 24)
     assert [r[:3] for r in rows] == [(idx, name, variant) for idx in (0, 1)
                                      for name in names for variant in variants]
-    functions = [h for pair in pairs for h in pair]
-    quads = {n: hl.MomentumQuadrature(functions, 1.0, n) for n in (16, 24)}
+    quad = hl.MomentumQuadrature([h for pair in pairs for h in pair], 1.0, 24)
     for idx, name, variant, lhs, rhs, _ in rows:
         f, g = pairs[idx]
-        quad = quads[16 if name == "H" else 24]
         tag = gn.GeneratorTag(name, variant)
         want_lhs = hl.inner_product(quad, f, gn.apply_generator(tag, g),
                                     variant)
@@ -613,24 +610,24 @@ def test_irrep_group_law_and_unitarity():
     f = hl.random_test_function(rng, two_s=1, terms_per_component=1,
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 tau0_max=0.3, shared_envelope=True)
-    coarse = gn.state_from_test_function(f, 1.0, nodes=40)
-    fine = gn.state_from_test_function(f, 1.0, nodes=72)
-    pts, wts = grid_points(coarse.quad)
-    n0 = coarse.norm()
+    # the irrep suite's grid, for the group law and the norms alike
+    state = gn.state_from_test_function(f, 1.0)
+    pts, wts = grid_points(state.quad)
+    n0 = state.norm()
     for _ in range(3):
         L = (st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 1.2))
              @ st.boost_sl2c(rng.normal(size=3), rng.uniform(0.1, 0.35)))
         g1 = st.PoincareElement.from_fourvector(L, rng.normal(size=4) * 0.4)
         L2 = st.rotation_su2(rng.normal(size=3), rng.uniform(0.3, 1.2))
         g2 = st.PoincareElement.from_fourvector(L2, rng.normal(size=4) * 0.4)
-        lhs = gn.apply_poincare_irrep(gn.apply_poincare_irrep(coarse, g1),
+        lhs = gn.apply_poincare_irrep(gn.apply_poincare_irrep(state, g1),
                                       g2)
-        rhs = gn.apply_poincare_irrep(coarse, st.compose_poincare(g2, g1))
+        rhs = gn.apply_poincare_irrep(state, st.compose_poincare(g2, g1))
         diff = lhs.evaluate(pts) - rhs.evaluate(pts)
         l2 = np.sqrt(float(np.einsum("un,n->", np.abs(diff) ** 2, wts).real))
         assert l2 / n0 < 1e-6
-        moved = gn.apply_poincare_irrep(fine, g1)
-        assert abs(moved.norm() - fine.norm()) / fine.norm() < 1e-6
+        moved = gn.apply_poincare_irrep(state, g1)
+        assert abs(moved.norm() - n0) / n0 < 1e-6
 
 
 def test_mass_casimir_and_negative_control():

@@ -1,6 +1,7 @@
 """Test-function family, exact transforms, inner products, wedges, MC."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,10 @@ def test_momentum_quadrature_validation():
         hl.MomentumQuadrature([], 1.0, 8)
     with pytest.raises(ValueError):
         hl.MomentumQuadrature((f0, f1), 1.0, 8)
+    # the trapezoid step needs two nodes
+    for nodes in (0, 1):
+        with pytest.raises(ValueError):
+            hl.MomentumQuadrature((f0,), 1.0, nodes)
     quad = hl.MomentumQuadrature((f0,), 1.0, 8)
     assert quad.two_s == 0
     with pytest.raises(ValueError):
@@ -354,19 +359,23 @@ def test_shifted_overlap_decreases():
     assert vals[0].real > vals[1].real > vals[2].real > 0.0
 
 
-def test_quadrature_convergence_under_doubling():
-    rng = np.random.default_rng(8)
-    f = hl.random_test_function(rng, two_s=0, terms_per_component=2,
-                                center_scale=0.3, beta_range=(0.3, 0.6),
-                                shared_envelope=True)
-    g = (hl.random_test_function(rng, two_s=0, terms_per_component=2,
-                                 center_scale=0.3, beta_range=(0.3, 0.6),
-                                 shared_envelope=True) + 0.5 * f)
-    val, refined = [hl.inner_product(hl.MomentumQuadrature((f, g), 1.0, n),
-                                     f, g, KV.RIGHT)
-                    for n in (hl.DEFAULT_NODES, 2 * hl.DEFAULT_NODES)]
-    rel = abs(refined - val) / max(abs(refined), 1e-300)
-    assert rel < 1e-8
+@pytest.mark.parametrize("m", [0.3, 1.0, 3.0])
+def test_tensor_grid_is_the_sinh_mapped_trapezoid_rule(m):
+    box = 6.0
+    x, w = hl.tensor_grid(box, 48, m)
+    assert np.array_equal(x, -x[::-1]) and np.all(w > 0)
+    assert np.allclose(x[[0, -1]], [-box, box], rtol=1e-14, atol=0)
+    # 1/omega is constant in t = asinh(p/m), so the rule is exact on it
+    assert np.sum(w / np.sqrt(m * m + x * x)) == pytest.approx(
+        2.0 * math.asinh(box / m), rel=1e-14)
+    assert np.sum(w * np.exp(-x * x)) == pytest.approx(
+        math.sqrt(math.pi) * math.erf(box), rel=1e-13)
+    for nodes in (0, 1):
+        with pytest.raises(ValueError):
+            hl.tensor_grid(box, nodes, m)
+    for mass in (0.0, -m, math.nan):
+        with pytest.raises(ValueError):
+            hl.tensor_grid(box, 48, mass)
 
 
 def assert_positive_hermitian(rep):

@@ -25,10 +25,10 @@ from rqmcheck import kernels as kr
 from rqmcheck import suites as su
 from rqmcheck.spacetime import KernelVariant as KV
 
-NODES, SMALL_NODES = 24, 16
+NODES = 24
 
 # SLAB_POINTS -> planes per slab at 24 nodes: 24 (one slab), 5 (slabs of
-# 5, 5, 5, 5, 4; at 16 nodes 11 and 5) and 1, whatever a pass's rows
+# 5, 5, 5, 5, 4) and 1, whatever a pass's rows
 SLABBINGS = pytest.mark.parametrize("slab_points", [
     NODES ** 3, 5 * NODES ** 2, 1], ids=["one-slab", "five-planes",
                                          "one-plane"])
@@ -116,7 +116,7 @@ def test_streamed_gram_and_contract_match_full_grid(monkeypatch, two_s,
 def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
     set_slab_points(monkeypatch, slab_points)
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
-    args = (pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES, SMALL_NODES)
+    args = (pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES)
     rows = gn.hermiticity_defects(*args)
     want = hermiticity_rows_full_grid(*args)
     assert [r[:3] for r in rows] == [w[:3] for w in want]
@@ -126,11 +126,10 @@ def test_streamed_hermiticity_rows_match_full_grid(monkeypatch, slab_points):
 
 
 def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
-    # per pair and engine one stacked transform: f, g and their orbital
-    # images under J and K (six) at NODES, under H and P (four) at
-    # SMALL_NODES, filled by one evaluate call per slab of a size for
-    # those rows and the kernel products of the kets f and g at every
-    # variant
+    # one engine, and per pair one stacked transform: f, g and their
+    # orbital images under all ten generators, filled by one evaluate call
+    # per slab of a size for those rows and the kernel products of the
+    # kets f and g at every variant
     monkeypatch.setattr(hl, "SLAB_POINTS", 5 * NODES ** 2)
     rows = Counter()
     evaluate = hl.MomentumWaveFunction.evaluate
@@ -141,19 +140,17 @@ def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
 
     monkeypatch.setattr(hl.MomentumWaveFunction, "evaluate", counted)
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
-    gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES,
-                           SMALL_NODES)
-    jk, hp, kets = 2 * (2 + 2 * 6), 2 * (2 + 2 * 4), len(KV) * 2 * 2
-    assert rows == {
-        jk: len(pairs) * len(hl.slab_planes(NODES, jk + kets)),
-        hp: len(pairs) * len(hl.slab_planes(SMALL_NODES, hp + kets))}
-    assert len(hl.slab_planes(NODES, jk + kets)) == 5
+    gn.hermiticity_defects(pairs, 1.0, tuple(KV), gn.GENERATOR_NAMES, NODES)
+    own, kets = 2 * (2 + 2 * 10), len(KV) * 2 * 2
+    assert rows == {own: len(pairs) * len(hl.slab_planes(NODES, own + kets))}
+    assert len(hl.slab_planes(NODES, own + kets)) == 8
 
 
 def _hermiticity_pass(count):
     pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, count)
     return lambda: gn.hermiticity_defects(pairs, 1.0, tuple(KV),
-                                          gn.GENERATOR_NAMES, 88, 32)
+                                          gn.GENERATOR_NAMES,
+                                          su.HERMITICITY_NODES)
 
 
 def test_hermiticity_pair_memory_is_slab_bounded():
@@ -164,7 +161,9 @@ def test_hermiticity_pair_memory_is_slab_bounded():
     # sized by the pair's 28 rows (one plane of 88^2 points), omega per
     # slab, weighted kernel rows and every variant's bras and kets kept
     # per slab measured 10.7 MB; its block's component sums from
-    # MomentumQuadrature.pairings, 9.0 MB; the pin leaves 2.8 MB
+    # MomentumQuadrature.pairings, 9.0 MB, with the pin set 2.8 MB above
+    # that.  One 48-node engine for all ten generators in place of 88 and
+    # 32 nodes measures 6.1 MB
     assert peak_mb(_hermiticity_pass(1)) < 11.8
 
 
@@ -172,7 +171,8 @@ def test_ten_hermiticity_pairs_memory_is_slab_bounded():
     # the suite's ten pairs: every pair's plan is kept for the whole walk,
     # about 0.9 MB a pair, on top of one pair's slab buffers; 17.7 MB
     # measured (19.3 MB with a private slab loop, 34.1 MB with fixed
-    # 16k-point slabs and an omega cube per engine); the pin leaves 2.8 MB
+    # 16k-point slabs and an omega cube per engine), with the pin set
+    # 2.8 MB above that; one 48-node engine measures 10.2 MB
     assert peak_mb(_hermiticity_pass(10)) < 20.5
 
 

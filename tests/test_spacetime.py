@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rqmcheck import kernels as kr
 from rqmcheck import spacetime as st
 from rqmcheck.spacetime import KernelVariant as KV
 
@@ -51,6 +52,21 @@ def test_eucl_variants_share_determinant():
         for v in KV:
             det = np.linalg.det(st.eucl_to_matrix(x, v))
             assert abs(det + st.euclidean_square(x)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_euclidean_square_at_extreme_scales():
+    # an unscaled dot(x, x) raised an overflow warning at |x| = 1e200; the
+    # square leaves the float range only at the very end
+    assert st.euclidean_square([0.0, 1e200, 0.0, 0.0]) == np.inf
+    assert st.euclidean_square([1e-200, 0.0, 0.0, 0.0]) == 0.0
+    assert st.euclidean_square([3e150, 0.0, 4e150, 0.0]) == pytest.approx(
+        2.5e301, rel=1e-15)
+    for scale in (1e200, 1e-200):
+        for two_s in (0, 1):
+            kernel = kr.momentum_kernel(KV.RIGHT, 1.0, two_s,
+                                        [scale, 0.0, scale, 0.0])
+            assert np.all(np.isfinite(kernel))
 
 
 def test_variant_flags_name_the_two_involutions():

@@ -1,5 +1,6 @@
 """Suite bodies: work done per function family and what reports carry."""
 
+import functools
 import math
 from collections import Counter
 
@@ -45,9 +46,9 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
         kernel_points.append(len(points))
         return build_kernel(variant, m, two_s, points, **kw)
 
-    def counted_grid(box, nodes):
+    def counted_grid(box, nodes, *args):
         grids.append(nodes)
-        return build_grid(box, nodes)
+        return build_grid(box, nodes, *args)
 
     monkeypatch.setattr(hl.MomentumWaveFunction, "evaluate",
                         counted_evaluate)
@@ -57,7 +58,8 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     reports = su.SUITES[suite][0](cfg)
     assert reports
     families = len(cfg.seeds) * len(cfg.masses) * len(cfg.two_spins)
-    nodes = cfg.gram_nodes if suite == "positivity" else 48
+    nodes = {"positivity": cfg.gram_nodes,
+             "casimir": su.CASIMIR_NODES}.get(suite, 48)
     assert grids == [nodes] * families
     assert sum(kernel_points) == families * nodes ** 3
     assert len(transform_points) == families * transforms_per_family
@@ -85,21 +87,66 @@ def test_gram_reports_carry_hermiticity_defect():
 
 
 @pytest.mark.parametrize("elements", [1, 3])
-def test_irrep_family_builds_two_grids(monkeypatch, elements):
+def test_irrep_family_builds_one_grid(monkeypatch, elements):
     grids = []
     build = hl.tensor_grid
 
-    def counted(box, nodes):
+    def counted(box, nodes, *args):
         grids.append((box, nodes))
-        return build(box, nodes)
+        return build(box, nodes, *args)
     monkeypatch.setattr(hl, "tensor_grid", counted)
     cfg = su.RunConfig(suites=("irrep",), two_spins=(0,),
                        irrep_elements=elements)
     reports = su.suite_irrep(cfg)
-    # one coarse grid for the group law, one fine grid for the norms, and
-    # each report names the grid its check used
-    assert [nodes for _, nodes in grids] == [40, 72]
-    assert [(r.details["box"], r.details["nodes"]) for r in reports] == grids
+    # the group law and the norms share one grid, which both reports name
+    assert grids == [(grids[0][0], hl.DEFAULT_NODES)]
+    assert [(r.details["box"], r.details["nodes"]) for r in reports] == (
+        grids * 2)
+
+
+# per suite, the node count of the grid it sets for its verdicts, and how
+# a test runs the suite at another count (positivity reads gram_nodes)
+GRIDS = {
+    "hermiticity": (su.HERMITICITY_NODES, lambda patch, n: patch.setattr(
+        su, "HERMITICITY_NODES", n)),
+    "casimir": (su.CASIMIR_NODES, lambda patch, n: patch.setattr(
+        su, "CASIMIR_NODES", n)),
+    "positivity": (su.RunConfig.gram_nodes, lambda patch, n: None),
+    "irrep": (hl.DEFAULT_NODES, lambda patch, n: patch.setattr(
+        gn, "state_from_test_function",
+        functools.partial(gn.state_from_test_function, nodes=n))),
+}
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("suite", sorted(GRIDS))
+def test_grid_converged_under_doubling(monkeypatch, suite, m):
+    """At seed 0, on the suite's own family, every measured value at the
+    suite's node count n and at 2n differs by at most 1e-3 of its check's
+    tolerance, and every check passes at n; at m = 0.3 the Gauss-Legendre
+    grid this rule replaced failed hermiticity and irrep_unitarity.
+    gram_positivity reads 0 on a positive Gram matrix at any n, so its
+    least eigenvalue is compared too.  One group element, the suite's
+    first, keeps the irrep suite short."""
+    n, set_nodes = GRIDS[suite]
+
+    def run(nodes):
+        with monkeypatch.context() as patch:
+            set_nodes(patch, nodes)
+            cfg = su.RunConfig(suites=(suite,), masses=(m,),
+                               gram_nodes=nodes, irrep_elements=1)
+            return su.SUITES[suite][0](cfg)
+
+    coarse, fine = run(n), run(2 * n)
+    assert coarse and all(r.passed for r in coarse), [
+        (r.name, r.measured) for r in coarse if not r.passed]
+    for a, b in zip(coarse, fine, strict=True):
+        assert (a.name, a.inputs) == (b.name, b.inputs)
+        assert abs(a.measured - b.measured) <= 1e-3 * a.tolerance, (
+            a.name, a.inputs, a.measured, b.measured)
+        if a.name == "gram_positivity":
+            assert (abs(a.details["min_eig"] - b.details["min_eig"])
+                    <= 1e-3 * b.details["min_eig"])
 
 
 def test_worst_of_keeps_nan():

@@ -27,6 +27,10 @@ from .suites import SIZE_FIELDS, SUITES, RunConfig, run_suites
 
 USAGE_ERROR = 2
 
+#: every key a config file may set (see README for the schema)
+CONFIG_KEYS = ("suites", "masses", "spins", "variants", "seeds",
+               "tolerances", "jobs", *SIZE_FIELDS)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,8 +95,14 @@ def _pick(flag_values, parse, data, key, default):
 
 
 def make_config(args) -> RunConfig:
-    """Gather flags and config values; :class:`RunConfig` validates them."""
+    """Gather flags and config values; :class:`RunConfig` validates them.
+    A config key outside the schema is an error, not ignored."""
     data = load_config(args.config)
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key(s) "
+                         f"{', '.join(map(repr, unknown))}; the schema's "
+                         f"keys are {', '.join(CONFIG_KEYS)}")
     variants = _pick(args.variant, str, data, "variants",
                      [v.value for v in KernelVariant])
     if isinstance(variants, list):

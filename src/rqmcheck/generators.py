@@ -30,8 +30,8 @@ import numpy as np
 
 # tensor_grid is not called here: it stays importable as
 # generators.tensor_grid, whose rebinding perfbench/selftest.py checks
-from .hilbert import (DEFAULT_NODES, MomentumQuadrature, Term, TestFunction,
-                      _merge, inner_product, laplace_fourier_transform,
+from .hilbert import (MomentumQuadrature, Term, TestFunction, _merge,
+                      inner_product, laplace_fourier_transform,
                       position_inner_product_mc, root_norm, rotate_pointwise,
                       tensor_grid, then)
 from .kernels import KernelVariant
@@ -41,16 +41,6 @@ from .spacetime import (PoincareElement, boost_momentum, lorentz_from_sl2c,
 from .spin import spin_matrices, wigner_d_entries
 
 GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
-
-
-@dataclass(frozen=True)
-class GeneratorTag:
-    name: str
-    variant: KernelVariant = KernelVariant.RIGHT
-
-    def __post_init__(self):
-        if self.name not in GENERATOR_NAMES:
-            raise ValueError(f"unknown generator {self.name!r}")
 
 
 #: _spin_terms by (two_s, variant), filled on first use
@@ -84,6 +74,8 @@ def _require_tau_degree(f: TestFunction, degree: int, what: str):
 def _orbital_rule(name: str, f: TestFunction):
     """A generator's orbital part as one term rule; -i, i and -1 scale the
     source term (exact, and commuting with the rules' real factors)."""
+    if name not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {name!r}")
     if name[0] in ("H", "K"):
         _require_tau_degree(f, 1, name[0])
     if name == "H":
@@ -115,14 +107,16 @@ def generator_spin_matrix(name: str, two_s: int,
     return np.asarray(rot[j] if name[0] == "J" else boost[j], dtype=complex)
 
 
-def apply_generator(tag, f: TestFunction) -> TestFunction:
-    """Exact symbolic action of one generator on a family member: orbital
-    and (J, K at nonzero spin) spin-mixed terms in one construction."""
-    if isinstance(tag, str):
-        tag = GeneratorTag(tag)
-    spin = (None if tag.name[0] in ("H", "P") or f.two_s == 0 else
-            generator_spin_matrix(tag.name, f.two_s, tag.variant))
-    return f.map_terms(_orbital_rule(tag.name, f), mix=spin)
+def apply_generator(name: str, f: TestFunction,
+                    variant: KernelVariant = KernelVariant.RIGHT
+                    ) -> TestFunction:
+    """Exact symbolic action of one generator at one variant on a family
+    member: orbital and (J, K at nonzero spin) spin-mixed terms in one
+    construction."""
+    rule = _orbital_rule(name, f)      # validates the name first
+    spin = (None if name[0] in ("H", "P") or f.two_s == 0 else
+            generator_spin_matrix(name, f.two_s, variant))
+    return f.map_terms(rule, mix=spin)
 
 
 def _eps(i: int, j: int, k: int) -> int:
@@ -499,10 +493,6 @@ class IrrepState:
     def nodes(self) -> int:
         return self.quad.nodes
 
-    @property
-    def dim(self) -> int:
-        return self.two_s + 1
-
     def evaluate(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.func(pts)
@@ -532,7 +522,7 @@ class IrrepState:
 
 
 def state_from_test_function(f: TestFunction, m: float,
-                             nodes: int = DEFAULT_NODES) -> IrrepState:
+                             nodes: int) -> IrrepState:
     return IrrepState(m, f.two_s, laplace_fourier_transform(f, m).evaluate,
                       MomentumQuadrature([f], m, nodes), f)
 
@@ -586,7 +576,7 @@ def casimir_residual(pairing, test_mass: float) -> float:
 
 
 def momentum_project(f: TestFunction, m: float, p0, width: float,
-                     nodes: int = 48) -> IrrepState:
+                     nodes: int) -> IrrepState:
     """Gaussian momentum window around p0 applied to the exact transform."""
     if width <= 0:
         raise ValueError("window width must be positive")

@@ -33,11 +33,6 @@ from .spacetime import KernelVariant
 
 TWO_PI = 2.0 * np.pi
 
-#: sinh-mapped trapezoid nodes per momentum axis (:func:`tensor_grid`): the
-#: irrep norm grid, at which doubling the count moves ``irrep_unitarity`` by
-#: under 1e-3 of its tolerance at m = 0.3, 1 and 3
-DEFAULT_NODES = 40
-
 #: most points per slab of the tensor grid: whole planes of the first
 #: axis, so that a slab's radial factor, pole and group block (about
 #: 0.75 MB together) stay in cache while every term group adds into it
@@ -277,44 +272,6 @@ class TestFunction:
                 env[live] = np.exp(-t.alpha * dtau[live])
                 out[i] += t.coef * val * env
         return out
-
-    def as_dict(self) -> dict:
-        return {
-            "two_s": self.two_s,
-            "components": [[{
-                "coef": [t.coef.real, t.coef.imag],
-                "k": t.k, "alpha": t.alpha, "tau0": t.tau0,
-                "powers": list(t.powers), "beta": t.beta,
-                "center": list(t.center),
-            } for t in ts] for ts in self.comps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TestFunction":
-        """Read :meth:`as_dict` output; anything malformed is a ValueError."""
-        def real(value):
-            # JSON numbers only: a string or a boolean is not coerced
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"expected a number, got {value!r}")
-            try:
-                return float(value)
-            except OverflowError:           # an int beyond every float
-                raise ValueError(f"number out of range: {value!r}") from None
-
-        def term(td):
-            re, im = td["coef"]
-            return Term(complex(real(re), real(im)), td["k"],
-                        real(td["alpha"]), real(td["tau0"]),
-                        tuple(td["powers"]), real(td["beta"]),
-                        tuple(map(real, td["center"])))
-
-        try:
-            comps = tuple(tuple(map(term, ts)) for ts in data["components"])
-            two_s = data["two_s"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValueError(f"malformed test function: {exc!r}") from None
-        # k, powers and two_s as read: a non-integer is rejected, not truncated
-        return cls(two_s, comps)
 
 
 def gaussian_packet(two_s=0, component=0, coef=1.0, k=0, alpha=1.0, tau0=0.0,
@@ -705,13 +662,15 @@ class MomentumQuadrature:
     per block, which stacks every function the block evaluates, so each
     slab fills a block by one ``evaluate`` call that reads the slab's
     omega.  No verdict measures how far ``nodes`` is from convergence.
-    The hermiticity, Gram, casimir and irrep grids are backed by the test
-    ``test_grid_converged_under_doubling``: at m = 0.3, 1 and 3 each
-    suite's measured values at ``nodes`` and at ``2 * nodes`` differ by
-    at most 1e-3 of their checks' tolerances.
+    The suites take every count from ``suites.GRID_NODES``, and the test
+    ``test_grid_converged_under_doubling`` backs its positivity,
+    hermiticity, casimir, irrep, projection_window and mc_reference
+    entries: at m = 0.3, 1 and 3 each suite's measured values at
+    ``nodes`` and at ``2 * nodes`` differ by at most 1e-3 of their
+    checks' tolerances.
     """
 
-    def __init__(self, functions, m: float, nodes: int = DEFAULT_NODES):
+    def __init__(self, functions, m: float, nodes: int):
         functions = list(functions)
         if not functions:
             raise ValueError("need at least one function")
@@ -868,11 +827,6 @@ def root_norm(squared: float) -> float:
     """``sqrt`` of a squared norm; NaN where it is negative or NaN, so a
     failure of positivity never reads as a small norm."""
     return math.sqrt(squared) if squared >= 0.0 else math.nan
-
-
-def norm(quad: MomentumQuadrature, f: TestFunction,
-         variant: KernelVariant) -> float:
-    return root_norm(inner_product(quad, f, f, variant).real)
 
 
 @dataclass(frozen=True)

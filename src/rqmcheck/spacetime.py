@@ -128,11 +128,6 @@ def eucl_to_matrix(x, variant: KernelVariant = KernelVariant.RIGHT) -> np.ndarra
     return np.tensordot(x, EUCL_SIGMA[variant], axes=(0, 0))
 
 
-def minkowski_square(x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2)
-
-
 def euclidean_square(x) -> float:
     """``|x|^2`` from the scaled norm ``math.hypot``, so no intermediate
     square overflows or underflows: the result is inf or 0 only where
@@ -141,25 +136,11 @@ def euclidean_square(x) -> float:
     return r * r
 
 
-def theta_reflect(x) -> np.ndarray:
-    """Euclidean time reflection (tau, x) -> (-tau, x)."""
-    x = np.asarray(x, dtype=float)
-    out = x.copy()
-    out[..., 0] = -out[..., 0]
-    return out
-
-
 def compose_poincare(g2: PoincareElement, g1: PoincareElement) -> PoincareElement:
     """Group product: (L2, A2)(L1, A1) = (L2 L1, L2 A1 L2^dag + A2)."""
     lam = g2.lam @ g1.lam
     a = g2.lam @ g1.a @ g2.lam.conj().T + g2.a
     return PoincareElement(lam, a)
-
-
-def poincare_inverse(g: PoincareElement) -> PoincareElement:
-    lam_inv = np.linalg.inv(g.lam)
-    a = -lam_inv @ g.a @ lam_inv.conj().T
-    return PoincareElement(lam_inv, a)
 
 
 def lorentz_from_sl2c(A) -> np.ndarray:

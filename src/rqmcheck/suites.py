@@ -3,7 +3,8 @@
 Every suite is a pure function from a :class:`RunConfig` to a list of
 :class:`CheckReport`; results are deterministic given the configured
 seeds.  Tolerances can be loosened (never tightened) through the config;
-loosened checks are flagged in their report inputs.
+loosened checks are flagged in their report inputs.  Every momentum grid
+a suite builds takes its node count from :data:`GRID_NODES`.
 """
 
 from __future__ import annotations
@@ -62,17 +63,27 @@ DEFAULT_TOLERANCES = {
     "mc_monotone": 0.02,
 }
 
-#: sinh-mapped trapezoid nodes per momentum axis of the hermiticity and
-#: casimir grids (:func:`hilbert.tensor_grid`); the irrep grid is
-#: :data:`hilbert.DEFAULT_NODES` and the Gram grid ``RunConfig.gram_nodes``.
-#: At each, doubling the count moves the suite's measured values by at
-#: most 1e-3 of their tolerance at m = 0.3, 1 and 3
-HERMITICITY_NODES = 48
-CASIMIR_NODES = 32
+#: sinh-mapped trapezoid nodes per momentum axis (:func:`hilbert.tensor_grid`)
+#: of every grid a suite builds, the one place each count is set.  At
+#: positivity, hermiticity, casimir, irrep, projection_window and
+#: mc_reference, doubling the count moves the suite's measured values by
+#: at most 1e-3 of their tolerance at m = 0.3, 1 and 3
+#: (``test_grid_converged_under_doubling``); semigroup and spin_projection
+#: are not covered
+GRID_NODES = {
+    "positivity": 32,        # the Gram matrices
+    "hermiticity": 48,       # all ten generators on one engine
+    "casimir": 32,
+    "semigroup": 48,
+    "irrep": 40,             # the group law and the norms
+    "projection_window": 40,
+    "spin_projection": 20,
+    "mc_reference": 72,      # the momentum value RQMC is compared with
+}
 
 #: the RunConfig fields that size a run, named once for config and echo
-SIZE_FIELDS = ("gram_size", "gram_nodes", "hermiticity_pairs",
-               "mc_points_log2", "mc_scrambles", "irrep_elements")
+SIZE_FIELDS = ("gram_size", "hermiticity_pairs", "mc_points_log2",
+               "mc_scrambles", "irrep_elements")
 
 
 def _is_int(value) -> bool:
@@ -94,7 +105,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     jobs: int = 1
     gram_size: int = 20
-    gram_nodes: int = 32
     hermiticity_pairs: int = 10
     mc_points_log2: int = 17
     mc_scrambles: int = 8
@@ -128,11 +138,9 @@ class RunConfig:
                                  f"got {seed!r}")
         for name in ("jobs", *SIZE_FIELDS):
             value = getattr(self, name)
-            # the RQMC standard error needs two scrambles, the shift check
-            # samples 2^(mc_points_log2 - 2) points, and the trapezoid
-            # grid's step needs two nodes
-            least = (2 if name in ("mc_points_log2", "mc_scrambles",
-                                   "gram_nodes") else 1)
+            # the RQMC standard error needs two scrambles, and the shift
+            # check samples 2^(mc_points_log2 - 2) points
+            least = 2 if name in ("mc_points_log2", "mc_scrambles") else 1
             if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least "
                                  f"{least}, got {value!r}")
@@ -444,7 +452,7 @@ def suite_positivity(cfg: RunConfig):
             for ts in cfg.two_spins:
                 rng = _rng(seed * 7919 + ts)
                 fs = positivity_family(rng, ts, cfg.gram_size)
-                quad = hl.MomentumQuadrature(fs, m, cfg.gram_nodes)
+                quad = hl.MomentumQuadrature(fs, m, GRID_NODES["positivity"])
                 reps = hl.gram_matrix(quad, fs, cfg.variants)
                 for variant, rep in zip(cfg.variants, reps):
                     measured = worst_of(0.0, -rep.min_eig
@@ -490,14 +498,15 @@ def hermiticity_pairs(rng, two_s, count):
 
 def run_hermiticity_matrix(pairs, m, variants, tol_fn):
     """All-generator hermiticity reports over function pairs, every
-    generator on one grid of :data:`HERMITICITY_NODES` nodes per axis (see
+    generator on one grid of ``GRID_NODES["hermiticity"]`` nodes per axis (see
     :func:`generators.hermiticity_defects`)."""
     two_s = pairs[0][0].two_s
     return [tol_fn("generator_hermiticity", "hermiticity", measured,
                    {"generator": name, "variant": variant.value,
                     "pair": idx, "two_s": two_s, "m": m})
             for idx, name, variant, _, _, measured in gn.hermiticity_defects(
-                pairs, m, variants, gn.GENERATOR_NAMES, HERMITICITY_NODES)]
+                pairs, m, variants, gn.GENERATOR_NAMES,
+                GRID_NODES["hermiticity"])]
 
 
 def suite_hermiticity(cfg: RunConfig):
@@ -521,7 +530,7 @@ def suite_semigroup(cfg: RunConfig):
                                         beta_range=(0.3, 0.6),
                                         shared_envelope=True)
             for m in cfg.masses:
-                quad = hl.MomentumQuadrature((f,), m, 48)
+                quad = hl.MomentumQuadrature((f,), m, GRID_NODES["semigroup"])
                 checks = gn.semigroup_contraction_check(
                     quad, f, cfg.variants, [0.0, 0.1 / m, 0.5 / m, 1.0 / m])
                 for variant, (measured, details) in zip(cfg.variants, checks):
@@ -561,7 +570,7 @@ def suite_irrep(cfg: RunConfig):
                     beta_range=(0.3, 0.45), tau0_max=0.3,
                     shared_envelope=True)
                 # the group law and the norms share one grid
-                state = gn.state_from_test_function(f, m)
+                state = gn.state_from_test_function(f, m, GRID_NODES["irrep"])
                 n0 = state.norm()
                 worst_gl = 0.0
                 worst_un = 0.0
@@ -601,7 +610,7 @@ def suite_casimir(cfg: RunConfig):
                 f, g = (hl.random_test_function(
                     rng, two_s=ts, terms_per_component=1, min_k=2, max_k=3,
                     center_scale=0.3, beta_range=(0.3, 0.6)) for _ in range(2))
-                quad = hl.MomentumQuadrature((f, g), m, CASIMIR_NODES)
+                quad = hl.MomentumQuadrature((f, g), m, GRID_NODES["casimir"])
                 pairings = gn.casimir_pairings(quad, f, g, cfg.variants)
                 for variant, pairing in zip(cfg.variants, pairings):
                     out.append(cfg.report(
@@ -628,7 +637,9 @@ def suite_projections(cfg: RunConfig):
                                         beta_range=(0.3, 0.5),
                                         center_scale=0.2)
             pts = rng.normal(size=(10, 3))
-            stw = gn.momentum_project(f, m, [0.5, 0.0, 0.0], 0.8)
+            # evaluated point by point only, so its grid is never summed
+            window = GRID_NODES["projection_window"]
+            stw = gn.momentum_project(f, m, [0.5, 0.0, 0.0], 0.8, window)
             a4 = np.array([0.0, 0.4, -0.3, 0.2])
             moved = gn.apply_poincare_irrep(
                 stw, st.PoincareElement.from_fourvector(np.eye(2), a4))
@@ -638,8 +649,8 @@ def suite_projections(cfg: RunConfig):
             out.append(cfg.report("projection_translation_covariance",
                                   "projection_phase", dev,
                                   {"seed": seed, "m": m}))
-            st_a = gn.momentum_project(f, m, [1.5, 0, 0], 0.3, nodes=40)
-            st_b = gn.momentum_project(f, m, [-1.5, 0, 0], 0.3, nodes=40)
+            st_a = gn.momentum_project(f, m, [1.5, 0, 0], 0.3, window)
+            st_b = gn.momentum_project(f, m, [-1.5, 0, 0], 0.3, window)
             overlap = abs(st_a.inner(st_b)) / (st_a.norm() * st_b.norm())
             out.append(cfg.report("window_orthogonality",
                                   "projection_orthogonality", overlap,
@@ -650,7 +661,8 @@ def suite_projections(cfg: RunConfig):
                                         coef=0.8 + 0.3j, **env)
                      + hl.gaussian_packet(two_s=1, component=1,
                                           coef=0.5 - 0.2j, **env))
-            state = gn.state_from_test_function(fspin, m, nodes=20)
+            state = gn.state_from_test_function(
+                fspin, m, GRID_NODES["spin_projection"])
             pr_up = gn.spin_project(state, 1)
             pr_dn = gn.spin_project(state, -1)
             cross = abs(pr_up.inner(pr_dn)) / (pr_up.norm() * pr_dn.norm())
@@ -679,8 +691,8 @@ def suite_mc_crosscheck(cfg: RunConfig):
                                    center=(0.2, 0.0, -0.1))
             g = hl.gaussian_packet(alpha=1.2, beta=0.5, tau0=0.1 / m,
                                    center=(-0.1, 0.3, 0.2))
-            exact = hl.inner_product(hl.MomentumQuadrature((f, g), m, 72),
-                                     f, g, st.KernelVariant.RIGHT)
+            quad = hl.MomentumQuadrature((f, g), m, GRID_NODES["mc_reference"])
+            exact = hl.inner_product(quad, f, g, st.KernelVariant.RIGHT)
             val, se, info = hl.position_inner_product_mc(
                 f, g, m, seed=seed, points_log2=cfg.mc_points_log2,
                 scrambles=cfg.mc_scrambles)
@@ -691,10 +703,11 @@ def suite_mc_crosscheck(cfg: RunConfig):
                 details={"mc": [val.real, val.imag], "stderr": se,
                          "momentum": [exact.real, exact.imag],
                          "rel_stderr": se / abs(exact), **info}))
-            far_f = hl.gaussian_packet(alpha=1.0, beta=0.6, tau0=0.15 / m,
-                                       center=(5.0 / m, 0, 0))
-            far_g = hl.gaussian_packet(alpha=1.0, beta=0.6, tau0=0.15 / m,
-                                       center=(-5.0 / m, 0, 0))
+            # packets 10/m apart and of widths in units of 1/m, so their
+            # overlap does not depend on the mass
+            far = dict(alpha=m, beta=0.6 * m * m, tau0=0.15 / m)
+            far_f = hl.gaussian_packet(center=(5.0 / m, 0, 0), **far)
+            far_g = hl.gaussian_packet(center=(-5.0 / m, 0, 0), **far)
             off, _, _ = hl.position_inner_product_mc(
                 far_f, far_g, m, seed=seed + 1, points_log2=15, scrambles=4)
             diag, _, _ = hl.position_inner_product_mc(

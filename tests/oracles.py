@@ -322,7 +322,7 @@ def commutator_residual_by_construction(name_a, name_b, f, variant):
     from rqmcheck.hilbert import TestFunction
 
     def image(name, g):
-        return gn.apply_generator(gn.GeneratorTag(name, variant), g)
+        return gn.apply_generator(name, g, variant)
 
     def coef_scale(g):
         return max((abs(t.coef) for ts in g.comps for t in ts), default=0.0)

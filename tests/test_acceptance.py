@@ -206,7 +206,7 @@ def test_acceptance_irrep_group_law_unitarity():
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 tau0_max=0.3, shared_envelope=True)
     # the irrep suite's grid, for the group law and the norms alike
-    state = gn.state_from_test_function(f, 1.0)
+    state = gn.state_from_test_function(f, 1.0, su.GRID_NODES["irrep"])
     pts, wts = grid_points(state.quad)
     n0 = state.norm()
     worst = 0.0

@@ -97,18 +97,29 @@ def test_malformed_config_values_are_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"masses": ["x"]}, {"spins": ["1"]}, {"tolerances": [1, 2]},
                 {"spins": [1.5]}, {"masses": [True]}, {"mc_scrambles": 1},
-                {"mc_points_log2": 1}, {"gram_nodes": 1}):
+                {"mc_points_log2": 1}):
         cfg.write_text(json.dumps({"suites": ["algebra"], **bad}))
         code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
         assert code == 2, bad
         assert err.startswith("rqmcheck: "), bad
     for bad in ({"two_spins": (22,)}, {"seeds": ()}, {"jobs": 0},
                 {"gram_size": 8.0}, {"suites": ("nonsense",)},
-                {"mc_scrambles": 1}, {"mc_points_log2": 1},
-                {"gram_nodes": 1}):
+                {"mc_scrambles": 1}, {"mc_points_log2": 1}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    RunConfig(mc_scrambles=2, mc_points_log2=2, gram_nodes=2)
+    RunConfig(mc_scrambles=2, mc_points_log2=2)
+
+
+@pytest.mark.parametrize("key", ["gram_szie", "two_spins", "gram_nodes"])
+def test_unknown_config_key_is_usage_error(tmp_path, capsys, key):
+    """A key outside the schema is named and rejected, never ignored: a
+    misspelled size, ``two_spins`` for ``spins`` (which would run the
+    default spins) and the removed ``gram_nodes``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["wigner"], key: [0]}))
+    code, out, err = run_cli(["run", "--config", str(cfg)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("rqmcheck: ") and repr(key) in err
 
 
 def test_non_finite_measurement_never_passes():
@@ -228,7 +239,7 @@ def test_internal_error_keeps_traceback(tmp_path, capsys, monkeypatch):
 
 
 def test_config_echoes_every_size_field(tmp_path, capsys):
-    sizes = {"gram_size": 3, "gram_nodes": 5, "hermiticity_pairs": 2,
+    sizes = {"gram_size": 3, "hermiticity_pairs": 2,
              "mc_points_log2": 6, "mc_scrambles": 4, "irrep_elements": 7}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": ["algebra"], **sizes}))

@@ -1,7 +1,5 @@
 """Property tests: every family member is stored in normal form."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,9 +91,3 @@ def test_operations_return_normal_form(op, data):
                                       max_size=(two_s + 1) ** 2)),
                    dtype=complex).reshape(two_s + 1, two_s + 1)
     assert_normal_form(OPERATIONS[op](f, g, mat))
-
-
-@FEW
-@given(functions())
-def test_dict_roundtrip(f):
-    assert hl.TestFunction.from_dict(json.loads(json.dumps(f.as_dict()))) == f

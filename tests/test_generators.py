@@ -12,6 +12,7 @@ from rqmcheck import generators as gn
 from rqmcheck import hilbert as hl
 from rqmcheck import spacetime as st
 from rqmcheck import spin as sp
+from rqmcheck import suites as su
 from rqmcheck.report import worst_of
 from rqmcheck.spacetime import KernelVariant as KV
 
@@ -96,6 +97,16 @@ def _edge_case_function(two_s):
     return f
 
 
+@pytest.mark.parametrize("name", ["X1", "J4", "K", "h"])
+def test_unknown_generator_name_rejected(name):
+    """A name outside GENERATOR_NAMES raises, never falls through to
+    another generator's rule (``X1`` would act as ``K1``)."""
+    f = _edge_case_function(1)
+    for apply in (gn.apply_generator, gn.apply_generator_orbital):
+        with pytest.raises(ValueError, match="unknown generator"):
+            apply(name, f)
+
+
 def _normal_form(f):
     return [{t.key(): t.coef for t in ts} for ts in f.comps]
 
@@ -106,7 +117,7 @@ def test_one_pass_images_match_method_chains(two_s):
     for name in gn.GENERATOR_NAMES:
         pairs = [(gn.apply_generator_orbital(name, f),
                   apply_generator_orbital_chain(name, f))]
-        pairs += [(gn.apply_generator(gn.GeneratorTag(name, v), f),
+        pairs += [(gn.apply_generator(name, f, v),
                    apply_generator_chain(name, f, v)) for v in KV]
         for got, want in pairs:
             scale = max(abs(t.coef) for ts in want.comps for t in ts)
@@ -133,12 +144,13 @@ def test_each_generator_image_is_one_construction(monkeypatch):
     for two_s in (0, 1, 2):
         f = _edge_case_function(two_s)
         for name in gn.GENERATOR_NAMES:
-            calls = [(gn.apply_generator_orbital, name)] + [
-                (gn.apply_generator, gn.GeneratorTag(name, v)) for v in KV]
-            for apply, tag in calls:
+            calls = [(gn.apply_generator_orbital, ())] + [
+                (gn.apply_generator, (v,)) for v in KV]
+            for apply, variant in calls:
                 built.clear()
-                image = apply(tag, f)
-                assert len(built) == 1 and built[0] is image, (tag, two_s)
+                image = apply(name, f, *variant)
+                assert len(built) == 1 and built[0] is image, (name, variant,
+                                                               two_s)
 
 
 def test_spin_terms_are_built_once_and_read_only(monkeypatch):
@@ -155,7 +167,7 @@ def test_spin_terms_are_built_once_and_read_only(monkeypatch):
             f = _edge_case_function(two_s)
             for v in KV:
                 for name in ("J1", "J2", "J3", "K1", "K2", "K3"):
-                    gn.apply_generator(gn.GeneratorTag(name, v), f)
+                    gn.apply_generator(name, f, v)
                     S = gn.generator_spin_matrix(name, two_s, v)
                     assert not S.flags.writeable
                     with pytest.raises(ValueError):
@@ -190,12 +202,12 @@ def test_generator_matrices_match_apply_generator(two_s):
 
     for idx, v in enumerate(KV):
         for x in gn.GENERATOR_NAMES:
-            xf = gn.apply_generator(gn.GeneratorTag(x, v), f)
+            xf = gn.apply_generator(x, f, v)
             assert_equal(_coefficients_by_key(ops, images[x], idx), xf, (x, v))
             for a in gn.GENERATOR_NAMES:
                 nested = ops.apply(a, images[x], spins[a])
                 assert_equal(_coefficients_by_key(ops, nested, idx),
-                             gn.apply_generator(gn.GeneratorTag(a, v), xf),
+                             gn.apply_generator(a, xf, v),
                              (a, x, v))
 
 
@@ -266,8 +278,6 @@ def test_overflowing_coefficients_fail_closed(monkeypatch, largest):
     beyond the float range raises ValueError, never a finite pass.  At
     1e308 every image of this function overflows; at 10^307.25 only the
     K-K pairs reach a modulus beyond the range."""
-    from rqmcheck import suites as su
-
     rng = np.random.default_rng(1)
     f = _largest_coefficient(hl.random_test_function(
         rng, two_s=1, terms_per_component=1, min_k=2, max_k=3), largest)
@@ -343,14 +353,12 @@ def test_all_boost_sign_flips_break_hermiticity(monkeypatch):
     boost's spin term with the wrong sign keeps the commutators exact, so
     hermiticity must catch it.  The pair and grid are the hermiticity
     suite's at seed 0."""
-    from rqmcheck import suites as su
-
     pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, 1)
     boosts = ("K1", "K2", "K3")
 
     def defects():
         return [row[-1] for row in gn.hermiticity_defects(
-            pairs, 1.0, (KV.LEFT,), boosts, su.HERMITICITY_NODES)]
+            pairs, 1.0, (KV.LEFT,), boosts, su.GRID_NODES["hermiticity"])]
 
     unflipped = defects()
     monkeypatch.setattr(gn, "generator_spin_matrix",
@@ -386,11 +394,10 @@ def test_hermiticity_suite_pairs_at_seed_27():
     within the suite's 1e-7 tolerance.  All ten pairs are paired, because
     together they size the engine's box.  88 Gauss-Legendre nodes read
     2.0e-6 at K3 here."""
-    from rqmcheck import suites as su
-
     pairs = su.hermiticity_pairs(su._rng(27 * 31337), 1, 10)
     rows = gn.hermiticity_defects(pairs, 1.0, su.ALL_VARIANTS,
-                                  gn.GENERATOR_NAMES, su.HERMITICITY_NODES)
+                                  gn.GENERATOR_NAMES,
+                                  su.GRID_NODES["hermiticity"])
     worst = max(rows, key=lambda row: row[-1])
     assert worst[-1] <= 1e-7, worst
 
@@ -431,8 +438,6 @@ def test_rotation_generator_hermiticity_fine():
 
 
 def test_hermiticity_rows_match_inner_products_of_full_images():
-    from rqmcheck import suites as su
-
     pairs = su.hermiticity_pairs(np.random.default_rng(13), 1, 2)
     names, variants = ("K1", "H", "J2"), (KV.RIGHT, KV.LEFT)
     rows = gn.hermiticity_defects(pairs, 1.0, variants, names, 24)
@@ -441,11 +446,10 @@ def test_hermiticity_rows_match_inner_products_of_full_images():
     quad = hl.MomentumQuadrature([h for pair in pairs for h in pair], 1.0, 24)
     for idx, name, variant, lhs, rhs, _ in rows:
         f, g = pairs[idx]
-        tag = gn.GeneratorTag(name, variant)
-        want_lhs = hl.inner_product(quad, f, gn.apply_generator(tag, g),
-                                    variant)
-        want_rhs = hl.inner_product(quad, gn.apply_generator(tag, f), g,
-                                    variant)
+        want_lhs = hl.inner_product(
+            quad, f, gn.apply_generator(name, g, variant), variant)
+        want_rhs = hl.inner_product(
+            quad, gn.apply_generator(name, f, variant), g, variant)
         assert abs(lhs - want_lhs) <= 1e-12 * abs(want_lhs)
         assert abs(rhs - want_rhs) <= 1e-12 * abs(want_rhs)
 
@@ -531,8 +535,6 @@ def test_negative_shifted_norm_fails_semigroup(monkeypatch, rank):
     never a 0 that passes the contraction, monotonicity and gap tests.
     ``rank`` picks the shift from the largest: the 10/m gap shift or the
     last of the suite's shifts."""
-    from rqmcheck import suites as su
-
     pairings = hl.MomentumQuadrature.pairings
 
     def start(h):
@@ -561,8 +563,9 @@ def test_norm_of_negative_square_is_nan(monkeypatch):
     monkeypatch.setattr(hl.MomentumQuadrature, "pairings",
                         lambda *args: [-c for c in pairings(*args)])
     f = hl.gaussian_packet(beta=0.5)
-    assert math.isnan(hl.norm(hl.MomentumQuadrature([f], 1.0, 8), f,
-                              KV.RIGHT))
+    quad = hl.MomentumQuadrature([f], 1.0, 8)
+    assert math.isnan(hl.root_norm(
+        hl.inner_product(quad, f, f, KV.RIGHT).real))
 
 
 def test_irrep_norm_of_negative_square_is_nan(monkeypatch):
@@ -611,7 +614,7 @@ def test_irrep_group_law_and_unitarity():
                                 center_scale=0.25, beta_range=(0.3, 0.45),
                                 tau0_max=0.3, shared_envelope=True)
     # the irrep suite's grid, for the group law and the norms alike
-    state = gn.state_from_test_function(f, 1.0)
+    state = gn.state_from_test_function(f, 1.0, su.GRID_NODES["irrep"])
     pts, wts = grid_points(state.quad)
     n0 = state.norm()
     for _ in range(3):
@@ -650,7 +653,9 @@ def test_momentum_project():
     rng = np.random.default_rng(10)
     f = hl.random_test_function(rng, two_s=0, terms_per_component=1,
                                 beta_range=(0.3, 0.5), center_scale=0.2)
-    state = gn.momentum_project(f, 1.0, [0.5, 0.0, 0.0], 0.8)
+    # the projections suite's windows
+    nodes = su.GRID_NODES["projection_window"]
+    state = gn.momentum_project(f, 1.0, [0.5, 0.0, 0.0], 0.8, nodes)
     pts = rng.normal(size=(10, 3))
     a4 = np.array([0.0, 0.4, -0.3, 0.2])
     moved = gn.apply_poincare_irrep(
@@ -658,14 +663,14 @@ def test_momentum_project():
     phase = np.exp(1j * (pts @ a4[1:]))
     assert np.max(np.abs(moved.evaluate(pts)
                          - phase * state.evaluate(pts))) < 1e-12
-    wide = gn.momentum_project(f, 1.0, [0.0, 0.0, 0.0], 1e9)
+    wide = gn.momentum_project(f, 1.0, [0.0, 0.0, 0.0], 1e9, nodes)
     mwf = hl.laplace_fourier_transform(f, 1.0)
     assert np.max(np.abs(wide.evaluate(pts) - mwf.evaluate(pts))) < 1e-12
-    st_a = gn.momentum_project(f, 1.0, [1.5, 0, 0], 0.3, nodes=40)
-    st_b = gn.momentum_project(f, 1.0, [-1.5, 0, 0], 0.3, nodes=40)
+    st_a = gn.momentum_project(f, 1.0, [1.5, 0, 0], 0.3, nodes)
+    st_b = gn.momentum_project(f, 1.0, [-1.5, 0, 0], 0.3, nodes)
     assert abs(st_a.inner(st_b)) < 1e-4 * st_a.norm() * st_b.norm()
     with pytest.raises(ValueError):
-        gn.momentum_project(f, 1.0, [0, 0, 0], 0.0)
+        gn.momentum_project(f, 1.0, [0, 0, 0], 0.0, nodes)
 
 
 def test_spin_project():

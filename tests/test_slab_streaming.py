@@ -150,7 +150,7 @@ def _hermiticity_pass(count):
     pairs = su.hermiticity_pairs(np.random.default_rng(0), 1, count)
     return lambda: gn.hermiticity_defects(pairs, 1.0, tuple(KV),
                                           gn.GENERATOR_NAMES,
-                                          su.HERMITICITY_NODES)
+                                          su.GRID_NODES["hermiticity"])
 
 
 def test_hermiticity_pair_memory_is_slab_bounded():

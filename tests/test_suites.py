@@ -1,6 +1,5 @@
 """Suite bodies: work done per function family and what reports carry."""
 
-import functools
 import math
 from collections import Counter
 
@@ -16,7 +15,7 @@ from rqmcheck.spacetime import KernelVariant as KV
 
 # two seeds at one mass and spin: two function families per suite
 SMALL = dict(two_spins=(0,), variants=(KV.RIGHT, KV.LEFT), seeds=(0, 1),
-             gram_size=3, gram_nodes=16)
+             gram_size=3)
 
 
 @pytest.mark.parametrize("suite, transforms_per_family", [
@@ -54,12 +53,12 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
                         counted_evaluate)
     monkeypatch.setattr(hl, "onshell_kernel_grid", counted_kernel)
     monkeypatch.setattr(hl, "tensor_grid", counted_grid)
+    monkeypatch.setitem(su.GRID_NODES, "positivity", 16)
     cfg = su.RunConfig(suites=(suite,), **SMALL)
     reports = su.SUITES[suite][0](cfg)
     assert reports
     families = len(cfg.seeds) * len(cfg.masses) * len(cfg.two_spins)
-    nodes = {"positivity": cfg.gram_nodes,
-             "casimir": su.CASIMIR_NODES}.get(suite, 48)
+    nodes = su.GRID_NODES[suite]
     assert grids == [nodes] * families
     assert sum(kernel_points) == families * nodes ** 3
     assert len(transform_points) == families * transforms_per_family
@@ -76,9 +75,9 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
         for mwf in plans.values())
 
 
-def test_gram_reports_carry_hermiticity_defect():
-    cfg = su.RunConfig(suites=("positivity",), two_spins=(0, 1), gram_size=4,
-                       gram_nodes=24)
+def test_gram_reports_carry_hermiticity_defect(monkeypatch):
+    monkeypatch.setitem(su.GRID_NODES, "positivity", 24)
+    cfg = su.RunConfig(suites=("positivity",), two_spins=(0, 1), gram_size=4)
     reports = su.suite_positivity(cfg)
     assert len(reports) == 2 * len(cfg.variants)
     for rep in reports:
@@ -99,42 +98,45 @@ def test_irrep_family_builds_one_grid(monkeypatch, elements):
                        irrep_elements=elements)
     reports = su.suite_irrep(cfg)
     # the group law and the norms share one grid, which both reports name
-    assert grids == [(grids[0][0], hl.DEFAULT_NODES)]
+    assert grids == [(grids[0][0], su.GRID_NODES["irrep"])]
     assert [(r.details["box"], r.details["nodes"]) for r in reports] == (
         grids * 2)
 
 
-# per suite, the node count of the grid it sets for its verdicts, and how
-# a test runs the suite at another count (positivity reads gram_nodes)
-GRIDS = {
-    "hermiticity": (su.HERMITICITY_NODES, lambda patch, n: patch.setattr(
-        su, "HERMITICITY_NODES", n)),
-    "casimir": (su.CASIMIR_NODES, lambda patch, n: patch.setattr(
-        su, "CASIMIR_NODES", n)),
-    "positivity": (su.RunConfig.gram_nodes, lambda patch, n: None),
-    "irrep": (hl.DEFAULT_NODES, lambda patch, n: patch.setattr(
-        gn, "state_from_test_function",
-        functools.partial(gn.state_from_test_function, nodes=n))),
+# the GRID_NODES entries a suite's verdicts are checked under doubling
+# at, by suite; the projections suite's spin_projection grid and the
+# semigroup grid are left out.  spin_projection moved 2e-26 of its
+# tolerance from 20 to 40 nodes.  semigroup's verdict reads 0 at any
+# count, and its norm ratios move 8.8e-13 from 48 to 96 nodes at m = 0.3,
+# 8.8e-3 of its 1e-10 tolerance, which is above this test's 1e-3 bar
+# (4e-16 at m = 1)
+DOUBLED = {
+    "hermiticity": "hermiticity",
+    "casimir": "casimir",
+    "positivity": "positivity",
+    "irrep": "irrep",
+    "projection_window": "projections",
+    "mc_reference": "mc-crosscheck",
 }
 
 
 @pytest.mark.parametrize("m", [0.3, 1.0, 3.0])
-@pytest.mark.parametrize("suite", sorted(GRIDS))
-def test_grid_converged_under_doubling(monkeypatch, suite, m):
-    """At seed 0, on the suite's own family, every measured value at the
-    suite's node count n and at 2n differs by at most 1e-3 of its check's
-    tolerance, and every check passes at n; at m = 0.3 the Gauss-Legendre
-    grid this rule replaced failed hermiticity and irrep_unitarity.
-    gram_positivity reads 0 on a positive Gram matrix at any n, so its
-    least eigenvalue is compared too.  One group element, the suite's
-    first, keeps the irrep suite short."""
-    n, set_nodes = GRIDS[suite]
+@pytest.mark.parametrize("entry", sorted(DOUBLED))
+def test_grid_converged_under_doubling(monkeypatch, entry, m):
+    """At seed 0, on the suite's own family, every measured value with
+    the entry's node count n and with 2n differs by at most 1e-3 of its
+    check's tolerance, and every check passes at n; at m = 0.3 the
+    Gauss-Legendre grid this rule replaced failed hermiticity and
+    irrep_unitarity.  gram_positivity reads 0 on a positive Gram matrix
+    at any n, so its least eigenvalue is compared too.  One group
+    element, the suite's first, keeps the irrep suite short."""
+    suite, n = DOUBLED[entry], su.GRID_NODES[entry]
 
     def run(nodes):
         with monkeypatch.context() as patch:
-            set_nodes(patch, nodes)
+            patch.setitem(su.GRID_NODES, entry, nodes)
             cfg = su.RunConfig(suites=(suite,), masses=(m,),
-                               gram_nodes=nodes, irrep_elements=1)
+                               irrep_elements=1)
             return su.SUITES[suite][0](cfg)
 
     coarse, fine = run(n), run(2 * n)
@@ -147,6 +149,17 @@ def test_grid_converged_under_doubling(monkeypatch, suite, m):
         if a.name == "gram_positivity":
             assert (abs(a.details["min_eig"] - b.details["min_eig"])
                     <= 1e-3 * b.details["min_eig"])
+
+
+def test_far_separation_does_not_depend_on_the_mass():
+    """mc_far_separation's packets sit 10/m apart with widths in units of
+    1/m, so its ratio is the same at every mass.  With widths fixed at
+    m = 1 they overlapped at m = 3 and read 0.057 against 1e-3."""
+    cfg = su.RunConfig(suites=("mc-crosscheck",), masses=(1.0, 3.0))
+    one, three = [r for r in su.suite_mc_crosscheck(cfg)
+                  if r.name == "mc_far_separation"]
+    assert three.inputs == {"seed": 0, "m": 3.0} and three.passed, three
+    assert abs(three.measured - one.measured) <= 1e-12 * one.measured
 
 
 def test_worst_of_keeps_nan():

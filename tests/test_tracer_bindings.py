@@ -96,9 +96,10 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
 
     monkeypatch.setattr(hl.MomentumQuadrature, "plan", recorded_plan)
     monkeypatch.setattr(hl, "slab_planes", recorded_slab_planes)
+    monkeypatch.setitem(su.GRID_NODES, "positivity", 12)
     cfg = su.RunConfig(suites=("positivity", "hermiticity", "casimir"),
                        two_spins=(0, 1), variants=(KV.RIGHT, KV.LEFT_DUAL),
-                       gram_size=3, gram_nodes=12, hermiticity_pairs=1)
+                       gram_size=3, hermiticity_pairs=1)
     tracer, bindings = Tracer(), Bindings()
     install(tracer, bindings)
     try:

@@ -578,7 +578,7 @@ def casimir_residual(pairing, test_mass: float) -> float:
 def momentum_project(f: TestFunction, m: float, p0, width: float,
                      nodes: int) -> IrrepState:
     """Gaussian momentum window around p0 applied to the exact transform."""
-    if width <= 0:
+    if not width > 0:
         raise ValueError("window width must be positive")
     p0 = np.asarray(p0, dtype=float)
     mwf = laplace_fourier_transform(f, m)

@@ -336,7 +336,7 @@ class MomentumWaveFunction:
         """Rows of a value array: 2s+1 for one function's transform."""
         return len(self.comps)
 
-    def evaluate(self, points, grid=None, out=None) -> np.ndarray:
+    def evaluate(self, points, grid=None) -> np.ndarray:
         """Values on 3-momenta, shape ``(dim, N)`` for (N, 3) input.
 
         Each term's image is a product of three axis factors (Gaussian
@@ -344,10 +344,9 @@ class MomentumWaveFunction:
         ``exp(-omega tau0) / (alpha + omega)^(k+1)``.  ``grid``, when
         given, is ``(plan, slab)``: this transform's :class:`TensorPlan`
         on a tensor grid, as :meth:`MomentumQuadrature.plan` builds it for
-        every function of a block, and the :class:`Slab` to fill, into
-        ``out`` when given; the caller vouches that ``points`` are the
-        slab's points, and the plan reads the slab's omega.  The plan
-        sum-factorizes the image: axis
+        every function of a block, and the :class:`Slab` to fill; the
+        caller vouches that ``points`` are the slab's points, and the plan
+        reads the slab's omega.  The plan sum-factorizes the image: axis
         factors are evaluated on the n nodes of one axis, the terms
         sharing ``(tau0, alpha, k)`` are summed as matrix products of
         outer products, and the radial factor is applied once per such
@@ -359,7 +358,7 @@ class MomentumWaveFunction:
         """
         if grid is not None:
             plan, slab = grid
-            return plan.fill(slab.lo, slab.hi, slab.omega, out)
+            return plan.fill(slab.lo, slab.hi, slab.omega)
         return self._evaluate_pointwise(
             np.atleast_2d(np.asarray(points, dtype=float)))
 
@@ -427,26 +426,6 @@ def plane_omega(x: np.ndarray, m: float, lo: int, hi: int) -> np.ndarray:
     return np.sqrt(omega, out=omega).reshape(-1)
 
 
-class SlabScratch:
-    """Flat buffers that one pass over a grid reuses slab after slab.
-
-    ``scratch(name, *shape)`` is the start of buffer ``name`` as a
-    contiguous array of ``shape``; the buffer is allocated only when it is
-    missing or too small.  A grid's first slab is its largest (see
-    :func:`slab_planes`), so a pass allocates each buffer once.
-    """
-
-    def __init__(self):
-        self.buffers = {}
-
-    def __call__(self, name: str, *shape, dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self.buffers[name] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
-
-
 class TensorPlan:
     """The sum factorization of a transform on the tensor grid x^3.
 
@@ -458,13 +437,10 @@ class TensorPlan:
     the functions.  :meth:`fill` evaluates one slab of first-axis planes
     (see :func:`slab_planes`) from the slab's omega, so a slab computes
     each pole and radial factor once for every function, and they and the
-    group block stay in cache while every group adds into the rows.  The
-    slab scratch comes from ``scratch`` (a :class:`SlabScratch`, shared by
-    the plans of a pass), so it is allocated once.
+    group block stay in cache while every group adds into the rows.
     """
 
-    def __init__(self, mwf: "MomentumWaveFunction", x: np.ndarray,
-                 scratch: SlabScratch | None = None):
+    def __init__(self, mwf: "MomentumWaveFunction", x: np.ndarray):
         def axis(t, ax):
             return (_gaussian_moment(t.powers[ax], x, t.beta)
                     * np.exp(-1j * t.center[ax] * x))
@@ -490,25 +466,18 @@ class TensorPlan:
                        for key, by_k in groups.items()}
         self.empty = [i for i, terms in enumerate(mwf.comps) if not terms]
         self.mwf, self.dim, self.n = mwf, mwf.dim, x.size
-        self.scratch = SlabScratch() if scratch is None else scratch
 
-    def fill(self, lo: int, hi: int, omega: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+    def fill(self, lo: int, hi: int, omega: np.ndarray) -> np.ndarray:
         """Values on first-axis planes ``lo`` to ``hi``, one slab (see
-        :func:`slab_planes`), shape ``(dim, (hi - lo) n^2)``, from
-        ``omega`` on those planes, into ``out`` when given (its rows
-        contiguous)."""
+        :func:`slab_planes`), a new array of shape ``(dim, (hi - lo)
+        n^2)``, from ``omega`` on those planes."""
         n, size = self.n, (hi - lo) * self.n * self.n
-        if out is None:
-            out = np.empty((self.dim, size), dtype=complex)
-        elif out.strides[-1] != out.itemsize:
-            raise ValueError("the rows of out must be contiguous")
+        out = np.empty((self.dim, size), dtype=complex)
         out[self.empty] = 0.0
         # pole, radial factor (also cast to complex once per k), block
-        pl = self.scratch("plan.pole", size, dtype=float)
-        rad = self.scratch("plan.radial", size, dtype=float)
-        radc = self.scratch("plan.radial_complex", size)
-        blk = self.scratch("plan.block", size // n, n)
+        pl, rad = np.empty(size), np.empty(size)
+        radc = np.empty(size, dtype=complex)
+        blk = np.empty((size // n, n), dtype=complex)
         flat = blk.reshape(-1)
         started = set()
         for (tau0, alpha), by_k in self.groups.items():
@@ -554,7 +523,7 @@ def _gaussian_moment(n: int, p: np.ndarray, beta: float) -> np.ndarray:
 
 def laplace_fourier_transform(f: TestFunction, m: float) -> MomentumWaveFunction:
     """Exact image of f under ``exp(-i p.x - omega_m(p) tau)`` integration."""
-    if m <= 0:
+    if not m > 0:
         raise ValueError("mass must be positive")
     return MomentumWaveFunction(float(m), f.two_s, f.comps)
 
@@ -623,12 +592,13 @@ class Slab(NamedTuple):
     kernels: list
 
 
-def apply_kernel(kernel: np.ndarray, stack: np.ndarray, out: np.ndarray,
-                 scratch: np.ndarray) -> np.ndarray:
+def apply_kernel(kernel: np.ndarray, stack: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
     """``sum_v kernel[u, v] stack[j, v]`` at every point into ``out``, the
     shape of ``stack`` ``(functions, 2s+1, N)``: per function, (2s+1)^2
     multiply-adds of one kernel row into one component, each product
-    formed in ``scratch``, shape ``(N,)``, so the scratch is one row."""
+    formed in one local row of scratch, shape ``(N,)``."""
+    scratch = np.empty(stack.shape[-1], dtype=complex)
     for values, applied in zip(stack, out):
         for u, row in enumerate(kernel):
             np.multiply(row[0], values[0], out=applied[u])
@@ -664,10 +634,10 @@ class MomentumQuadrature:
     omega.  No verdict measures how far ``nodes`` is from convergence.
     The suites take every count from ``suites.GRID_NODES``, and the test
     ``test_grid_converged_under_doubling`` backs its positivity,
-    hermiticity, casimir, irrep, projection_window and mc_reference
-    entries: at m = 0.3, 1 and 3 each suite's measured values at
-    ``nodes`` and at ``2 * nodes`` differ by at most 1e-3 of their
-    checks' tolerances.
+    hermiticity, casimir, semigroup, irrep, projection_window and
+    mc_reference entries: at m = 0.3, 1 and 3 each suite's measured
+    values (semigroup's norm ratios) at ``nodes`` and at ``2 * nodes``
+    differ by at most 1e-3 of their checks' tolerances.
     """
 
     def __init__(self, functions, m: float, nodes: int):
@@ -711,14 +681,11 @@ class MomentumQuadrature:
             kernels = variant_kernels(right, variants)
         return Slab(lo, hi, points, weights, omega, kernels)
 
-    def plan(self, functions, scratch: SlabScratch | None = None
-             ) -> TensorPlan:
+    def plan(self, functions) -> TensorPlan:
         """One :class:`TensorPlan` for every function of a block, after
         checking that the engine can pair each: the transform of their
         components concatenated, function j's at rows ``j (2s+1)`` to
-        ``(j + 1)(2s+1)``.  A single function is a stack of one.
-        ``scratch`` is the pass's :class:`SlabScratch`, which the plan
-        shares for its slab scratch."""
+        ``(j + 1)(2s+1)``.  A single function is a stack of one."""
         functions = list(functions)
         for f in functions:
             if f.two_s != self.two_s:
@@ -728,14 +695,13 @@ class MomentumQuadrature:
                                  "the engine's box allows")
         comps = tuple(c for f in functions for c in f.comps)
         return TensorPlan(MomentumWaveFunction(self.m, self.two_s, comps),
-                          self.x, scratch)
+                          self.x)
 
-    def values(self, plan: TensorPlan, slab: Slab,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """A planned transform on one slab, shape ``(plan.dim, N)``, into
-        ``out`` when given: one ``evaluate`` call for every function of
+    def values(self, plan: TensorPlan, slab: Slab) -> np.ndarray:
+        """A planned transform on one slab, a new array of shape
+        ``(plan.dim, N)``: one ``evaluate`` call for every function of
         the plan."""
-        return plan.mwf.evaluate(slab.points, grid=(plan, slab), out=out)
+        return plan.mwf.evaluate(slab.points, grid=(plan, slab))
 
     def pairings(self, blocks, variants) -> list:
         """Component sums of each ``(bras, kets)`` block, in one pass over
@@ -749,23 +715,22 @@ class MomentumQuadrature:
         the weighted kernel rows are built once, and each block's distinct
         functions are evaluated by one fill of its stacked
         :class:`TensorPlan` into one value block, of which its bras and
-        kets are views (taken into a buffer only when their functions are
-        not adjacent in it).  Every variant's kernel is applied to the
-        kets (:func:`apply_kernel`), and the block's sums for all variants
-        are one BLAS product that conjugates the bras as it reads them, so
-        the bras are read once and no value is copied, conjugated or
-        weighted.  Values and kernel products live in slab-sized buffers
-        that the pass reuses (:class:`SlabScratch`).
+        kets are views (copied only when their functions are not adjacent
+        in it).  Every variant's kernel is applied to the kets
+        (:func:`apply_kernel`), and the block's sums for all variants are
+        one BLAS product that conjugates the bras as it reads them, so the
+        bras are read once and no value is conjugated or weighted.  Each
+        slab allocates its own values and kernel products, so a pass holds
+        one slab's worth of them.
         """
         from scipy.linalg.blas import zgemm
 
         variants, dim = tuple(variants), self.two_s + 1
-        scratch = SlabScratch()
         passes, out = [], []
         for bras, kets in blocks:
             funcs = list(dict.fromkeys([*bras, *kets]))
             at = {f: i for i, f in enumerate(funcs)}
-            passes.append((self.plan(funcs, scratch), [at[f] for f in bras],
+            passes.append((self.plan(funcs), [at[f] for f in bras],
                            [at[f] for f in kets]))
             out.append(np.zeros((len(variants), len(bras), len(kets), dim,
                                  dim), dtype=complex))
@@ -774,15 +739,13 @@ class MomentumQuadrature:
         for slab in self.slabs(variants, rows):
             size = len(slab.weights)
             for (plan, bra_at, ket_at), sums in zip(passes, out):
-                vals = self.values(plan, slab,
-                                   scratch("values", plan.dim, size)
-                                   ).reshape(-1, dim, size)
-                bra = _rows(vals, bra_at, scratch, "bra").reshape(-1, size)
-                ket = _rows(vals, ket_at, scratch, "ket")
-                mixed = scratch("mixed", len(variants), len(ket_at), dim,
-                                size)
-                for kernel, applied in zip(slab.kernels, mixed):
-                    apply_kernel(kernel, ket, applied, scratch("row", size))
+                vals = self.values(plan, slab).reshape(-1, dim, size)
+                bra = _rows(vals, bra_at).reshape(-1, size)
+                ket = _rows(vals, ket_at)
+                mixed = np.empty((len(variants), len(ket_at), dim, size),
+                                 dtype=complex)
+                for v, kernel in enumerate(slab.kernels):
+                    apply_kernel(kernel, ket, mixed[v])
                 # conj(bra) @ mixed.T over (function, component) rows: the
                 # transposes of C-ordered rows are the Fortran arrays BLAS
                 # reads, so neither is copied
@@ -791,19 +754,19 @@ class MomentumQuadrature:
                 sums += cross.reshape(len(bra_at), dim, len(variants),
                                       len(ket_at), dim
                                       ).transpose(2, 0, 3, 1, 4)
+                # before the next block allocates its own
+                del vals, bra, ket, mixed
             del slab   # before the next slab forms its own
         return out
 
 
-def _rows(block: np.ndarray, at: list, scratch: SlabScratch,
-          name: str) -> np.ndarray:
+def _rows(block: np.ndarray, at: list) -> np.ndarray:
     """Rows ``at`` of ``block``: a view when they are adjacent and in
-    order, else taken into ``scratch`` buffer ``name``."""
+    order, else a copy taken by ``np.take``."""
     lo = at[0] if at else 0
     if at == list(range(lo, lo + len(at))):
         return block[lo:lo + len(at)]
-    return np.take(block, at, axis=0,
-                   out=scratch(name, len(at), *block.shape[1:]))
+    return np.take(block, at, axis=0)
 
 
 def inner_product(quad: MomentumQuadrature, f: TestFunction, g,
@@ -878,8 +841,8 @@ def smoothed_heaviside(lam):
 
 def wedge_multiplier(points, n_hat, eps: float):
     """Smooth cutoff supported inside the wedge around the n_hat-time plane."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_hat = np.asarray(n_hat, dtype=float)
     n_hat = n_hat / np.linalg.norm(n_hat)
@@ -899,6 +862,8 @@ class WedgeFunction:
     def __post_init__(self):
         if self.base.two_s != 0:
             raise ValueError("wedge functions are scalar")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         n = np.asarray(self.n_hat, dtype=float)
         object.__setattr__(self, "n_hat", tuple(n / np.linalg.norm(n)))
 

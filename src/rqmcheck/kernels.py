@@ -125,7 +125,7 @@ def momentum_kernel(variant: KernelVariant, m: float, two_s: int,
     """Euclidean momentum-space kernel ``D^s(p_e . sigma_v) / (p_e^2 + m^2)``."""
     p_e = np.asarray(p_e, dtype=float)
     denom = euclidean_square(p_e) + m * m
-    if denom <= 1e-14:
+    if not denom > 1e-14:
         raise ValueError("momentum lies on the Euclidean mass sphere pole")
     M = eucl_to_matrix(p_e, variant)
     return wigner_d_entries(two_s, M[0, 0], M[0, 1], M[1, 0], M[1, 1]) / denom

@@ -93,9 +93,9 @@ class PoincareElement:
         a = np.asarray(self.a, dtype=complex)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "a", a)
-        if abs(np.linalg.det(lam) - 1.0) > SL2C_CONSTRUCT_TOL:
+        if not abs(np.linalg.det(lam) - 1.0) <= SL2C_CONSTRUCT_TOL:
             raise ValueError("lam is not unimodular")
-        if np.max(np.abs(a - a.conj().T)) > SL2C_CONSTRUCT_TOL:
+        if not np.max(np.abs(a - a.conj().T)) <= SL2C_CONSTRUCT_TOL:
             raise ValueError("translation part is not Hermitian")
 
     @classmethod
@@ -116,7 +116,7 @@ def mink_to_matrix(x) -> np.ndarray:
 def matrix_to_mink(X, tol: float = 1e-10) -> np.ndarray:
     """Invert :func:`mink_to_matrix` via ``x^mu = Tr(X sigma_mu)/2``."""
     X = np.asarray(X, dtype=complex)
-    if np.max(np.abs(X - X.conj().T)) > tol:
+    if not np.max(np.abs(X - X.conj().T)) <= tol:
         raise ValueError("matrix is not Hermitian; no Minkowski preimage")
     comps = 0.5 * np.einsum("kij,ji->k", MINK_SIGMA, X)
     return comps.real
@@ -146,7 +146,7 @@ def compose_poincare(g2: PoincareElement, g1: PoincareElement) -> PoincareElemen
 def lorentz_from_sl2c(A) -> np.ndarray:
     """4x4 Lorentz matrix of X -> A X A^dag, rows/cols ordered (t,x,y,z)."""
     A = np.asarray(A, dtype=complex)
-    if abs(np.linalg.det(A) - 1.0) > SL2C_VERIFY_TOL:
+    if not abs(np.linalg.det(A) - 1.0) <= SL2C_VERIFY_TOL:
         raise ValueError("A is not unimodular")
     out = 0.5 * np.einsum("mij,jk,nkl,li->mn", MINK_SIGMA, A, MINK_SIGMA,
                           A.conj().T)
@@ -163,7 +163,7 @@ def orth_from_pair(A, B) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     for M in (A, B):
-        if abs(np.linalg.det(M) - 1.0) > SL2C_VERIFY_TOL:
+        if not abs(np.linalg.det(M) - 1.0) <= SL2C_VERIFY_TOL:
             raise ValueError("pair member is not unimodular")
     sig = EUCL_SIGMA[KernelVariant.RIGHT]
     sig_dag = sig.conj().transpose(0, 2, 1)
@@ -180,7 +180,7 @@ def canonical_boost(p, m: float) -> np.ndarray:
     unit determinant; squaring it gives ``(p.sigma_mink) / m`` on shell.
     An ``(N, 3)`` batch of momenta gives an ``(N, 2, 2)`` stack.
     """
-    if m <= 0:
+    if not m > 0:
         raise ValueError("mass must be positive")
     p = np.asarray(p, dtype=float)
     omega = np.sqrt(m * m + np.einsum("...i,...i->...", p, p))
@@ -214,7 +214,7 @@ def polar_decompose(L):
     principal (positive) Hermitian square root and ``boost @ rotation == L``.
     """
     L = np.asarray(L, dtype=complex)
-    if abs(np.linalg.det(L)) < 1e-14:
+    if not abs(np.linalg.det(L)) >= 1e-14:
         raise ValueError("singular matrix has no polar decomposition")
     gram = L @ L.conj().T
     gram = 0.5 * (gram + gram.conj().T)

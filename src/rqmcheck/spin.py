@@ -105,7 +105,7 @@ def wigner_d(two_s: int, A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.shape != (2, 2):
         raise ValueError("argument must be a 2x2 matrix")
-    if abs(np.linalg.det(A) - 1.0) > 1e-10:
+    if not abs(np.linalg.det(A) - 1.0) <= 1e-10:
         raise ValueError("argument must have unit determinant")
     return wigner_d_entries(two_s, A[0, 0], A[0, 1], A[1, 0], A[1, 1])
 

@@ -134,9 +134,9 @@ def test_hermiticity_fills_each_pair_once_per_slab_and_engine(monkeypatch):
     rows = Counter()
     evaluate = hl.MomentumWaveFunction.evaluate
 
-    def counted(mwf, points, grid=None, out=None):
+    def counted(mwf, points, grid=None):
         rows[len(mwf.comps)] += 1
-        return evaluate(mwf, points, grid=grid, out=out)
+        return evaluate(mwf, points, grid=grid)
 
     monkeypatch.setattr(hl.MomentumWaveFunction, "evaluate", counted)
     pairs = su.hermiticity_pairs(np.random.default_rng(41), 1, 2)
@@ -163,7 +163,7 @@ def test_hermiticity_pair_memory_is_slab_bounded():
     # per slab measured 10.7 MB; its block's component sums from
     # MomentumQuadrature.pairings, 9.0 MB, with the pin set 2.8 MB above
     # that.  One 48-node engine for all ten generators in place of 88 and
-    # 32 nodes measures 6.1 MB
+    # 32 nodes measures 5.8 MB (6.1 MB with one buffer pool per pass)
     assert peak_mb(_hermiticity_pass(1)) < 11.8
 
 
@@ -172,7 +172,8 @@ def test_ten_hermiticity_pairs_memory_is_slab_bounded():
     # about 0.9 MB a pair, on top of one pair's slab buffers; 17.7 MB
     # measured (19.3 MB with a private slab loop, 34.1 MB with fixed
     # 16k-point slabs and an omega cube per engine), with the pin set
-    # 2.8 MB above that; one 48-node engine measures 10.2 MB
+    # 2.8 MB above that; one 48-node engine measures 9.8 MB
+    # (10.2 MB with one buffer pool per pass)
     assert peak_mb(_hermiticity_pass(10)) < 20.5
 
 
@@ -180,10 +181,11 @@ def test_gram_pass_memory_is_slab_bounded():
     # all four variants' Gram matrices of eight spin-1 functions on 40^3
     # points in one pass: 24 value rows and 96 rows of kernel products,
     # so slabs of one plane, with bras and kets read from the value block
-    # and the weights in the kernel rows.  4.4 MB measured (6.7 MB with
-    # slabs sized by the value rows only), where fixed 16k-point slabs
-    # with a weighted bra copy peaked at 28.2 MB and kept whole-grid
-    # transforms and a kept RIGHT kernel at 67 MB; the pin leaves 2.8 MB
+    # and the weights in the kernel rows.  4.0 MB measured (4.4 MB with
+    # one buffer pool per pass, 6.7 MB with slabs sized by the value rows
+    # only), where fixed 16k-point slabs with a weighted bra copy peaked
+    # at 28.2 MB and kept whole-grid transforms and a kept RIGHT kernel at
+    # 67 MB; the pin leaves 3.2 MB
     fs = su.positivity_family(np.random.default_rng(0), 2, 8)
     quad = hl.MomentumQuadrature(fs, 1.0, 40)
     assert peak_mb(lambda: hl.gram_matrix(quad, fs, tuple(KV))) < 7.2
@@ -192,10 +194,10 @@ def test_gram_pass_memory_is_slab_bounded():
 def test_casimir_pass_memory_is_slab_bounded():
     # the casimir suite's spin-1 pass: f against (H^2 - P^2) g and g, nine
     # value rows and 24 rows of kernel products on 48^3 points, every
-    # variant, so slabs of one plane; 2.8 MB measured (11.7 MB with slabs
-    # of six planes sized by the value rows only, where the spin-1 kernel
-    # build set the peak; 16.0 MB with an omega cube and a weighted bra
-    # copy); the pin leaves 2.8 MB
+    # variant, so slabs of one plane; 2.4 MB measured (2.8 MB with one
+    # buffer pool per pass, 11.7 MB with slabs of six planes sized by the
+    # value rows only, where the spin-1 kernel build set the peak; 16.0 MB
+    # with an omega cube and a weighted bra copy); the pin leaves 3.2 MB
     rng = np.random.default_rng(0)
     f, g = (hl.random_test_function(rng, two_s=2, terms_per_component=1,
                                     min_k=2, max_k=3, center_scale=0.3,

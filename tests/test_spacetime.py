@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rqmcheck import generators as gn
+from rqmcheck import hilbert as hl
 from rqmcheck import kernels as kr
 from rqmcheck import spacetime as st
+from rqmcheck import spin as sp
 from rqmcheck.spacetime import KernelVariant as KV
 
 
@@ -261,3 +264,46 @@ def test_det_preservation_under_pair_action():
         A, B = random_sl2c(rng), random_sl2c(rng)
         X = st.eucl_to_matrix(rng.normal(size=4))
         assert abs(np.linalg.det(A @ X @ B.T) - np.linalg.det(X)) < 1e-12
+
+
+NAN = float("nan")
+NAN2 = np.full((2, 2), NAN, dtype=complex)
+PACKET = hl.gaussian_packet()
+NAN_CASES = {
+    "laplace_fourier_transform": (
+        lambda: hl.laplace_fourier_transform(PACKET, NAN), "mass"),
+    "wedge_multiplier": (
+        lambda: hl.wedge_multiplier([[1.0, 0.0, 0.0, 0.0]], (1, 0, 0), NAN),
+        "eps"),
+    "WedgeFunction-nan": (
+        lambda: hl.WedgeFunction(PACKET, (1, 0, 0), NAN), "eps"),
+    "WedgeFunction-negative": (
+        lambda: hl.WedgeFunction(PACKET, (1, 0, 0), -1.0), "eps"),
+    "momentum_project": (
+        lambda: gn.momentum_project(PACKET, 1.0, (0, 0, 0), NAN, 4), "width"),
+    "canonical_boost": (
+        lambda: st.canonical_boost([0.1, 0.2, 0.3], NAN), "mass"),
+    "PoincareElement-det": (
+        lambda: st.PoincareElement(NAN2, np.zeros((2, 2))), "unimodular"),
+    "PoincareElement-hermitian": (
+        lambda: st.PoincareElement(np.eye(2), NAN2), "Hermitian"),
+    "lorentz_from_sl2c": (lambda: st.lorentz_from_sl2c(NAN2), "unimodular"),
+    "orth_from_pair": (
+        lambda: st.orth_from_pair(np.eye(2), NAN2), "unimodular"),
+    "matrix_to_mink": (lambda: st.matrix_to_mink(NAN2), "Hermitian"),
+    "polar_decompose": (lambda: st.polar_decompose(NAN2), "singular"),
+    "wigner_d": (lambda: sp.wigner_d(1, NAN2), "determinant"),
+    "momentum_kernel": (
+        lambda: kr.momentum_kernel(KV.RIGHT, NAN, 1, [0.0, 0.1, 0.2, 0.3]),
+        "pole"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_guards_reject_nan(case):
+    """Every guard states the condition that must hold, so NaN, for which
+    every comparison is false, fails it with the guard's own message."""
+    call, message = NAN_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()

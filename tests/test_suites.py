@@ -33,13 +33,13 @@ def test_one_engine_per_family(monkeypatch, suite, transforms_per_family):
     evaluate = hl.MomentumWaveFunction.evaluate
     build_kernel, build_grid = hl.onshell_kernel_grid, hl.tensor_grid
 
-    def counted_evaluate(mwf, points, grid=None, out=None):
+    def counted_evaluate(mwf, points, grid=None):
         # a stacked transform holds its functions' 2s+1 components each
         calls.append(mwf)
         dim = mwf.two_s + 1
         for j in range(0, len(mwf.comps), dim):
             transform_points[mwf.comps[j:j + dim]] += len(points)
-        return evaluate(mwf, points, grid=grid, out=out)
+        return evaluate(mwf, points, grid=grid)
 
     def counted_kernel(variant, m, two_s, points, **kw):
         kernel_points.append(len(points))
@@ -104,16 +104,13 @@ def test_irrep_family_builds_one_grid(monkeypatch, elements):
 
 
 # the GRID_NODES entries a suite's verdicts are checked under doubling
-# at, by suite; the projections suite's spin_projection grid and the
-# semigroup grid are left out.  spin_projection moved 2e-26 of its
-# tolerance from 20 to 40 nodes.  semigroup's verdict reads 0 at any
-# count, and its norm ratios move 8.8e-13 from 48 to 96 nodes at m = 0.3,
-# 8.8e-3 of its 1e-10 tolerance, which is above this test's 1e-3 bar
-# (4e-16 at m = 1)
+# at, by suite; the projections suite's spin_projection grid is left out,
+# as it moved 2e-26 of its tolerance from 20 to 40 nodes
 DOUBLED = {
     "hermiticity": "hermiticity",
     "casimir": "casimir",
     "positivity": "positivity",
+    "semigroup": "semigroup",
     "irrep": "irrep",
     "projection_window": "projections",
     "mc_reference": "mc-crosscheck",
@@ -128,8 +125,11 @@ def test_grid_converged_under_doubling(monkeypatch, entry, m):
     check's tolerance, and every check passes at n; at m = 0.3 the
     Gauss-Legendre grid this rule replaced failed hermiticity and
     irrep_unitarity.  gram_positivity reads 0 on a positive Gram matrix
-    at any n, so its least eigenvalue is compared too.  One group
-    element, the suite's first, keeps the irrep suite short."""
+    at any n, so its least eigenvalue is compared too.
+    semigroup_contraction reads 0 at any n, so its norm ratios and its
+    gap ratio are held to the bar instead: at m = 0.3 they moved 8.8e-13
+    from 48 to 96 nodes and 5.2e-15 from 56 to 112.  One group element,
+    the suite's first, keeps the irrep suite short."""
     suite, n = DOUBLED[entry], su.GRID_NODES[entry]
 
     def run(nodes):
@@ -149,6 +149,12 @@ def test_grid_converged_under_doubling(monkeypatch, entry, m):
         if a.name == "gram_positivity":
             assert (abs(a.details["min_eig"] - b.details["min_eig"])
                     <= 1e-3 * b.details["min_eig"])
+        if a.name == "semigroup_contraction":
+            ratios = [*a.details["ratios"], a.details["gap_ratio"]]
+            doubled = [*b.details["ratios"], b.details["gap_ratio"]]
+            assert max(abs(p - q) for p, q in zip(ratios, doubled,
+                                                  strict=True)
+                       ) <= 1e-3 * a.tolerance, (a.inputs, ratios, doubled)
 
 
 def test_far_separation_does_not_depend_on_the_mass():

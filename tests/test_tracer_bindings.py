@@ -83,11 +83,11 @@ def test_tracer_reaches_every_grid_quadrature_layer(monkeypatch):
     walks = []           # slabs per walk of a grid
     plan, slab_planes = hl.MomentumQuadrature.plan, hl.slab_planes
 
-    def recorded_plan(quad, functions, scratch=None):
+    def recorded_plan(quad, functions):
         functions = list(functions)
         passes.append((quad.nodes,
                        sum(len(ts) for f in functions for ts in f.comps)))
-        return plan(quad, functions, scratch)
+        return plan(quad, functions)
 
     def recorded_slab_planes(n, rows=1):
         planes = slab_planes(n, rows)
